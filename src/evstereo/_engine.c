@@ -1,0 +1,355 @@
+/* Compiled event loop of the exact event-driven LIF simulation.
+ *
+ * This is the algorithm of simulator._Engine, operation for operation: the
+ * closed-form advance, the crossing prediction by closed-form argmax plus
+ * integer bisection, the (t, nid, stamp) min-heap with stale-stamp skipping,
+ * saturating synapses and the dirty list. Every floating-point expression is
+ * evaluated in the order the Python code evaluates it and calls the same
+ * libm exp/log, so that, compiled with -ffp-contract=off and without
+ * -ffast-math, spike times, ids and delivery counts are bit-identical.
+ *
+ * Where the Python code would raise (a float division by zero) or produce a
+ * time outside int64 (Python ints are unbounded), evstereo_run returns
+ * EV_PYTHON and the caller runs the Python loop instead.
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+enum { EV_OK = 0, EV_NOMEM = 1, EV_PYTHON = 2 };
+enum { NO_CROSSING = 0, CROSSING = 1, UNREPRESENTABLE = -1 };
+
+#define TIME_LIMIT 0x1p62 /* bisection bounds stay exact and their sum fits int64 */
+
+typedef struct {
+    const double *tau_m, *tau_s, *gain, *theta, *reset, *v_floor, *coef;
+    const int64_t *refr;
+    const uint8_t *equal_tau;
+    double *v, *s;
+    int64_t *t_last, *refr_until, *stamp;
+} network;
+
+typedef struct {
+    int64_t t, nid, stamp;
+} entry;
+
+typedef struct {
+    entry *items;
+    int64_t len, cap;
+} heap;
+
+typedef struct {
+    int64_t *t, *id;
+    int64_t len, cap;
+} spikes;
+
+/* ------------------------------------------------------------ closed form */
+
+static double v_at(const network *net, int64_t i, double v0, double s0, double dt)
+{
+    if (net->equal_tau[i]) {
+        double em = exp(-dt / net->tau_m[i]);
+        return (v0 + net->gain[i] * s0 * dt) * em;
+    }
+    double a = net->coef[i] * s0;
+    return (v0 - a) * exp(-dt / net->tau_m[i]) + a * exp(-dt / net->tau_s[i]);
+}
+
+static void advance(network *net, int64_t i, int64_t t)
+{
+    int64_t t0 = net->t_last[i];
+    if (t == t0)
+        return;
+    int64_t ru = net->refr_until[i];
+    if (ru > t0) {
+        int64_t tr = ru < t ? ru : t;
+        net->s[i] *= exp(-(double)(tr - t0) / net->tau_s[i]);
+        net->v[i] = net->reset[i];
+        t0 = tr;
+    }
+    if (t > t0) {
+        double v = v_at(net, i, net->v[i], net->s[i], (double)(t - t0));
+        double fl = net->v_floor[i];
+        net->v[i] = v > fl ? v : fl;
+        net->s[i] *= exp(-(double)(t - t0) / net->tau_s[i]);
+    }
+    net->t_last[i] = t;
+}
+
+static int predict_crossing(const network *net, int64_t i, int64_t *out)
+{
+    int64_t t0 = net->t_last[i], ru = net->refr_until[i], base;
+    double theta = net->theta[i], v0, s0;
+    if (ru > t0) {
+        v0 = net->reset[i];
+        s0 = net->s[i] * exp(-(double)(ru - t0) / net->tau_s[i]);
+        base = ru;
+    } else {
+        v0 = net->v[i];
+        s0 = net->s[i];
+        base = t0;
+    }
+    if (v0 >= theta) {
+        *out = base;
+        return CROSSING;
+    }
+    double g = net->gain[i], tm = net->tau_m[i], ts = net->tau_s[i], t_peak;
+    if (g * s0 - v0 / tm <= 0.0)
+        return NO_CROSSING;
+    if (net->equal_tau[i]) {
+        if (s0 == 0.0)
+            return NO_CROSSING;
+        double gs = g * s0;
+        if (gs == 0.0)
+            return UNREPRESENTABLE;
+        t_peak = tm - v0 / gs;
+    } else {
+        double a = net->coef[i] * s0, b = v0 - a, ratio = 0.0;
+        if (b != 0.0) {
+            double den = b * ts;
+            if (den == 0.0)
+                return UNREPRESENTABLE;
+            ratio = -(a * tm) / den;
+        }
+        if (ratio <= 0.0)
+            return NO_CROSSING;
+        double rate = 1.0 / ts - 1.0 / tm;
+        if (rate == 0.0)
+            return UNREPRESENTABLE;
+        t_peak = log(ratio) / rate;
+    }
+    if (t_peak <= 0.0 || !isfinite(t_peak))
+        return NO_CROSSING;
+    /* kf and kc stay doubles: Python converts the integers floor(t_peak)
+     * and floor(t_peak) + 1 to exactly these doubles when it divides */
+    double kf = floor(t_peak), kc = kf + 1.0;
+    int64_t k;
+    if (v_at(net, i, v0, s0, kf) >= theta) {
+        if (kf >= TIME_LIMIT)
+            return UNREPRESENTABLE;
+        int64_t lo = 1, hi = (int64_t)kf; /* v rises monotonically on [0, t_peak] */
+        while (lo < hi) {
+            int64_t mid = (lo + hi) / 2;
+            if (v_at(net, i, v0, s0, (double)mid) >= theta)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        k = lo;
+    } else if (v_at(net, i, v0, s0, kc) >= theta) {
+        if (kf >= TIME_LIMIT)
+            return UNREPRESENTABLE;
+        k = (int64_t)kf + 1;
+    } else {
+        return NO_CROSSING;
+    }
+    if (__builtin_add_overflow(base, k, out))
+        return UNREPRESENTABLE;
+    return CROSSING;
+}
+
+/* ------------------------------------------------------------ containers */
+
+static int entry_less(const entry *a, const entry *b)
+{
+    if (a->t != b->t)
+        return a->t < b->t;
+    if (a->nid != b->nid)
+        return a->nid < b->nid;
+    return a->stamp < b->stamp;
+}
+
+static int heap_push(heap *h, entry e)
+{
+    if (h->len == h->cap) {
+        int64_t cap = h->cap ? 2 * h->cap : 1024;
+        entry *items = realloc(h->items, (size_t)cap * sizeof(entry));
+        if (!items)
+            return 0;
+        h->items = items;
+        h->cap = cap;
+    }
+    int64_t i = h->len++;
+    while (i > 0) {
+        int64_t parent = (i - 1) / 2;
+        if (!entry_less(&e, &h->items[parent]))
+            break;
+        h->items[i] = h->items[parent];
+        i = parent;
+    }
+    h->items[i] = e;
+    return 1;
+}
+
+static void heap_pop(heap *h)
+{
+    entry last = h->items[--h->len];
+    int64_t i = 0, n = h->len;
+    for (;;) {
+        int64_t c = 2 * i + 1;
+        if (c >= n)
+            break;
+        if (c + 1 < n && entry_less(&h->items[c + 1], &h->items[c]))
+            c++;
+        if (!entry_less(&h->items[c], &last))
+            break;
+        h->items[i] = h->items[c];
+        i = c;
+    }
+    if (n)
+        h->items[i] = last;
+}
+
+static int spikes_append(spikes *sp, int64_t t, int64_t id)
+{
+    if (sp->len == sp->cap) {
+        int64_t cap = sp->cap ? 2 * sp->cap : 4096;
+        int64_t *nt = realloc(sp->t, (size_t)cap * sizeof(int64_t));
+        if (!nt)
+            return 0;
+        sp->t = nt;
+        int64_t *ni = realloc(sp->id, (size_t)cap * sizeof(int64_t));
+        if (!ni)
+            return 0;
+        sp->id = ni;
+        sp->cap = cap;
+    }
+    sp->t[sp->len] = t;
+    sp->id[sp->len] = id;
+    sp->len++;
+    return 1;
+}
+
+/* ------------------------------------------------------------ event loop */
+
+void evstereo_free(void *p)
+{
+    free(p);
+}
+
+/* par holds the per-neuron rows tau_m, tau_s, gain, theta, reset, v_floor and
+ * coef, n values each. The efferent synapses of neuron i are
+ * adj_start[i] .. adj_start[i+1]-1. On EV_OK, *spike_t and *spike_id hold
+ * *n_spikes entries owned by the caller (release with evstereo_free). */
+int evstereo_run(int64_t n, const double *par, const int64_t *refr, const uint8_t *equal_tau,
+                 const int64_t *adj_start, const int64_t *adj_post, const double *adj_weight,
+                 const uint8_t *adj_sat, int64_t n_events, const int64_t *ev_t, const int64_t *ev_src,
+                 int64_t **spike_t, int64_t **spike_id, int64_t *n_spikes, int64_t *deliveries_out)
+{
+    int64_t m = adj_start[n];
+    network net = {
+        .tau_m = par, .tau_s = par + n, .gain = par + 2 * n, .theta = par + 3 * n,
+        .reset = par + 4 * n, .v_floor = par + 5 * n, .coef = par + 6 * n,
+        .refr = refr, .equal_tau = equal_tau,
+    };
+    double *state = calloc((size_t)(2 * n + m) + 1, sizeof(double));
+    int64_t *istate = calloc((size_t)(4 * n + m) + 1, sizeof(int64_t));
+    uint8_t *in_dirty = calloc((size_t)n + 1, 1);
+    heap h = {0};
+    spikes sp = {0};
+    int status = EV_OK;
+    int64_t deliveries = 0, n_dirty = 0, i_evt = 0;
+    if (!state || !istate || !in_dirty) {
+        status = EV_NOMEM;
+        goto done;
+    }
+    net.v = state;
+    net.s = state + n;
+    double *sat_value = state + 2 * n;
+    net.t_last = istate;
+    net.refr_until = istate + n;
+    net.stamp = istate + 2 * n;
+    int64_t *dirty = istate + 3 * n; /* each neuron at most once, guarded by in_dirty */
+    int64_t *sat_time = istate + 4 * n;
+    for (int64_t i = 0; i < n; i++)
+        net.refr_until[i] = -1;
+
+#define MARK_DIRTY(nid)                      \
+    do {                                     \
+        net.stamp[nid]++;                    \
+        if (!in_dirty[nid]) {                \
+            in_dirty[nid] = 1;               \
+            dirty[n_dirty++] = (nid);        \
+        }                                    \
+    } while (0)
+
+    for (;;) {
+        for (int64_t j = 0; j < n_dirty; j++) {
+            int64_t nid = dirty[j], t_pred;
+            in_dirty[nid] = 0;
+            int r = predict_crossing(&net, nid, &t_pred);
+            if (r == UNREPRESENTABLE) {
+                status = EV_PYTHON;
+                goto done;
+            }
+            if (r == CROSSING && !heap_push(&h, (entry){t_pred, nid, net.stamp[nid]})) {
+                status = EV_NOMEM;
+                goto done;
+            }
+        }
+        n_dirty = 0;
+        while (h.len && h.items[0].stamp != net.stamp[h.items[0].nid])
+            heap_pop(&h);
+        int have_ext = i_evt < n_events;
+        int64_t pre, t;
+        if (h.len && (!have_ext || h.items[0].t <= ev_t[i_evt])) {
+            int64_t nid = h.items[0].nid;
+            t = h.items[0].t;
+            heap_pop(&h);
+            advance(&net, nid, t);
+            /* stamp matched, so the state is exactly the predicted one */
+            if (!spikes_append(&sp, t, nid)) {
+                status = EV_NOMEM;
+                goto done;
+            }
+            net.v[nid] = net.reset[nid];
+            if (__builtin_add_overflow(t, net.refr[nid], &net.refr_until[nid])) {
+                status = EV_PYTHON;
+                goto done;
+            }
+            MARK_DIRTY(nid); /* may cross again once refractoriness ends */
+            pre = nid;
+        } else if (have_ext) {
+            t = ev_t[i_evt];
+            pre = ev_src[i_evt];
+            i_evt++;
+        } else {
+            break;
+        }
+        for (int64_t k = adj_start[pre]; k < adj_start[pre + 1]; k++) {
+            int64_t post = adj_post[k];
+            advance(&net, post, t);
+            double w = adj_weight[k];
+            if (adj_sat[k]) {
+                double lingering = sat_value[k] * exp(-(double)(t - sat_time[k]) / net.tau_s[post]);
+                net.s[post] += w - lingering;
+                sat_value[k] = w;
+                sat_time[k] = t;
+            } else {
+                net.s[post] += w;
+            }
+            MARK_DIRTY(post);
+        }
+        deliveries += adj_start[pre + 1] - adj_start[pre];
+    }
+#undef MARK_DIRTY
+
+done:
+    free(state);
+    free(istate);
+    free(in_dirty);
+    free(h.items);
+    if (status == EV_OK) {
+        *spike_t = sp.t;
+        *spike_id = sp.id;
+        *n_spikes = sp.len;
+        *deliveries_out = deliveries;
+    } else {
+        free(sp.t);
+        free(sp.id);
+        *spike_t = *spike_id = NULL;
+        *n_spikes = *deliveries_out = 0;
+    }
+    return status;
+}

@@ -30,6 +30,7 @@ from .groundtruth import (
 from .metrics import build_report, write_com_csv
 from .preprocess import preprocess_pipeline_resolved
 from .simulator import (
+    SpikeFormatError,
     SpikeRecord,
     instantaneous_rates,
     read_spike_csv,
@@ -118,10 +119,12 @@ def _write_mean_rates_csv(record: SpikeRecord, topology: Topology, path: str) ->
     counts = np.bincount(record.neuron_ids, minlength=topology.n_neurons) if len(record) else np.zeros(topology.n_neurons, dtype=np.int64)
     rows = ["population,neuron_id,d,x_cyc,y,mean_rate_hz"]
     for pop in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY):
-        for nid in topology.population_ids(pop):
-            _, coord, _ = topology.coord_of(int(nid))
-            rate = counts[nid] / duration_s
-            rows.append(f"{pop.name},{nid},{coord.d},{coord.x_cyc},{coord.y},{float(rate)!r}")
+        ids = topology.population_ids(pop)
+        columns = (ids, topology.d[ids], topology.x_cyc[ids], topology.y[ids], counts[ids] / duration_s)
+        rows.extend(
+            f"{pop.name},{nid},{d},{x_cyc},{y},{rate!r}"
+            for nid, d, x_cyc, y, rate in zip(*(c.tolist() for c in columns))
+        )
     _atomic_write(path, "\n".join(rows) + "\n")
 
 
@@ -238,6 +241,9 @@ def _run_one_safe(config_path: str, overrides: list[str], auto_crop: bool) -> in
     except (ValueError, OSError) as exc:
         print(f"error (run {config_path}): {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # one failing config must not abort its siblings
+        print(f"error (run {config_path}): {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -314,7 +320,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"trace window {trace.window_us}us does not match analysis.window_us={cfg.analysis.window_us}"
         )
     duration = trace.n_windows * trace.window_us - 1
-    record = read_spike_csv(args.spikes, topology, duration_us=duration)
+    try:
+        record = read_spike_csv(args.spikes, topology, duration_us=duration)
+    except SpikeFormatError as exc:
+        raise ConfigError(str(exc)) from None
     # energy needs input/delivery counters that spike CSVs do not carry
     report = build_report(
         record,

@@ -4,6 +4,7 @@ plus dotted-path overrides from the command line."""
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any
@@ -129,6 +130,22 @@ class RunConfig:
 # ---------------------------------------------------------------- parsing
 
 
+def _keyframes(raw) -> tuple[tuple[int, float], ...]:
+    """``[[t_us, d], ...]`` as a tuple of (int, float) pairs."""
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"input.synthetic.keyframes must be a list of [t_us, d] pairs, got {raw!r}")
+    pairs = []
+    for i, pair in enumerate(raw):
+        if not (
+            isinstance(pair, (list, tuple))
+            and len(pair) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in pair)
+        ):
+            raise ConfigError(f"input.synthetic.keyframes[{i}] must be a [t_us, d] pair of finite numbers, got {pair!r}")
+        pairs.append((int(pair[0]), float(pair[1])))
+    return tuple(pairs)
+
+
 def _profile_from_dict(data: dict, default_seed: int) -> DisparityProfile:
     known = {
         "shape", "keyframes", "x", "y", "height", "dots_per_row",
@@ -139,7 +156,7 @@ def _profile_from_dict(data: dict, default_seed: int) -> DisparityProfile:
         raise ConfigError(f"unknown synthetic profile keys: {sorted(unknown)}")
     kwargs = dict(data)
     if "keyframes" in kwargs:
-        kwargs["keyframes"] = tuple((int(t), float(d)) for t, d in kwargs["keyframes"])
+        kwargs["keyframes"] = _keyframes(kwargs["keyframes"])
     kwargs.setdefault("seed", default_seed)
     try:
         return DisparityProfile(**kwargs)

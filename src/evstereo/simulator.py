@@ -15,14 +15,26 @@ integer microsecond with v >= theta is found by closed-form argmax plus
 integer bisection. Spikes are stamped at that microsecond; simultaneous
 crossings and zero-delay cascades resolve in ascending neuron id, giving
 bit-identical spike records for identical inputs.
+
+The event loop runs compiled: ``_engine.c`` is built with the system ``cc``
+on the first call and cached in this package's ``__pycache__/`` (see
+``_native``). It performs the operations of ``_Engine`` in the same order
+and calls the same libm ``exp``/``log``; compiled with ``-ffp-contract=off``
+and without ``-ffast-math``, it rounds exactly as CPython does, so its
+spikes are bit-identical. Without a compiler, or in the corner cases only
+Python arithmetic reproduces (a time beyond int64, a float division by
+zero), ``simulate`` runs ``_Engine``, the Python loop, which is also the
+reference the tests compare the compiled loop against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import repeat
 
 import numpy as np
 
@@ -173,68 +185,69 @@ def window_centers_us(n_windows: int, window_us: int) -> np.ndarray:
 # ---------------------------------------------------------------- engine
 
 
-class _Engine:
-    """State and closed-form update machinery for one simulation run."""
+class _Network:
+    """Per-neuron parameters and the efferent adjacency (CSR) of one run, as
+    numpy arrays: the set-up shared by the compiled and the Python loop."""
 
     def __init__(self, topology: Topology, params: LifParams, mismatch: MismatchModel | None):
+        pop_params = [params.for_population(p) for p in Population]
+        code = topology.pop_code
+
+        def per_neuron(values, dtype=np.float64) -> np.ndarray:
+            return np.array(values, dtype=dtype)[code]
+
+        self.tau_m = per_neuron([pp.tau_m for pp in pop_params])
+        self.tau_s = per_neuron([pp.tau_s for pp in pop_params])
+        self.gain = per_neuron([pp.gain for pp in pop_params])
+        self.theta = per_neuron([pp.threshold for pp in pop_params])
+        self.reset = per_neuron([pp.reset for pp in pop_params])
+        self.refr = per_neuron([pp.refractory_us for pp in pop_params], np.int64)
+        self.floor = per_neuron([pp.v_floor for pp in pop_params])
+        self.equal_tau = per_neuron([pp.tau_m == pp.tau_s for pp in pop_params], bool)
+        # g*tau_m*tau_s/(tau_s - tau_m) for the biexponential
+        self.coef = per_neuron(
+            [0.0 if pp.tau_m == pp.tau_s else pp.gain * pp.tau_m * pp.tau_s / (pp.tau_s - pp.tau_m) for pp in pop_params]
+        )
+
         n = topology.n_neurons
-        self.topology = topology
-        pop_params = {p: params.for_population(p) for p in Population}
-
-        # per-neuron parameter arrays (plain lists: fastest scalar access)
-        tau_m = [0.0] * n
-        tau_s = [0.0] * n
-        gain = [0.0] * n
-        theta = [0.0] * n
-        reset = [0.0] * n
-        refr = [0] * n
-        floor = [0.0] * n
-        equal_tau = [False] * n
-        coef = [0.0] * n  # g*tau_m*tau_s/(tau_s - tau_m) for the biexponential
-        for nid in range(n):
-            pp = pop_params[topology.population_of(nid)]
-            tau_m[nid] = pp.tau_m
-            tau_s[nid] = pp.tau_s
-            g = pp.gain
-            gain[nid] = g
-            theta[nid] = pp.threshold
-            reset[nid] = pp.reset
-            refr[nid] = pp.refractory_us
-            floor[nid] = pp.v_floor
-            eq = pp.tau_m == pp.tau_s
-            equal_tau[nid] = eq
-            coef[nid] = 0.0 if eq else g * pp.tau_m * pp.tau_s / (pp.tau_s - pp.tau_m)
-
         if mismatch is not None and mismatch.enabled:
             rng = np.random.default_rng(mismatch.seed)
             if mismatch.threshold_sigma > 0:
-                jitter = 1.0 + mismatch.threshold_sigma * rng.standard_normal(n)
-                for nid in range(n):
-                    theta[nid] = max(theta[nid] * float(jitter[nid]), reset[nid] + 1e-9)
+                jittered = self.theta * (1.0 + mismatch.threshold_sigma * rng.standard_normal(n))
+                lowest = self.reset + 1e-9
+                self.theta = np.where(lowest > jittered, lowest, jittered)
 
-        self.tau_m, self.tau_s, self.gain = tau_m, tau_s, gain
-        self.theta, self.reset_v, self.refr, self.floor = theta, reset, refr, floor
-        self.equal_tau, self.coef = equal_tau, coef
-
-        # efferent adjacency in CSR form
         order = np.argsort(topology.syn_pre, kind="stable")
-        self.adj_post = topology.syn_post[order].tolist()
+        self.adj_post = topology.syn_post[order]
         weights = topology.syn_weight[order] * topology.syn_sign[order]
         if mismatch is not None and mismatch.enabled and mismatch.weight_sigma > 0:
             rng_w = np.random.default_rng(mismatch.seed + 1)
             weights = weights * np.maximum(1.0 + mismatch.weight_sigma * rng_w.standard_normal(len(weights)), 0.0)
-        self.adj_weight = weights.tolist()
-        self.adj_sat = topology.syn_saturating[order].tolist()
-        pre_sorted = topology.syn_pre[order]
-        starts = np.searchsorted(pre_sorted, np.arange(n + 1))
-        self.adj_start = starts.tolist()
+        self.adj_weight = weights
+        self.adj_sat = topology.syn_saturating[order]
+        self.adj_start = np.searchsorted(topology.syn_pre[order], np.arange(n + 1))
+
+
+class _Engine:
+    """The event loop in Python: the engine on hosts without a C compiler,
+    and the byte-equality reference for the compiled loop in the tests."""
+
+    def __init__(self, net: _Network):
+        # plain lists: fastest scalar access
+        self.tau_m, self.tau_s, self.gain = net.tau_m.tolist(), net.tau_s.tolist(), net.gain.tolist()
+        self.theta, self.reset_v = net.theta.tolist(), net.reset.tolist()
+        self.refr, self.floor = net.refr.tolist(), net.floor.tolist()
+        self.equal_tau, self.coef = net.equal_tau.tolist(), net.coef.tolist()
+        self.adj_start, self.adj_post = net.adj_start.tolist(), net.adj_post.tolist()
+        self.adj_weight, self.adj_sat = net.adj_weight.tolist(), net.adj_sat.tolist()
 
         # per-synapse state for saturating synapses (value at last arming time)
-        m = topology.n_synapses
+        m = len(self.adj_post)
         self.sat_value = [0.0] * m
         self.sat_time = [0] * m
 
         # neuron state
+        n = len(self.tau_m)
         self.v = [0.0] * n
         self.s = [0.0] * n
         self.t_last = [0] * n
@@ -326,6 +339,81 @@ class _Engine:
             return base + kc
         return None
 
+    def run(self, ev_t: list[int], ev_src: list[int]) -> tuple[np.ndarray, np.ndarray, int]:
+        """Deliver the input events in order; returns spike times, spike ids
+        and the delivery count."""
+        heap: list[tuple[int, int, int]] = []  # (t_pred, neuron_id, stamp)
+        dirty: list[int] = []
+        in_dirty = [False] * len(self.v)
+
+        adj_start, adj_post = self.adj_start, self.adj_post
+        adj_weight, adj_sat = self.adj_weight, self.adj_sat
+        sat_value, sat_time = self.sat_value, self.sat_time
+        tau_s = self.tau_s
+        n_events = len(ev_t)
+
+        def mark_dirty(nid: int) -> None:
+            self.stamp[nid] += 1
+            if not in_dirty[nid]:
+                in_dirty[nid] = True
+                dirty.append(nid)
+
+        def deliver_from(pre: int, t: int) -> None:
+            lo, hi = adj_start[pre], adj_start[pre + 1]
+            for k in range(lo, hi):
+                post = adj_post[k]
+                self.advance(post, t)
+                w = adj_weight[k]
+                if adj_sat[k]:
+                    lingering = sat_value[k] * math.exp(-(t - sat_time[k]) / tau_s[post])
+                    self.s[post] += w - lingering
+                    sat_value[k] = w
+                    sat_time[k] = t
+                else:
+                    self.s[post] += w
+                mark_dirty(post)
+            self.deliveries += hi - lo
+
+        i_evt = 0
+        while True:
+            if dirty:
+                for nid in dirty:
+                    in_dirty[nid] = False
+                    pred = self.predict_crossing(nid)
+                    if pred is not None:
+                        heappush(heap, (pred, nid, self.stamp[nid]))
+                dirty.clear()
+            while heap and heap[0][2] != self.stamp[heap[0][1]]:
+                heappop(heap)
+            t_ext = ev_t[i_evt] if i_evt < n_events else None
+            if heap and (t_ext is None or heap[0][0] <= t_ext):
+                t_sp, nid, _ = heappop(heap)
+                self.advance(nid, t_sp)
+                # stamp matched, so the state is exactly the predicted one
+                self.spike_t.append(t_sp)
+                self.spike_id.append(nid)
+                self.v[nid] = self.reset_v[nid]
+                self.refr_until[nid] = t_sp + self.refr[nid]
+                mark_dirty(nid)  # may cross again once refractoriness ends
+                deliver_from(nid, t_sp)
+            elif t_ext is not None:
+                deliver_from(ev_src[i_evt], t_ext)
+                i_evt += 1
+            else:
+                break
+        return np.array(self.spike_t, dtype=np.int64), np.array(self.spike_id, dtype=np.int64), self.deliveries
+
+
+def _input_ids(topology: Topology, stream: StereoEventStream) -> np.ndarray:
+    """Retina neuron id of each input event; the stream's coordinates and
+    polarities are already validated against a geometry equal to the retina."""
+    channel = stream.p.astype(np.int64) if topology.n_channels == 2 else 0
+    return (
+        stream.side.astype(np.int64) * topology.n_retina_per_side
+        + (channel * topology.retina_height + stream.y.astype(np.int64)) * topology.retina_width
+        + stream.x
+    )
+
 
 def simulate(
     topology: Topology,
@@ -341,85 +429,20 @@ def simulate(
             f"stream geometry {stream.geometry.width}x{stream.geometry.height} does not match "
             f"retina {topology.retina_width}x{topology.retina_height}"
         )
-    params = params or LifParams()
-    eng = _Engine(topology, params, mismatch)
+    net = _Network(topology, params or LifParams(), mismatch)
+    ev_src = _input_ids(topology, stream)
 
-    # map input events to retina neuron ids
-    separated = topology.n_channels == 2
-    ev_t = stream.t.tolist()
-    retina_of = topology.id_of_retina
-    ev_src = [
-        retina_of(int(sd), int(xx), int(yy), int(pp) if separated else 0)
-        for xx, yy, pp, sd in zip(stream.x.tolist(), stream.y.tolist(), stream.p.tolist(), stream.side.tolist())
-    ]
+    from . import _native  # deferred, so that importing the package compiles and loads nothing
 
-    heap: list[tuple[int, int, int]] = []  # (t_pred, neuron_id, stamp)
-    dirty: list[int] = []
-    in_dirty = [False] * topology.n_neurons
+    lib = _native.kernel()
+    result = _native.run(lib, net, stream.t, ev_src) if lib is not None else None
+    if result is None:
+        result = _Engine(net).run(stream.t.tolist(), ev_src.tolist())
+    times, ids, deliveries = result
 
-    adj_start, adj_post = eng.adj_start, eng.adj_post
-    adj_weight, adj_sat = eng.adj_weight, eng.adj_sat
-    sat_value, sat_time = eng.sat_value, eng.sat_time
-    tau_s = eng.tau_s
-    n_events = len(ev_t)
-
-    def mark_dirty(nid: int) -> None:
-        eng.stamp[nid] += 1
-        if not in_dirty[nid]:
-            in_dirty[nid] = True
-            dirty.append(nid)
-
-    def deliver_from(pre: int, t: int) -> None:
-        lo, hi = adj_start[pre], adj_start[pre + 1]
-        for k in range(lo, hi):
-            post = adj_post[k]
-            eng.advance(post, t)
-            w = adj_weight[k]
-            if adj_sat[k]:
-                lingering = sat_value[k] * math.exp(-(t - sat_time[k]) / tau_s[post])
-                eng.s[post] += w - lingering
-                sat_value[k] = w
-                sat_time[k] = t
-            else:
-                eng.s[post] += w
-            mark_dirty(post)
-        eng.deliveries += hi - lo
-
-    i_evt = 0
-    while True:
-        if dirty:
-            for nid in dirty:
-                in_dirty[nid] = False
-                pred = eng.predict_crossing(nid)
-                if pred is not None:
-                    heappush(heap, (pred, nid, eng.stamp[nid]))
-            dirty.clear()
-        while heap and heap[0][2] != eng.stamp[heap[0][1]]:
-            heappop(heap)
-        t_ext = ev_t[i_evt] if i_evt < n_events else None
-        if heap and (t_ext is None or heap[0][0] <= t_ext):
-            t_sp, nid, _ = heappop(heap)
-            eng.advance(nid, t_sp)
-            # stamp matched, so the state is exactly the predicted one
-            eng.spike_t.append(t_sp)
-            eng.spike_id.append(nid)
-            eng.v[nid] = eng.reset_v[nid]
-            eng.refr_until[nid] = t_sp + eng.refr[nid]
-            mark_dirty(nid)  # may cross again once refractoriness ends
-            deliver_from(nid, t_sp)
-        elif t_ext is not None:
-            deliver_from(ev_src[i_evt], t_ext)
-            i_evt += 1
-        else:
-            break
-
-    times = np.array(eng.spike_t, dtype=np.int64)
-    ids = np.array(eng.spike_id, dtype=np.int64)
-    pops = np.array([int(topology.population_of(int(nid))) for nid in ids], dtype=np.int8)
-    counts = {
-        p: int(np.sum(pops == int(p)))
-        for p in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)
-    }
+    pops = topology.pop_code[ids]
+    per_pop = np.bincount(pops, minlength=len(Population))
+    counts = {p: int(per_pop[p]) for p in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)}
     dur = stream.duration if duration_us is None else duration_us
     if len(times):
         dur = max(dur, int(times.max()))
@@ -429,7 +452,7 @@ def simulate(
         populations=pops,
         duration_us=dur,
         input_events=len(stream),
-        deliveries=eng.deliveries,
+        deliveries=deliveries,
         counts=counts,
     )
 
@@ -478,27 +501,54 @@ POPULATION_CODE_NAMES = {int(p): p.name for p in Population}
 POPULATION_NAME_CODES = {p.name: int(p) for p in Population}
 
 
+class SpikeFormatError(ValueError):
+    """Malformed spike CSV; the message starts with ``<path>:<line>:``."""
+
+
+def _is_int64(text: str) -> bool:
+    try:
+        return -(2**63) <= int(text) < 2**63
+    except ValueError:
+        return False
+
+
 def read_spike_csv(path: str, topology: Topology, duration_us: int | None = None) -> SpikeRecord:
-    """Load a spike CSV back into a SpikeRecord. Input-event and delivery
-    counters are not stored in the CSV and read back as zero."""
+    """Load a spike CSV back into a SpikeRecord, checking every row against
+    the topology. Input-event and delivery counters are not stored in the
+    CSV and read back as zero."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != SPIKE_CSV_HEADER:
-        raise ValueError(f"{path}: expected header '{SPIKE_CSV_HEADER}'")
-    n = len(lines) - 1
-    times = np.empty(n, dtype=np.int64)
-    ids = np.empty(n, dtype=np.int64)
-    pops = np.empty(n, dtype=np.int8)
-    for i, line in enumerate(lines[1:]):
-        t_s, id_s, pop_s = line.split(",")
-        times[i] = int(t_s)
-        ids[i] = int(id_s)
-        pops[i] = POPULATION_NAME_CODES[pop_s]
+        raise SpikeFormatError(f"{path}:1: expected header '{SPIKE_CSV_HEADER}'")
+    rows = lines[1:]
+    n = len(rows)
+
+    def check(bad: np.ndarray, what: str) -> None:
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise SpikeFormatError(f"{path}:{i + 2}: {what}: {rows[i]!r}")
+
+    def int_column(column: list[str], name: str) -> np.ndarray:
+        try:
+            return np.array(column, dtype=np.int64)
+        except (ValueError, OverflowError):
+            check(np.array([not _is_int64(v) for v in column]), f"{name} must be a 64-bit integer")
+            raise
+
+    commas = np.fromiter(map(operator.methodcaller("count", ","), rows), dtype=np.int64, count=n)
+    check(commas != 2, "expected 3 fields")
+    fields = ",".join(rows).split(",") if n else []
+    times = int_column(fields[0::3], "t_us")
+    ids = int_column(fields[1::3], "neuron_id")
+    pops = np.fromiter(map(POPULATION_NAME_CODES.get, fields[2::3], repeat(-1)), dtype=np.int8, count=n)
+    check(pops < 0, f"population must be one of {', '.join(POPULATION_NAME_CODES)}")
+    check(times < 0, "negative spike time")
+    check((ids < 0) | (ids >= topology.n_neurons), f"neuron id outside 0..{topology.n_neurons - 1}")
+    check(topology.pop_code[ids] != pops, "neuron id does not belong to the named population")
+
     dur = duration_us if duration_us is not None else (int(times.max()) if n else 0)
-    counts = {
-        p: int(np.sum(pops == int(p)))
-        for p in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)
-    }
+    per_pop = np.bincount(pops, minlength=len(Population))
+    counts = {p: int(per_pop[p]) for p in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)}
     return SpikeRecord(
         times=times, neuron_ids=ids, populations=pops, duration_us=dur,
         input_events=0, deliveries=0, counts=counts,

@@ -201,17 +201,28 @@ class Topology:
         self.n_neurons = self.offsets[Population.DISPARITY] + self.n_triplets
 
         self._coord_index = {c: i for i, c in enumerate(coords)}
+        self._build_id_arrays()
         self._build_synapses()
 
     # ---------------------------------------------------------- id algebra
 
+    def _build_id_arrays(self) -> None:
+        """Per-id ``pop_code`` (int8 Population code) and ``d``, ``x_cyc``,
+        ``y`` of the coincidence/disparity coordinate (0 on retina ids)."""
+        self.pop_code = np.repeat(
+            np.arange(len(Population), dtype=np.int8), [self.counts[p] for p in Population]
+        )
+        triplet = np.array([(c.d, c.x_cyc, c.y) for c in self.disparity_coords], dtype=np.int64).reshape(-1, 3)
+        per_id = np.zeros((self.n_neurons, 3), dtype=np.int64)
+        per_id[self.offsets[Population.COINC_EXC]:] = np.tile(triplet, (2 * self.n_channels + 1, 1))
+        self.d, self.x_cyc, self.y = per_id.T.copy()
+        for arr in (self.pop_code, self.d, self.x_cyc, self.y):
+            arr.setflags(write=False)
+
     def population_of(self, neuron_id: int) -> Population:
         if not 0 <= neuron_id < self.n_neurons:
             raise KeyError(f"unknown neuron id {neuron_id}")
-        for pop in reversed(Population):
-            if neuron_id >= self.offsets[pop]:
-                return pop
-        raise KeyError(neuron_id)
+        return Population(int(self.pop_code[neuron_id]))
 
     def id_of_retina(self, side: int, x: int, y: int, channel: int = 0) -> int:
         if not (0 <= x < self.retina_width and 0 <= y < self.retina_height):
@@ -254,14 +265,17 @@ class Topology:
         return np.arange(off, off + self.counts[population], dtype=np.int64)
 
     def disparity_of_ids(self, ids: np.ndarray) -> np.ndarray:
-        """d_n for each (coincidence or disparity) neuron id."""
-        out = np.empty(len(ids), dtype=np.int64)
-        for i, nid in enumerate(ids):
-            pop, coord, _ = self.coord_of(int(nid))
-            if pop in (Population.RETINA_L, Population.RETINA_R):
-                raise ValueError("retina neurons carry no disparity")
-            out[i] = coord.d
-        return out
+        """d_n for each (coincidence or disparity) neuron id. The first
+        offending id raises KeyError if unknown, ValueError if retina."""
+        ids = np.asarray(ids, dtype=np.int64)
+        unknown = (ids < 0) | (ids >= self.n_neurons)
+        retina = ~unknown & (self.pop_code[np.where(unknown, 0, ids)] <= Population.RETINA_R)
+        bad = np.flatnonzero(unknown | retina)
+        if len(bad):
+            if unknown[bad[0]]:
+                raise KeyError(f"unknown neuron id {ids[bad[0]]}")
+            raise ValueError("retina neurons carry no disparity")
+        return self.d[ids]
 
     # ---------------------------------------------------------- synapse build
 

@@ -320,3 +320,66 @@ def test_config_round_trip_dict():
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         load_config("/definitely/not/here.json")
+
+
+# ------------------------------------------------------------- bad inputs
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("10,70", "expected 3 fields"),
+        ("10,70,DISPARITY,1", "expected 3 fields"),
+        ("1.5,70,DISPARITY", "t_us must be a 64-bit integer"),
+        ("10,x,DISPARITY", "neuron_id must be a 64-bit integer"),
+        ("10,99999999999999999999,DISPARITY", "neuron_id must be a 64-bit integer"),
+        ("10,70,BOGUS", "population must be one of"),
+        ("-10,70,DISPARITY", "negative spike time"),
+        ("10,999999,DISPARITY", "neuron id outside"),
+        ("10,70,DISPARITY", "does not belong to the named population"),
+    ],
+)
+def test_eval_malformed_spike_csv_exit_2_with_line(tmp_path, capsys, row, message):
+    path, _ = synthetic_config(tmp_path)
+    assert main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    spikes = tmp_path / "bad_spikes.csv"
+    good = (out / "spikes.csv").read_text().splitlines()
+    spikes.write_text("\n".join([good[0], good[1], row, *good[2:]]) + "\n")
+    capsys.readouterr()
+    rc = main(["eval", "-c", str(path), "--spikes", str(spikes), "--trace", str(out / "disparity_trace.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{spikes}:3:" in err and message in err
+
+
+@pytest.mark.parametrize("keyframes", [5, [[0]], [[0, 1.0, 2.0]], [["a", 1.0]], [[0, None]], [[0, True]], "0,1"])
+def test_malformed_keyframes_are_config_errors(keyframes):
+    raw = {"input": {"synthetic": {"shape": "DOT", "keyframes": keyframes}, "duration_us": 1000}}
+    with pytest.raises(ConfigError, match="keyframes"):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_bad_config_does_not_abort_batch(tmp_path, jobs):
+    good, cfg = synthetic_config(tmp_path)
+    bad_cfg = json.loads(json.dumps(cfg))
+    bad_cfg["output_dir"] = str(tmp_path / "out_bad")
+    bad_cfg["input"]["synthetic"]["keyframes"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(bad_cfg))
+    rc = main(["run", "-c", str(bad), "-c", str(good), "--jobs", str(jobs)])
+    assert rc == 2
+    for name in ARTIFACTS:
+        assert (tmp_path / "out" / name).exists(), name
+
+
+def test_unexpected_error_in_one_config_is_reported_per_config(tmp_path, monkeypatch, capsys):
+    from evstereo import cli
+
+    def explode(config_path, overrides, auto_crop):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_run_one", explode)
+    assert cli._run_one_safe(str(tmp_path / "c.json"), [], False) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error (run {tmp_path / 'c.json'}): RuntimeError: boom"

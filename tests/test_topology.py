@@ -87,6 +87,23 @@ def test_id_coord_roundtrip_everywhere():
             assert topo.id_of(pop, coord, channel) == nid
 
 
+@pytest.mark.parametrize("mode", ["rectified", "separated"])
+def test_per_id_arrays_match_coordinates(mode):
+    topo = build_topology(5, 3, 2, polarity_mode=mode)
+    for pop in Population:
+        assert np.all(topo.pop_code[topo.population_ids(pop)] == pop)
+    for nid in range(topo.population_ids(Population.COINC_EXC)[0], topo.n_neurons):
+        _, c, _ = topo.coord_of(nid)
+        assert (topo.d[nid], topo.x_cyc[nid], topo.y[nid]) == (c.d, c.x_cyc, c.y)
+    d_id = int(topo.population_ids(Population.DISPARITY)[0])
+    r_id = int(topo.population_ids(Population.RETINA_R)[-1])
+    with pytest.raises(ValueError, match="retina"):
+        topo.disparity_of_ids(np.array([d_id, r_id]))
+    for bad in (-1, topo.n_neurons):
+        with pytest.raises(KeyError):
+            topo.disparity_of_ids(np.array([d_id, bad, r_id]))
+
+
 def test_ids_sorted_by_disparity():
     topo = build_topology(16, 16, 15)
     first = topo.coord_of(int(topo.population_ids(Population.DISPARITY)[0]))[1]
