@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_to_dict, load_config
-from .events import LEFT, RIGHT, StereoEventStream, merge_streams, parse_event_file, write_event_file
+from .events import LEFT, RIGHT, EventFormatError, StereoEventStream, merge_streams, parse_event_file, write_event_file
 from .groundtruth import (
     disparity_trajectory,
     project_markers,
@@ -71,10 +71,13 @@ def _build_topology(cfg: RunConfig) -> Topology:
 
 def _load_file_stream(cfg: RunConfig) -> StereoEventStream:
     inp = cfg.input
-    if inp.events is not None:
-        return parse_event_file(inp.events, cfg.full_geometry)
-    left = parse_event_file(inp.left_events, cfg.full_geometry, side=LEFT)
-    right = parse_event_file(inp.right_events, cfg.full_geometry, side=RIGHT)
+    try:
+        if inp.events is not None:
+            return parse_event_file(inp.events, cfg.full_geometry)
+        left = parse_event_file(inp.left_events, cfg.full_geometry, side=LEFT)
+        right = parse_event_file(inp.right_events, cfg.full_geometry, side=RIGHT)
+    except EventFormatError as exc:
+        raise ConfigError(str(exc)) from None
     return merge_streams(left, right)
 
 

@@ -8,6 +8,7 @@ no floating-point time anywhere. Streams are immutable after construction
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -94,7 +95,7 @@ class StereoEventStream:
             if bad.any():
                 raise ValueError("polarity must be 0/1 and side must be LEFT/RIGHT")
             if not _presorted:
-                order = np.lexsort((p, x, y, side, t))
+                order = _canonical_order(t, x, y, p, side, geometry)
                 t, x, y, p, side = t[order], x[order], y[order], p[order], side[order]
         for col in (t, x, y, p, side):
             col.setflags(write=False)
@@ -172,15 +173,91 @@ class StereoEventStream:
         return set(int(s) for s in np.unique(self.side))
 
 
+def _canonical_order(t, x, y, p, side, geometry: CameraGeometry) -> np.ndarray:
+    """Indices that sort validated columns by (t, side, y, x, p). Where the
+    time span allows, the five fields form one int64 key; a stable sort of it
+    is fast on the nearly time-ordered input that cameras write."""
+    h, w = geometry.height, geometry.width
+    t0 = int(t.min())
+    if (int(t.max()) - t0 + 1) * 4 * h * w >= 1 << 63:
+        return np.lexsort((p, x, y, side, t))
+    key = ((((t - t0) * 2 + side) * h + y) * w + x) * 2 + p
+    return np.argsort(key, kind="stable")
+
+
 def parse_event_file(path: str, geometry: CameraGeometry, side: int | None = None) -> StereoEventStream:
     """Parse an event CSV (header ``t_us,x,y,p,side``) into a validated stream.
 
     Files for a single camera may omit the ``side`` column, in which case the
     side must be given explicitly. Input row order is normalized to the
     canonical sort key.
+
+    Plain files (one of the two headers, ASCII digits, ``L``/``R`` sides and
+    ``\\n`` line ends) are parsed in one ``np.loadtxt`` call. Whatever that
+    strict path declines goes through the line-by-line scan, which accepts
+    what ``int()`` accepts and reports the first bad line as
+    ``<path>:<line>:``.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    stream = _parse_plain_event_bytes(data, geometry, side)
+    if stream is None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the line holding the bad byte, with line ends as splitlines() sees them
+            lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+            raise EventFormatError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        stream = _parse_event_lines(path, text, geometry, side)
+    return stream
+
+
+_PLAIN_HEADERS = ((EVENT_CSV_HEADER.encode() + b"\n", True), (b"t_us,x,y,p\n", False))
+_INT32_MAX = 2**31 - 1
+_INT64_MAX = 2**63 - 1
+
+
+def _parse_plain_event_bytes(data: bytes, geometry: CameraGeometry, side: int | None) -> StereoEventStream | None:
+    """The stream of a plain event file, or ``None`` when the file is not
+    plain or not valid; the line scan then decides. Accepts only files the
+    line scan accepts too, with an equal result."""
+    for header, has_side in _PLAIN_HEADERS:
+        if data.startswith(header):
+            break
+    else:
+        return None
+    if not has_side and side not in (LEFT, RIGHT):
+        return None
+    body = data[len(header):]
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    rows = body.count(b"\n")
+    if body.startswith(b"\n") or b"\n\n" in body:
+        return None  # a blank line is a one-field row, which the scan rejects
+    if body.translate(None, b"0123456789,\nLR" if has_side else b"0123456789,\n"):
+        return None
+    if has_side:
+        # every row must end in a side letter; any other letter fails loadtxt
+        if body.count(b",L\n") + body.count(b",R\n") != rows:
+            return None
+        body = body.replace(b",L\n", b",0\n").replace(b",R\n", b",1\n")
+    try:
+        cols = np.loadtxt(io.BytesIO(body), delimiter=",", dtype=np.int64, ndmin=2)
+    except ValueError:  # an empty field, a ragged row or a value beyond int64
+        return None
+    if cols.shape[1] != (5 if has_side else 4):
+        return None
+    t, x, y, p = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
+    x_end, y_end = min(geometry.width, _INT32_MAX + 1), min(geometry.height, _INT32_MAX + 1)
+    if (p > ON).any() or (x >= x_end).any() or (y >= y_end).any():
+        return None
+    s = cols[:, 4] if has_side else np.full(rows, side)
+    return StereoEventStream(t, x, y, p, s, geometry)
+
+
+def _parse_event_lines(path: str, text: str, geometry: CameraGeometry, side: int | None) -> StereoEventStream:
+    """Line-by-line parse that raises ``EventFormatError`` at the first bad line."""
+    lines = text.splitlines()
     if not lines:
         raise EventFormatError(f"{path}:1: empty file, expected header '{EVENT_CSV_HEADER}'")
     header = lines[0].strip()
@@ -206,13 +283,10 @@ def parse_event_file(path: str, geometry: CameraGeometry, side: int | None = Non
         if len(fields) != expected_fields:
             raise EventFormatError(f"{path}:{lineno}: expected {expected_fields} fields, got {len(fields)}")
         try:
-            t[i] = int(fields[0])
-            x[i] = int(fields[1])
-            y[i] = int(fields[2])
-            p[i] = int(fields[3])
+            ti, xi, yi, pi = (int(f) for f in fields[:4])
         except ValueError as exc:
             raise EventFormatError(f"{path}:{lineno}: {exc}") from None
-        if p[i] not in (OFF, ON):
+        if pi not in (OFF, ON):
             raise EventFormatError(f"{path}:{lineno}: polarity must be 0 or 1, got {fields[3]!r}")
         if has_side:
             code = SIDE_CODES.get(fields[4].strip())
@@ -221,13 +295,16 @@ def parse_event_file(path: str, geometry: CameraGeometry, side: int | None = Non
             s[i] = code
         else:
             s[i] = side
-        if t[i] < 0:
+        if ti < 0:
             raise EventFormatError(f"{path}:{lineno}: negative timestamp {fields[0]}")
-        if not geometry.contains(int(x[i]), int(y[i])):
+        if ti > _INT64_MAX:
+            raise EventFormatError(f"{path}:{lineno}: timestamp {fields[0]} exceeds the 64-bit range")
+        if not (geometry.contains(xi, yi) and xi <= _INT32_MAX and yi <= _INT32_MAX):
             raise EventFormatError(
                 f"{path}:{lineno}: coordinate ({fields[1]},{fields[2]}) outside "
                 f"{geometry.width}x{geometry.height}"
             )
+        t[i], x[i], y[i], p[i] = ti, xi, yi, pi
     return StereoEventStream(t, x, y, p, s, geometry)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import CameraGeometry, StereoEventStream
+from .events import LEFT, RIGHT, CameraGeometry, StereoEventStream
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,17 @@ def detect_hot_pixels(stream: StereoEventStream, factor: float) -> set[tuple[int
 
 
 def remove_pixels(stream: StereoEventStream, pixels: set[tuple[int, int, int]]) -> StereoEventStream:
+    """Drop every event whose ``(x, y, side)`` is in ``pixels``; entries
+    outside the geometry match nothing."""
     if not pixels:
         return stream
-    keep = np.fromiter(
-        ((int(x), int(y), int(s)) not in pixels for x, y, s in zip(stream.x, stream.y, stream.side)),
-        dtype=bool,
-        count=len(stream),
-    )
-    return stream.select(keep)
+    h, w = stream.geometry.height, stream.geometry.width
+    flagged = np.zeros(2 * h * w, dtype=bool)
+    for x, y, s in pixels:
+        if 0 <= x < w and 0 <= y < h and s in (LEFT, RIGHT):
+            flagged[(s * h + y) * w + x] = True
+    pixel = (stream.side.astype(np.int64) * h + stream.y) * w + stream.x
+    return stream.select(~flagged[pixel])
 
 
 def filter_background(
@@ -132,49 +135,47 @@ def filter_background(
 ) -> StereoEventStream:
     """Background-activity filter: an event survives iff some strictly earlier
     event on the same side occurred within Chebyshev distance <= radius in the
-    preceding ``window_us``. The same pixel counts as support only when
-    ``include_same_pixel`` is set.
+    preceding ``window_us`` (``t_prev >= t - window_us``). The same pixel
+    counts as support only when ``include_same_pixel`` is set.
+
+    Each event gets the key ``pixel * n_times + rank(t)``, where ``pixel``
+    numbers ``(side, y, x)`` on a frame padded by ``radius`` on every edge (so
+    no neighbour wraps across a row or into the other side) and ``rank`` is
+    the dense rank of the timestamp. For one neighbour offset the queries are
+    the sorted keys shifted by a constant, so one ``searchsorted`` finds, for
+    every event at once, the latest strictly earlier event at that neighbour.
     """
     if window_us <= 0:
         raise ValueError("window_us must be > 0")
     n = len(stream)
     if n == 0:
         return stream
-    h, w = stream.geometry.height, stream.geometry.width
-    pad = radius
-    sentinel = np.int64(-(1 << 62))
-    # committed most-recent event time per padded pixel, one map per side
-    last = {s: np.full((h + 2 * pad, w + 2 * pad), sentinel) for s in (0, 1)}
-    t, x, y, side = stream.t, stream.x, stream.y, stream.side
-    keep = np.zeros(n, dtype=bool)
-    i = 0
-    while i < n:
-        # process all events sharing this timestamp against committed state,
-        # then commit the whole group; enforces the strict t_j < t_i rule
-        j = i
-        ti = t[i]
-        while j < n and t[j] == ti:
-            j += 1
-        cutoff = ti - window_us
-        for k in range(i, j):
-            grid = last[int(side[k])]
-            yy, xx = int(y[k]) + pad, int(x[k]) + pad
-            win = grid[yy - radius : yy + radius + 1, xx - radius : xx + radius + 1]
-            best = win.max() if win.size else sentinel
-            if not include_same_pixel and radius >= 0:
-                centre = grid[yy, xx]
-                if best == centre:
-                    saved = grid[yy, xx]
-                    grid[yy, xx] = sentinel
-                    best = win.max() if win.size else sentinel
-                    grid[yy, xx] = saved
-            keep[k] = best >= cutoff
-        for k in range(i, j):
-            grid = last[int(side[k])]
-            yy, xx = int(y[k]) + pad, int(x[k]) + pad
-            if grid[yy, xx] < ti:
-                grid[yy, xx] = ti
-        i = j
+    hp, wp = stream.geometry.height + 2 * radius, stream.geometry.width + 2 * radius
+    times, rank = np.unique(stream.t, return_inverse=True)
+    m = len(times)
+    # exact Python-integer keys where int64 keys could overflow
+    dtype = np.int64 if 2 * hp * wp * m < 1 << 62 else object
+    key = ((stream.side.astype(dtype) * hp + stream.y + radius) * wp + stream.x + radius) * m + rank
+    order = np.argsort(key)  # equal keys are equal (side, x, y, t): their order does not matter
+    key = key[order]
+    first = key - rank[order]  # key of rank 0 at the event's own pixel
+    before = np.concatenate([np.full(1, -1, dtype=key.dtype), key])  # key[i - 1] at index i
+    # max over offsets of (latest strictly earlier key at the neighbour) - shift;
+    # it reaches `first` iff some neighbour holds such a key
+    best = first - 1
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            if dx == 0 and dy == 0 and not include_same_pixel:
+                continue
+            shift = (dy * wp + dx) * m
+            prev = before[np.searchsorted(key, key + shift, side="left")]
+            np.maximum(best, prev - shift, out=best)
+    latest = (best - first).astype(np.int64)  # rank of the latest support time; < 0 for none
+    # "no support" compares as time -2**62, as it always has: a window wider
+    # than 2**62 us keeps every event
+    support = np.where(latest >= 0, times[np.maximum(latest, 0)], -(1 << 62))
+    keep = np.empty(n, dtype=bool)
+    keep[order] = support >= stream.t[order] - window_us
     return stream.select(keep)
 
 
@@ -229,8 +230,10 @@ def auto_crop_origin(downscaled: StereoEventStream, crop_size: tuple[int, int]) 
 def preprocess_pipeline_resolved(
     stream: StereoEventStream, config: PreprocessConfig
 ) -> tuple[StereoEventStream, tuple[int, int]]:
-    """As ``preprocess_pipeline`` but also returns the crop origin actually
-    used (needed to map ground truth into the same frame under auto-crop)."""
+    """mask -> hot-pixel removal -> background filter -> downscale -> crop.
+
+    Returns the stream and the crop origin actually used (needed to map
+    ground truth into the same frame under auto-crop)."""
     config.validate(stream.geometry)
     out = mask_regions(stream, config.mask_rects)
     if config.hot_pixel_factor is not None:
@@ -247,8 +250,3 @@ def preprocess_pipeline_resolved(
     if origin is None:
         origin = auto_crop_origin(out, config.crop_size)
     return crop(out, origin, config.crop_size), origin
-
-
-def preprocess_pipeline(stream: StereoEventStream, config: PreprocessConfig) -> StereoEventStream:
-    """mask -> hot-pixel removal -> background filter -> downscale -> crop."""
-    return preprocess_pipeline_resolved(stream, config)[0]

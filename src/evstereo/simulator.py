@@ -214,7 +214,7 @@ class _Network:
             rng = np.random.default_rng(mismatch.seed)
             if mismatch.threshold_sigma > 0:
                 jittered = self.theta * (1.0 + mismatch.threshold_sigma * rng.standard_normal(n))
-                lowest = self.reset + 1e-9
+                lowest = np.maximum(self.reset, 0.0) + 1e-9  # theta > max(reset, 0), as validate() requires
                 self.theta = np.where(lowest > jittered, lowest, jittered)
 
         order = np.argsort(topology.syn_pre, kind="stable")

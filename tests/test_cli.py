@@ -373,6 +373,32 @@ def test_bad_config_does_not_abort_batch(tmp_path, jobs):
         assert (tmp_path / "out" / name).exists(), name
 
 
+def bad_event_file_config(tmp_path):
+    fixture = write_file_fixture(tmp_path)
+    left = fixture[0]
+    rows = left.read_text().splitlines()
+    left.write_text("\n".join([rows[0], "10,5,3,7", *rows[1:]]) + "\n")
+    return file_config(tmp_path, *fixture, out="out_bad"), left
+
+
+def test_run_malformed_event_file_exit_2_with_line(tmp_path, capsys):
+    path, left = bad_event_file_config(tmp_path)
+    assert main(["run", "-c", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error (run): {left}:2: polarity must be 0 or 1, got '7'" in err
+
+
+def test_malformed_event_file_does_not_abort_batch(tmp_path, capfd):
+    bad, left = bad_event_file_config(tmp_path)
+    good, _ = synthetic_config(tmp_path)
+    rc = main(["run", "-c", str(bad), "-c", str(good), "--jobs", "2"])
+    assert rc == 2
+    assert f"{left}:2: polarity" in capfd.readouterr().err
+    for name in ARTIFACTS:
+        assert (tmp_path / "out" / name).exists(), name
+    assert not (tmp_path / "out_bad" / "metrics.json").exists()
+
+
 def test_unexpected_error_in_one_config_is_reported_per_config(tmp_path, monkeypatch, capsys):
     from evstereo import cli
 

@@ -12,6 +12,8 @@ from evstereo.events import (
     DvsEvent,
     EventFormatError,
     StereoEventStream,
+    _parse_event_lines,
+    _parse_plain_event_bytes,
     merge_streams,
     parse_event_file,
     write_event_file,
@@ -99,6 +101,179 @@ def test_parse_malformed_line_reports_line_number(tmp_path, row, msg):
     with pytest.raises(EventFormatError, match=r":3:") as exc:
         parse_event_file(str(path), GEOM)
     assert msg in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "row,msg",
+    [
+        ("10,5,3,300", "polarity must be 0 or 1, got '300'"),
+        ("99999999999999999999,5,3,1", "timestamp 99999999999999999999 exceeds the 64-bit range"),
+        ("0,99999999999,3,1", "coordinate (99999999999,3) outside 32x24"),
+    ],
+)
+def test_parse_out_of_range_integer_reports_line_number(tmp_path, row, msg):
+    path = tmp_path / "left.csv"
+    path.write_text(f"t_us,x,y,p\n0,0,0,1\n{row}\n")
+    with pytest.raises(EventFormatError) as exc:
+        parse_event_file(str(path), GEOM, side=LEFT)
+    assert str(exc.value) == f"{path}:3: {msg}"
+
+
+def test_parse_coordinate_beyond_int32_in_wide_geometry(tmp_path):
+    wide = CameraGeometry(2**40, 4)
+    path = tmp_path / "left.csv"
+    path.write_text(f"t_us,x,y,p\n0,{2**31 - 1},0,1\n0,{2**31},0,1\n")
+    with pytest.raises(EventFormatError, match=r":3: coordinate \(2147483648,0\) outside"):
+        parse_event_file(str(path), wide, side=LEFT)
+
+
+# ---------------------------------------------------------------- both parse paths
+
+
+def parse_both(path, geometry=GEOM, side=None):
+    """The strict path's stream (or None where it declines) and the line
+    scan's stream (or its EventFormatError message)."""
+    data = path.read_bytes()
+    fast = _parse_plain_event_bytes(data, geometry, side)
+    try:
+        slow = _parse_event_lines(str(path), data.decode("utf-8"), geometry, side)
+    except EventFormatError as exc:
+        slow = str(exc)
+    return fast, slow
+
+
+def assert_paths_agree(path, expected, geometry=GEOM, side=None, fast_accepts=None):
+    """``expected`` is a list of events or an error message without the
+    ``<path>:`` prefix; both paths and ``parse_event_file`` must give it."""
+    fast, slow = parse_both(path, geometry, side)
+    if isinstance(expected, str):
+        assert fast is None
+        assert slow == f"{path}:{expected}"
+        with pytest.raises(EventFormatError) as exc:
+            parse_event_file(str(path), geometry, side)
+        assert str(exc.value) == slow
+        return
+    stream = StereoEventStream.from_events(expected, geometry)
+    assert slow == stream
+    assert fast is None or fast == stream
+    if fast_accepts is not None:
+        assert (fast is not None) == fast_accepts
+    assert parse_event_file(str(path), geometry, side) == stream
+
+
+TWO = [DvsEvent(0, 1, 2, ON, LEFT), DvsEvent(5, 3, 4, OFF, RIGHT)]
+
+
+@pytest.mark.parametrize(
+    "content,expected,fast_accepts",
+    [
+        (b"", "1: empty file, expected header 't_us,x,y,p,side'", False),
+        (b"t_us,x,y,p,side\n", [], None),
+        (b"t_us,x,y,p,side", [], None),
+        (b"t_us,x,y,p,side\n0,1,2,1,L\n5,3,4,0,R\n", TWO, True),
+        (b"t_us,x,y,p,side\r\n0,1,2,1,L\r\n5,3,4,0,R\r\n", TWO, False),
+        (b"t_us,x,y,p,side\n0,1,2,1,L\n5,3,4,0,R", TWO, True),
+        (b"t_us,x,y,p,side\n0,1,2,1,L\n5,3,4,0,R\n\n", "4: expected 5 fields, got 1", False),
+        (b"t_us,x,y,p,side\n\n0,1,2,1,L\n", "2: expected 5 fields, got 1", False),
+        (b"\xef\xbb\xbft_us,x,y,p,side\n0,1,2,1,L\n", "1: unrecognized header '\\ufefft_us,x,y,p,side'", False),
+        (b"t_us,x,y,p,side\n+0,1,2,1,L\n5, 3,4,0,R\n", TWO, False),
+        (b"t_us,x,y,p,side\n0,1,2,1, L\n5,3,4,0,R \n", TWO, False),
+        (b"t_us,x,y,p,side\n0,1,2,1,L\n0_005,3,4,0,R\n", TWO, False),
+        (b"t_us,x,y,p,side\n000,01,2,1,L\n5,3,0004,0,R\n", TWO, True),
+        (b"t_us,x,y,p,side\n0,1,2,1,L\n5,3,4,0,RL\n", "3: side must be L or R, got 'RL'", False),
+        (b"t_us,x,y,p,side\n0,1,2,1,L\n5,3L,4,0,R\n", "3: invalid literal for int() with base 10: '3L'", False),
+        (b"t_us,x,y,p,side\n0,1,2,1,L\n5,,4,0,R\n", "3: invalid literal for int() with base 10: ''", False),
+        (b"t_us,x,y,p,side\n0,1,2,1,L\n5,3,4,0\n", "3: expected 5 fields, got 4", False),
+        (b"t_us,x,y,p,side\n0,1,2,L\n5,3,4,R\n", "2: expected 5 fields, got 4", False),
+        (b"t_us,x,y,p,side\n0,1,2,1,L\n5,3,4,0,1\n", "3: side must be L or R, got '1'", False),
+        (b"t_us,x,y,p,side\n0,1,2,1,L\n5,3,24,0,R\n", "3: coordinate (3,24) outside 32x24", False),
+        (b"t_us,x,y,p,side\n0,1,2,1,L\n5,3,4,2,R\n", "3: polarity must be 0 or 1, got '2'", False),
+    ],
+)
+def test_edge_inputs_through_both_parse_paths(tmp_path, content, expected, fast_accepts):
+    path = tmp_path / "ev.csv"
+    path.write_bytes(content)
+    assert_paths_agree(path, expected, fast_accepts=fast_accepts)
+
+
+LEFT_TWO = [DvsEvent(0, 1, 2, ON, LEFT), DvsEvent(9, 3, 4, OFF, LEFT)]
+
+
+@pytest.mark.parametrize(
+    "content,expected,fast_accepts",
+    [
+        (b"t_us,x,y,p\n0,1,2,1\n9,3,4,0\n", LEFT_TWO, True),
+        (b"t_us,x,y,p\r\n0,1,2,1\r\n9,3,4,0", LEFT_TWO, False),
+        (b"t_us,x,y,p\n0,1,2,1\n9,3,4,0", LEFT_TWO, True),
+        (b"t_us,x,y,p\n0,1,2,1\n\n9,3,4,0\n", "3: expected 4 fields, got 1", False),
+        (b"t_us,x,y,p\n0,1,2,1\n9,3,4,0\n\n", "4: expected 4 fields, got 1", False),
+        (b"t_us,x,y,p\n0,1,2,1,0\n9,3,4,0,1\n", "2: expected 4 fields, got 5", False),
+    ],
+)
+def test_single_sided_edge_inputs_through_both_parse_paths(tmp_path, content, expected, fast_accepts):
+    path = tmp_path / "left.csv"
+    path.write_bytes(content)
+    assert_paths_agree(path, expected, side=LEFT, fast_accepts=fast_accepts)
+    assert_paths_agree(path, "1: file has no side column and no side was specified")
+
+
+@pytest.mark.parametrize(
+    "content,msg",
+    [
+        (b"t_us,x,y,p\n0,1,2,1\n\xff,1,2,1\n", ":3: not UTF-8 text: invalid start byte at byte 19"),
+        (b"t_us,x,y,p\r0,1,2,1\r0,1,2,\xc3\n", ":3: not UTF-8 text: invalid continuation byte at byte 25"),
+    ],
+)
+def test_parse_non_utf8_byte_reports_line_number(tmp_path, content, msg):
+    path = tmp_path / "left.csv"
+    path.write_bytes(content)
+    with pytest.raises(EventFormatError) as exc:
+        parse_event_file(str(path), GEOM, side=LEFT)
+    assert str(exc.value) == f"{path}{msg}"
+
+
+def test_one_sided_recording_with_header_only_right_file(tmp_path):
+    left_path, right_path = tmp_path / "left.csv", tmp_path / "right.csv"
+    left_path.write_text("t_us,x,y,p\n4,3,2,0\n0,1,2,1\n")
+    right_path.write_text("t_us,x,y,p\n")
+    left = parse_event_file(str(left_path), GEOM, side=LEFT)
+    right = parse_event_file(str(right_path), GEOM, side=RIGHT)
+    assert len(right) == 0
+    merged = merge_streams(left, right)
+    assert merged == left
+    assert list(merged) == [DvsEvent(0, 1, 2, ON, LEFT), DvsEvent(4, 3, 2, OFF, LEFT)]
+
+
+MUTATION_CHARS = list("0123456789,LR+- _\r\nx") + ["\ufeff", "\u0663"]
+
+
+@st.composite
+def event_file_text(draw):
+    """A valid event file with up to three characters inserted or deleted."""
+    has_side = draw(st.booleans())
+    rows = draw(st.lists(event_strategy(max_t=2**40), max_size=12))
+    lines = ["t_us,x,y,p,side" if has_side else "t_us,x,y,p"]
+    for e in rows:
+        fields = [e.t, e.x, e.y, e.polarity] + (["LR"[e.side]] if has_side else [])
+        lines.append(",".join(map(str, fields)))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        if draw(st.booleans()) and i < len(text):
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + draw(st.sampled_from(MUTATION_CHARS)) + text[i:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(event_file_text(), st.sampled_from([None, LEFT, RIGHT]))
+def test_fast_parse_declines_or_equals_line_scan(tmp_path_factory, text, side):
+    path = tmp_path_factory.mktemp("mut") / "ev.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast, slow = parse_both(path, side=side)
+    if fast is not None:
+        assert isinstance(slow, StereoEventStream) and fast == slow
 
 
 def test_roundtrip_two_events(tmp_path):
@@ -218,6 +393,22 @@ def test_stream_validates_bounds():
         StereoEventStream.from_events([DvsEvent(0, GEOM.width, 0, ON, LEFT)], GEOM)
     with pytest.raises(ValueError):
         StereoEventStream.from_events([DvsEvent(-1, 0, 0, ON, LEFT)], GEOM)
+
+
+@pytest.mark.parametrize(
+    "t_near,t_far", [(0, 2**62), (0, 2**63 - 1), (1_700_000_000_000_000, 1_700_000_000_000_005)]
+)
+def test_canonical_order_for_wide_and_offset_time_spans(t_near, t_far):
+    # a span too wide for one int64 sort key takes the column-wise sort
+    events = [
+        DvsEvent(t_far, 1, 1, ON, LEFT),
+        DvsEvent(t_near, 3, 2, OFF, RIGHT),
+        DvsEvent(t_far, 0, 1, OFF, RIGHT),
+        DvsEvent(t_near, 3, 2, OFF, LEFT),
+        DvsEvent(t_far, 0, 1, OFF, LEFT),
+        DvsEvent(t_far, 0, 1, ON, LEFT),
+    ]
+    assert list(StereoEventStream.from_events(events, GEOM)) == sorted(events, key=DvsEvent.sort_key)
 
 
 def test_stream_arrays_are_readonly():

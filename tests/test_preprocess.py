@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evstereo.events import LEFT, ON, RIGHT, CameraGeometry, DvsEvent, StereoEventStream
 from evstereo.preprocess import (
@@ -11,7 +13,7 @@ from evstereo.preprocess import (
     downscale,
     filter_background,
     mask_regions,
-    preprocess_pipeline,
+    preprocess_pipeline_resolved,
     remove_pixels,
 )
 
@@ -178,6 +180,55 @@ def test_background_matches_quadratic_oracle(radius, include_same):
     assert list(out) == background_oracle(s, 800, radius, include_same)
 
 
+@st.composite
+def small_streams(draw):
+    """Streams on geometries from 1x1 up, with few distinct timestamps (many
+    ties) and frame-edge pixels as likely as any other."""
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    t_max = draw(st.sampled_from([0, 3, 30, 300]))
+    events = draw(st.lists(
+        st.builds(DvsEvent, st.integers(0, t_max), st.integers(0, w - 1), st.integers(0, h - 1),
+                  st.integers(0, 1), st.integers(0, 1)),
+        max_size=60,
+    ))
+    return StereoEventStream.from_events(events, CameraGeometry(w, h))
+
+
+@settings(max_examples=250, deadline=None)
+@given(small_streams(), st.integers(1, 40), st.integers(0, 3), st.booleans())
+def test_background_property_matches_quadratic_oracle(s, window, radius, include_same):
+    out = filter_background(s, window_us=window, radius=radius, include_same_pixel=include_same)
+    assert list(out) == background_oracle(s, window, radius, include_same)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_streams(), st.data())
+def test_remove_pixels_property_matches_set_oracle(s, data):
+    w, h = s.geometry.width, s.geometry.height
+    pixels = data.draw(st.sets(st.tuples(st.integers(-2, w + 1), st.integers(-2, h + 1), st.integers(-1, 2))))
+    out = remove_pixels(s, pixels)
+    assert list(out) == [e for e in s if (e.x, e.y, e.side) not in pixels]
+
+
+@pytest.mark.parametrize("include_same", [False, True])
+def test_background_on_a_geometry_beyond_int64_keys_matches_oracle(include_same):
+    # 2 * H * W * n_times exceeds 2**62, so the keys are Python integers;
+    # (0, 1) must not take support from (edge, 0) across the row edge
+    huge = CameraGeometry(2**31 - 1, 2**31 - 1)
+    edge = huge.width - 1
+    events = [
+        DvsEvent(t, x, y, ON, side)
+        for t, x, y, side in [
+            (0, 0, 0, LEFT), (3, edge, 0, LEFT), (5, edge - 1, 1, LEFT),
+            (5, edge, edge, RIGHT), (9, edge, edge, RIGHT), (9, 0, 1, LEFT), (12, edge - 2, 0, LEFT),
+        ]
+    ]
+    s = StereoEventStream.from_events(events, huge)
+    out = filter_background(s, window_us=6, radius=1, include_same_pixel=include_same)
+    assert list(out) == background_oracle(s, 6, 1, include_same)
+    assert len(out) == (2 if include_same else 1)
+
+
 # ---------------------------------------------------------------- downscale
 
 def test_downscale_block_maps_to_origin():
@@ -253,13 +304,13 @@ def all_pass_config(geometry):
 
 def test_pipeline_all_pass_is_identity():
     s = random_stream(13, 800)
-    assert preprocess_pipeline(s, all_pass_config(GEOM)) == s
+    assert preprocess_pipeline_resolved(s, all_pass_config(GEOM))[0] == s
 
 
 def test_pipeline_paper_config_output_range():
     s = random_stream(14, 20_000, geometry=FULL)
     cfg = PreprocessConfig(downscale_factor=6, crop_origin=(20, 13), crop_size=(16, 16))
-    out = preprocess_pipeline(s, cfg)
+    out = preprocess_pipeline_resolved(s, cfg)[0]
     assert out.geometry == CameraGeometry(16, 16)
     if len(out):
         assert out.x.min() >= 0 and out.x.max() < 16
@@ -277,7 +328,7 @@ def test_pipeline_equals_manual_stage_composition():
         crop_origin=(20, 13),
         crop_size=(16, 16),
     )
-    out = preprocess_pipeline(s, cfg)
+    out = preprocess_pipeline_resolved(s, cfg)[0]
     manual = mask_regions(s, cfg.mask_rects)
     manual = remove_pixels(manual, detect_hot_pixels(manual, cfg.hot_pixel_factor))
     manual = filter_background(manual, cfg.background_window_us, cfg.background_radius)
@@ -289,7 +340,7 @@ def test_pipeline_equals_manual_stage_composition():
 def test_pipeline_never_creates_or_reorders():
     s = random_stream(16, 5000, geometry=FULL)
     cfg = PreprocessConfig(downscale_factor=6, crop_origin=(10, 10), crop_size=(16, 16))
-    out = preprocess_pipeline(s, cfg)
+    out = preprocess_pipeline_resolved(s, cfg)[0]
     assert len(out) <= len(s)
     assert np.all(np.diff(out.t) >= 0)
     # surviving timestamps are a sub-multiset of the input's

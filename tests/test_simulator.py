@@ -8,6 +8,7 @@ from evstereo.events import LEFT, ON, RIGHT, CameraGeometry, DvsEvent, StereoEve
 from evstereo.simulator import (
     LifParams,
     MismatchModel,
+    _Network,
     instantaneous_rates,
     read_spike_csv,
     simulate,
@@ -291,3 +292,19 @@ def test_spike_csv_roundtrip(tmp_path):
     assert np.array_equal(back.neuron_ids, record.neuron_ids)
     assert np.array_equal(back.populations, record.populations)
     assert back.counts == record.counts
+
+
+def test_large_threshold_jitter_keeps_theta_positive_with_negative_reset():
+    # theta below zero used to make such a network fire every few
+    # microseconds for as long as it had drive
+    topo = build_topology(4, 2, 2)
+    params = LifParams(reset=-0.3, refractory_us=0)
+    mismatch = MismatchModel(seed=0, threshold_sigma=1.5)
+    net = _Network(topo, params, mismatch)
+    assert (net.theta > np.maximum(net.reset, 0.0)).all()
+    events = [
+        DvsEvent(100, 1, 0, ON, LEFT), DvsEvent(150, 1, 0, ON, RIGHT), DvsEvent(2000, 2, 1, ON, LEFT),
+        DvsEvent(2100, 2, 1, ON, RIGHT), DvsEvent(4000, 0, 0, ON, LEFT),
+    ]
+    record = simulate(topo, stream_of(events, CameraGeometry(4, 2)), params, mismatch)
+    assert 0 < len(record) < 5000
