@@ -17,7 +17,16 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_to_dict, load_config
-from .events import LEFT, RIGHT, EventFormatError, StereoEventStream, merge_streams, parse_event_file, write_event_file
+from .events import (
+    LEFT,
+    RIGHT,
+    EventFormatError,
+    StereoEventStream,
+    atomic_write,
+    merge_streams,
+    parse_event_file,
+    write_event_file,
+)
 from .groundtruth import (
     disparity_trajectory,
     project_markers,
@@ -50,23 +59,19 @@ from .topology import (
 )
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _build_topology(cfg: RunConfig) -> Topology:
     t = cfg.topology
-    return build_topology(
-        t.retina_width,
-        t.retina_height,
-        t.d_max,
-        t.weights,
-        polarity_mode=t.polarity_mode,
-        continuity_radius=t.continuity_radius,
-    )
+    try:
+        return build_topology(
+            t.retina_width,
+            t.retina_height,
+            t.d_max,
+            t.weights,
+            polarity_mode=t.polarity_mode,
+            continuity_radius=t.continuity_radius,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"topology: {exc}") from None
 
 
 def _load_file_stream(cfg: RunConfig) -> StereoEventStream:
@@ -112,7 +117,7 @@ def _write_rates_csv(record: SpikeRecord, topology: Topology, window_us: int, n_
             rows.append(
                 f"{c},{centers[c]:.1f},{pop.name},{rates.neuron_ids[r]},{float(rates.rates_hz[r, c])!r}"
             )
-    _atomic_write(path, "\n".join(rows) + "\n")
+    atomic_write(path, "\n".join(rows) + "\n")
 
 
 def _write_mean_rates_csv(record: SpikeRecord, topology: Topology, path: str) -> None:
@@ -128,7 +133,7 @@ def _write_mean_rates_csv(record: SpikeRecord, topology: Topology, path: str) ->
             f"{pop.name},{nid},{d},{x_cyc},{y},{rate!r}"
             for nid, d, x_cyc, y, rate in zip(*(c.tolist() for c in columns))
         )
-    _atomic_write(path, "\n".join(rows) + "\n")
+    atomic_write(path, "\n".join(rows) + "\n")
 
 
 def _write_disparity_hist_csv(record: SpikeRecord, topology: Topology, window_us: int, n_windows: int, path: str) -> None:
@@ -146,7 +151,7 @@ def _write_disparity_hist_csv(record: SpikeRecord, topology: Topology, window_us
             w, d = int(keys[0, k]), int(keys[1, k])
             if 0 <= w < n_windows:
                 rows.append(f"{tag},{w},{d},{counts[k]}")
-    _atomic_write(path, "\n".join(rows) + "\n")
+    atomic_write(path, "\n".join(rows) + "\n")
 
 
 def _print_headline(report) -> None:

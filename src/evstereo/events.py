@@ -8,6 +8,7 @@ no floating-point time anywhere. Streams are immutable after construction
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 from dataclasses import dataclass
@@ -315,10 +316,22 @@ def write_event_file(stream: StereoEventStream, path: str) -> None:
     t, x, y, p, s = stream.t, stream.x, stream.y, stream.p, stream.side
     for i in range(len(stream)):
         rows.append(f"{t[i]},{x[i]},{y[i]},{p[i]},{side_names[int(s[i])]}")
+    atomic_write(path, "\n".join(rows) + "\n")
+
+
+def atomic_write(path: str, text: str) -> None:
+    """Write UTF-8 ``text`` with ``\\n`` line ends to a per-process temp name,
+    then rename it onto ``path``: the file is either whole or absent, also
+    under concurrent writers. The temp file is removed if the write fails."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def merge_streams(left: StereoEventStream, right: StereoEventStream) -> StereoEventStream:

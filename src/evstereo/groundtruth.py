@@ -10,12 +10,11 @@ Ground truth keeps sub-pixel precision end to end; only events are integer.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .events import CameraGeometry
+from .events import CameraGeometry, atomic_write
 from .simulator import window_centers_us, window_count
 
 MARKER_CSV_HEADER = "t_us,joint,X_mm,Y_mm,Z_mm"
@@ -242,10 +241,7 @@ def write_trace_csv(trace: DisparityTrace, path: str) -> None:
             )
         else:
             rows.append(f"{i},{centers[i]:.1f},,,,0")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, "\n".join(rows) + "\n")
 
 
 def read_trace_csv(path: str) -> DisparityTrace:

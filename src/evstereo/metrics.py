@@ -6,11 +6,11 @@ of correct disparities, and a spike-count energy estimate.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .events import atomic_write
 from .groundtruth import DisparityTrace
 from .simulator import RateMatrix, SpikeRecord, instantaneous_rates, window_centers_us
 from .topology import Population, Topology
@@ -184,11 +184,7 @@ class MetricsReport:
         return cls(**data)
 
     def write_json(self, path: str) -> None:
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
+        atomic_write(path, json.dumps(self.to_dict(), indent=1) + "\n")
 
     @classmethod
     def read_json(cls, path: str) -> "MetricsReport":
@@ -294,7 +290,4 @@ def write_com_csv(report: MetricsReport, path: str) -> None:
             f"{i},{centers[i]:.1f},{cell(report.com_c[i])},{cell(report.com_d[i])},"
             f"{cell(report.gt_mean[i])},{cell(report.gt_min[i])},{cell(report.gt_max[i])}"
         )
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, "\n".join(rows) + "\n")

@@ -7,6 +7,7 @@ events, never reorders survivors, and never touches timestamps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,12 +64,18 @@ class PreprocessConfig:
                 raise ValueError(f"mask rectangle {rect} exceeds geometry {geometry}")
         if self.downscale_factor < 1:
             raise ValueError(f"downscale_factor must be >= 1, got {self.downscale_factor}")
-        if self.background_window_us is not None and self.background_window_us <= 0:
-            raise ValueError("background_window_us must be > 0")
+        window = self.background_window_us
+        if window is not None and not (
+            isinstance(window, int) and not isinstance(window, bool) and 1 <= window < 1 << 62
+        ):
+            raise ValueError(f"background_window_us must be an integer in [1, 2**62), got {window!r}")
         if self.background_radius < 0:
             raise ValueError("background_radius must be >= 0")
-        if self.hot_pixel_factor is not None and self.hot_pixel_factor <= 0:
-            raise ValueError("hot_pixel_factor must be > 0")
+        factor = self.hot_pixel_factor
+        if factor is not None and not (
+            isinstance(factor, (int, float)) and not isinstance(factor, bool) and math.isfinite(factor) and factor > 0
+        ):
+            raise ValueError(f"hot_pixel_factor must be a finite number > 0, got {factor!r}")
         cw, ch = self.crop_size
         reduced = self.downscaled_geometry(geometry)
         if cw <= 0 or ch <= 0 or cw > reduced.width or ch > reduced.height:
@@ -171,11 +178,8 @@ def filter_background(
             prev = before[np.searchsorted(key, key + shift, side="left")]
             np.maximum(best, prev - shift, out=best)
     latest = (best - first).astype(np.int64)  # rank of the latest support time; < 0 for none
-    # "no support" compares as time -2**62, as it always has: a window wider
-    # than 2**62 us keeps every event
-    support = np.where(latest >= 0, times[np.maximum(latest, 0)], -(1 << 62))
     keep = np.empty(n, dtype=bool)
-    keep[order] = support >= stream.t[order] - window_us
+    keep[order] = (latest >= 0) & (times[np.maximum(latest, 0)] >= stream.t[order] - window_us)
     return stream.select(keep)
 
 

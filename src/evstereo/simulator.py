@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import repeat
 
 import numpy as np
 
-from .events import StereoEventStream
+from .events import StereoEventStream, atomic_write
 from .topology import Population, Topology
 
 SPIKE_CSV_HEADER = "t_us,neuron_id,population"
@@ -217,15 +216,15 @@ class _Network:
                 lowest = np.maximum(self.reset, 0.0) + 1e-9  # theta > max(reset, 0), as validate() requires
                 self.theta = np.where(lowest > jittered, lowest, jittered)
 
-        order = np.argsort(topology.syn_pre, kind="stable")
-        self.adj_post = topology.syn_post[order]
-        weights = topology.syn_weight[order] * topology.syn_sign[order]
+        # the topology stores its synapses sorted by pre, in delivery order
+        self.adj_post = topology.syn_post
+        weights = topology.syn_weight * topology.syn_sign
         if mismatch is not None and mismatch.enabled and mismatch.weight_sigma > 0:
             rng_w = np.random.default_rng(mismatch.seed + 1)
             weights = weights * np.maximum(1.0 + mismatch.weight_sigma * rng_w.standard_normal(len(weights)), 0.0)
         self.adj_weight = weights
-        self.adj_sat = topology.syn_saturating[order]
-        self.adj_start = np.searchsorted(topology.syn_pre[order], np.arange(n + 1))
+        self.adj_sat = topology.syn_saturating
+        self.adj_start = np.searchsorted(topology.syn_pre, np.arange(n + 1))
 
 
 class _Engine:
@@ -491,10 +490,7 @@ def write_spike_csv(record: SpikeRecord, path: str) -> None:
     names = POPULATION_CODE_NAMES
     for i in range(len(record.times)):
         rows.append(f"{record.times[i]},{record.neuron_ids[i]},{names[int(record.populations[i])]}")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
-    os.replace(tmp, path)
+    atomic_write(path, "\n".join(rows) + "\n")
 
 
 POPULATION_CODE_NAMES = {int(p): p.name for p in Population}

@@ -31,6 +31,8 @@ from enum import IntEnum
 
 import numpy as np
 
+from .events import atomic_write
+
 
 class Population(IntEnum):
     RETINA_L = 0
@@ -150,7 +152,20 @@ class ConstraintReport:
 
 
 class Topology:
-    """Immutable neuron/synapse tables plus id<->coordinate bijections."""
+    """Immutable neuron/synapse tables plus id<->coordinate bijections.
+
+    Every coincidence/disparity coordinate is a ``(d, y, x_cyc)`` triplet.
+    Triplet ``i`` is the ``i``-th valid cell, in row-major order, of the dense
+    grid ``_index`` with axes ``(d + d_max, y, x_cyc)``; the grid holds ``i``
+    there and -1 where no triplet exists. So ids follow ``(d, y, x_cyc)``, and
+    each rule R1-R4 is one lookup of candidate triplets in the grid.
+
+    The synapse tables ``syn_*`` are sorted by ``pre`` and, within one
+    ``pre``, in delivery order: ascending post triplet, a retina pixel
+    driving the excitatory copy of each triplet before the inhibitory one,
+    and a disparity neuron inhibiting its ``x_left`` line of sight before its
+    ``x_right`` one. The simulator delivers in this order as stored.
+    """
 
     def __init__(
         self,
@@ -172,17 +187,17 @@ class Topology:
         w, h, ch = retina_width, retina_height, self.n_channels
         self.n_retina_per_side = w * h * ch
 
-        # coincidence/disparity coordinates ordered by (d, y, x_cyc)
-        coords = [
-            NeuronCoord.from_pair(xl, xr, y)
-            for y in range(h)
-            for xl in range(w)
-            for xr in range(w)
-            if abs(xr - xl) <= d_max
-        ]
-        coords.sort(key=lambda c: (c.d, c.y, c.x_cyc))
-        self.disparity_coords: tuple[NeuronCoord, ...] = tuple(coords)
-        self.n_triplets = len(coords)
+        # (d, y, x_cyc) is a match candidate iff x_left and x_right are pixels
+        d, y, x_cyc = np.meshgrid(np.arange(-d_max, d_max + 1), np.arange(h), np.arange(2 * w - 1), indexing="ij")
+        valid = ((x_cyc + d) % 2 == 0) & (np.abs(d) <= x_cyc) & (x_cyc <= 2 * (w - 1) - np.abs(d))
+        self.n_triplets = int(np.count_nonzero(valid))
+        self._index = np.full(valid.shape, -1, dtype=np.int64)
+        self._index[valid] = np.arange(self.n_triplets)
+        self._index.setflags(write=False)
+        tri_d, tri_y, tri_x = d[valid], y[valid], x_cyc[valid]
+        self.disparity_coords: tuple[NeuronCoord, ...] = tuple(
+            map(NeuronCoord, tri_x.tolist(), tri_y.tolist(), tri_d.tolist())
+        )
 
         self.offsets = {
             Population.RETINA_L: 0,
@@ -200,24 +215,18 @@ class Topology:
         }
         self.n_neurons = self.offsets[Population.DISPARITY] + self.n_triplets
 
-        self._coord_index = {c: i for i, c in enumerate(coords)}
-        self._build_id_arrays()
-        self._build_synapses()
-
-    # ---------------------------------------------------------- id algebra
-
-    def _build_id_arrays(self) -> None:
-        """Per-id ``pop_code`` (int8 Population code) and ``d``, ``x_cyc``,
-        ``y`` of the coincidence/disparity coordinate (0 on retina ids)."""
+        # per-id pop_code (int8 Population code) and d, x_cyc, y of the
+        # coincidence/disparity coordinate (0 on retina ids)
         self.pop_code = np.repeat(
             np.arange(len(Population), dtype=np.int8), [self.counts[p] for p in Population]
         )
-        triplet = np.array([(c.d, c.x_cyc, c.y) for c in self.disparity_coords], dtype=np.int64).reshape(-1, 3)
-        per_id = np.zeros((self.n_neurons, 3), dtype=np.int64)
-        per_id[self.offsets[Population.COINC_EXC]:] = np.tile(triplet, (2 * self.n_channels + 1, 1))
-        self.d, self.x_cyc, self.y = per_id.T.copy()
+        retina = np.zeros(2 * self.n_retina_per_side, dtype=np.int64)
+        self.d, self.x_cyc, self.y = (np.concatenate([retina, np.tile(a, 2 * ch + 1)]) for a in (tri_d, tri_x, tri_y))
         for arr in (self.pop_code, self.d, self.x_cyc, self.y):
             arr.setflags(write=False)
+        self._build_synapses(tri_d, tri_y, tri_x)
+
+    # ---------------------------------------------------------- id algebra
 
     def population_of(self, neuron_id: int) -> Population:
         if not 0 <= neuron_id < self.n_neurons:
@@ -235,8 +244,9 @@ class Topology:
     def id_of(self, population: Population, coord: NeuronCoord, channel: int = 0) -> int:
         if population not in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY):
             raise KeyError(f"id_of expects a coincidence/disparity population, got {population}")
-        idx = self._coord_index.get(coord)
-        if idx is None:
+        cell = (coord.d + self.d_max, coord.y, coord.x_cyc)
+        idx = int(self._index[cell]) if all(0 <= i < n for i, n in zip(cell, self._index.shape)) else -1
+        if idx < 0:
             raise KeyError(f"coordinate {coord} not in topology")
         if population is Population.DISPARITY:
             if channel != 0:
@@ -279,85 +289,67 @@ class Topology:
 
     # ---------------------------------------------------------- synapse build
 
-    def _build_synapses(self) -> None:
-        w = self.weights
-        pre: list[int] = []
-        post: list[int] = []
-        sign: list[int] = []
-        weight: list[float] = []
-        kind: list[int] = []
-        saturating: list[bool] = []
+    def _line_of_sight(self, y: np.ndarray, x: np.ndarray, side: int) -> np.ndarray:
+        """Triplets with ``x_left == x`` (side 0) or ``x_right == x`` (side 1)
+        in row ``y``: one row per query, ascending in d (so in id), -1 where
+        the partner pixel lies outside the retina. Clipping only moves an
+        ``x_cyc`` with ``d != 0`` onto the grid's edge, where ``|d| > 0``
+        leaves no triplet."""
+        d = np.arange(-self.d_max, self.d_max + 1)
+        x_cyc = 2 * x[:, None] + (d if side == 0 else -d)
+        return self._index[d + self.d_max, y[:, None], np.clip(x_cyc, 0, 2 * self.retina_width - 2)]
 
-        def add(p, q, s, ww, k, sat=False):
-            pre.append(p)
-            post.append(q)
-            sign.append(s)
-            weight.append(ww)
-            kind.append(k)
-            saturating.append(sat)
-
-        coords = self.disparity_coords
-        ch_range = range(self.n_channels)
+    def _build_synapses(self, tri_d: np.ndarray, tri_y: np.ndarray, tri_x: np.ndarray) -> None:
+        """Each rule is a fan-out: one row of candidate triplets per pre
+        neuron, -1 for none. ``_fan_out`` keeps the candidates in row-major
+        order, and the blocks are concatenated in ascending pre id, so the
+        tables come out sorted by pre, in delivery order."""
+        wp, ch, n_tri = self.weights, self.n_channels, self.n_triplets
+        exc, inh, disp = (self.offsets[p] for p in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY))
+        n_px = self.retina_width * self.retina_height
+        blocks: list[tuple[int, np.ndarray, np.ndarray]] = []  # (rule 0..3 for R1..R4, pre, post)
 
         # R1: retina -> coincidence (both copies), saturating synapses so an
-        # arbitrary monocular train can never sum past one EPSP per side
-        for idx, c in enumerate(coords):
-            for channel in ch_range:
-                left_id = self.id_of_retina(0, c.x_left, c.y, channel)
-                right_id = self.id_of_retina(1, c.x_right, c.y, channel)
-                for pop in (Population.COINC_EXC, Population.COINC_INH):
-                    cid = self.id_of(pop, c, channel)
-                    add(left_id, cid, EXC, w.w_rc, FEEDFORWARD, sat=True)
-                    add(right_id, cid, EXC, w.w_rc, FEEDFORWARD, sat=True)
-
-        # group triplet indices by cyclopean column and by disparity line
-        by_xcyc: dict[tuple[int, int], list[int]] = {}
-        by_line: dict[tuple[int, int], list[int]] = {}
-        for idx, c in enumerate(coords):
-            by_xcyc.setdefault((c.x_cyc, c.y), []).append(idx)
-            by_line.setdefault((c.d, c.y), []).append(idx)
-
-        # R2: inhibitory coincidence -> every disparity neuron at the same
-        # cyclopean position and row
-        for group in by_xcyc.values():
-            for i in group:
-                for channel in ch_range:
-                    cid = self.id_of(Population.COINC_INH, coords[i], channel)
-                    for j in group:
-                        add(cid, self.offsets[Population.DISPARITY] + j, INH, w.w_ci, FEEDFORWARD)
+        # arbitrary monocular train can never sum past one EPSP per side; a
+        # pixel drives each triplet on its line of sight, excitatory copy first
+        px_y, px_x = np.divmod(np.arange(n_px), self.retina_width)
+        for side in (0, 1):
+            px, tri = _fan_out(self._line_of_sight(px_y, px_x, side))
+            for c in range(ch):
+                pre = side * self.n_retina_per_side + c * n_px + px
+                post = np.stack([exc + c * n_tri + tri, inh + c * n_tri + tri], axis=1)
+                blocks.append((0, np.repeat(pre, 2), post.ravel()))
 
         # R3: excitatory coincidence -> every disparity neuron at the same
         # disparity and row (within the continuity radius when set)
-        radius = self.continuity_radius
-        for group in by_line.values():
-            for i in group:
-                for channel in ch_range:
-                    cid = self.id_of(Population.COINC_EXC, coords[i], channel)
-                    for j in group:
-                        if radius is not None and abs(coords[i].x_cyc - coords[j].x_cyc) > radius:
-                            continue
-                        add(cid, self.offsets[Population.DISPARITY] + j, EXC, w.w_ce, FEEDFORWARD)
+        x_cyc = np.arange(2 * self.retina_width - 1)
+        same_line = self._index[tri_d[:, None] + self.d_max, tri_y[:, None], x_cyc]
+        if self.continuity_radius is not None:
+            same_line[np.abs(x_cyc - tri_x[:, None]) > self.continuity_radius] = -1
+        src, dst = _fan_out(same_line)
+        blocks += [(2, exc + c * n_tri + src, disp + dst) for c in range(ch)]
+
+        # R2: inhibitory coincidence -> every disparity neuron at the same
+        # cyclopean position and row
+        src, dst = _fan_out(self._index[:, tri_y, tri_x].T)
+        blocks += [(1, inh + c * n_tri + src, disp + dst) for c in range(ch)]
 
         # R4: recurrent inhibition between disparity neurons sharing a line
         # of sight; the two line families partition the pairs (a pair can
         # share x_left or x_right, never both)
-        d_off = self.offsets[Population.DISPARITY]
-        for los in ("x_left", "x_right"):
-            groups: dict[tuple[int, int], list[int]] = {}
-            for idx, c in enumerate(coords):
-                groups.setdefault((getattr(c, los), c.y), []).append(idx)
-            for group in groups.values():
-                for i in group:
-                    for j in group:
-                        if i != j:
-                            add(d_off + i, d_off + j, INH, w.w_dd, RECURRENT)
+        tri_xl, tri_xr = (tri_x - tri_d) // 2, (tri_x + tri_d) // 2
+        sight = np.hstack([self._line_of_sight(tri_y, tri_xl, 0), self._line_of_sight(tri_y, tri_xr, 1)])
+        sight[sight == np.arange(n_tri)[:, None]] = -1
+        src, dst = _fan_out(sight)
+        blocks.append((3, disp + src, disp + dst))
 
-        self.syn_pre = np.array(pre, dtype=np.int64)
-        self.syn_post = np.array(post, dtype=np.int64)
-        self.syn_sign = np.array(sign, dtype=np.int8)
-        self.syn_weight = np.array(weight, dtype=np.float64)
-        self.syn_kind = np.array(kind, dtype=np.int8)
-        self.syn_saturating = np.array(saturating, dtype=bool)
+        rule = np.concatenate([np.full(len(src), r, dtype=np.int8) for r, src, _ in blocks])
+        self.syn_pre = np.concatenate([src for _, src, _ in blocks])
+        self.syn_post = np.concatenate([dst for _, _, dst in blocks])
+        self.syn_sign = np.array([EXC, INH, EXC, INH], dtype=np.int8)[rule]
+        self.syn_weight = np.array([wp.w_rc, wp.w_ci, wp.w_ce, wp.w_dd], dtype=np.float64)[rule]
+        self.syn_kind = np.array([FEEDFORWARD, FEEDFORWARD, FEEDFORWARD, RECURRENT], dtype=np.int8)[rule]
+        self.syn_saturating = rule == 0
         for arr in (self.syn_pre, self.syn_post, self.syn_sign, self.syn_weight, self.syn_kind, self.syn_saturating):
             arr.setflags(write=False)
 
@@ -425,13 +417,14 @@ class Topology:
         }
 
     def write_json(self, path: str) -> None:
-        import os
+        atomic_write(path, json.dumps(self.to_json_dict(), indent=1) + "\n")
 
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
+
+def _fan_out(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, candidate) of every entry >= 0 of a 2-D candidate matrix, in
+    row-major order."""
+    rows, cols = np.nonzero(candidates >= 0)
+    return rows, candidates[rows, cols]
 
 
 def build_topology(

@@ -373,6 +373,51 @@ def test_bad_config_does_not_abort_batch(tmp_path, jobs):
         assert (tmp_path / "out" / name).exists(), name
 
 
+@pytest.mark.parametrize("command", ["run", "topology", "eval"])
+@pytest.mark.parametrize(
+    "override",
+    [
+        "topology.polarity_mode=bogus",
+        "topology.d_max=16",
+        "topology.continuity_radius=-1",
+        "topology.continuity_radius=abc",
+    ],
+)
+def test_invalid_topology_is_config_error(tmp_path, capsys, command, override):
+    path, _ = synthetic_config(tmp_path)
+    files = ["--spikes", str(tmp_path / "s.csv"), "--trace", str(tmp_path / "t.csv")] if command == "eval" else []
+    assert main([command, "-c", str(path), "--set", override, *files]) == 2
+    assert f"config error ({command}): topology: " in capsys.readouterr().err
+
+
+def test_invalid_topology_does_not_abort_batch(tmp_path, capfd):
+    good, cfg = synthetic_config(tmp_path)
+    bad_cfg = dict(cfg, output_dir=str(tmp_path / "out_bad"), topology=dict(cfg["topology"], d_max=16))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(bad_cfg))
+    assert main(["run", "-c", str(bad), "-c", str(good), "--jobs", "2"]) == 2
+    assert "d_max must be in [0, 15], got 16" in capfd.readouterr().err
+    for name in ARTIFACTS:
+        assert (tmp_path / "out" / name).exists(), name
+    assert not (tmp_path / "out_bad" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "preprocess.background_window_us=18446744073709551616",
+        "preprocess.background_window_us=9223372036854775807",
+        "preprocess.background_window_us=abc",
+        "preprocess.hot_pixel_factor=abc",
+        "preprocess.hot_pixel_factor=NaN",
+    ],
+)
+def test_invalid_preprocess_values_are_config_errors(tmp_path, capsys, override):
+    path = file_config(tmp_path, *write_file_fixture(tmp_path))
+    assert main(["run", "-c", str(path), "--set", override]) == 2
+    assert "config error (run): preprocess: " in capsys.readouterr().err
+
+
 def bad_event_file_config(tmp_path):
     fixture = write_file_fixture(tmp_path)
     left = fixture[0]

@@ -14,6 +14,7 @@ from evstereo.events import (
     StereoEventStream,
     _parse_event_lines,
     _parse_plain_event_bytes,
+    atomic_write,
     merge_streams,
     parse_event_file,
     write_event_file,
@@ -415,3 +416,16 @@ def test_stream_arrays_are_readonly():
     stream = StereoEventStream.from_events([DvsEvent(0, 1, 2, ON, LEFT)], GEOM)
     with pytest.raises(ValueError):
         stream.t[0] = 5
+
+
+def test_atomic_write_replaces_whole_file_or_leaves_old_one(tmp_path):
+    path = tmp_path / "out.csv"
+    atomic_write(str(path), "a\nb\n")
+    assert path.read_bytes() == b"a\nb\n"
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(str(path), "half\n\ud800")  # fails after the temp file is opened
+    (tmp_path / "d").mkdir()
+    with pytest.raises(IsADirectoryError):
+        atomic_write(str(tmp_path / "d"), "x")  # fails at the rename
+    assert path.read_bytes() == b"a\nb\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "out.csv"]

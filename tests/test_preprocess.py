@@ -150,6 +150,14 @@ def test_background_single_isolated_event_dropped():
     assert len(filter_background(s, 5000, 1)) == 0
 
 
+def test_background_isolated_event_dropped_under_widest_window():
+    s = StereoEventStream.from_events(
+        [DvsEvent(0, 5, 5, ON, LEFT), DvsEvent(7, 20, 20, ON, LEFT), DvsEvent(9, 21, 20, ON, LEFT)], GEOM
+    )
+    out = filter_background(s, 2**63 - 1, 1)
+    assert list(out) == [DvsEvent(9, 21, 20, ON, LEFT)]
+
+
 def test_background_neighbor_supports():
     s = StereoEventStream.from_events(
         [DvsEvent(0, 5, 5, ON, LEFT), DvsEvent(10, 6, 5, ON, LEFT)], GEOM

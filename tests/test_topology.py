@@ -167,6 +167,11 @@ def rule_oracle(topo):
         (4, 4, 3, "rectified", None),
         (4, 2, 2, "rectified", 2),
         (3, 2, 1, "separated", None),
+        (1, 1, 0, "rectified", None),
+        (4, 2, 3, "rectified", None),
+        (4, 2, 3, "rectified", 0),
+        (4, 3, 2, "separated", 0),
+        (4, 3, 2, "separated", 1),
     ],
 )
 def test_rules_match_exhaustive_oracle(w, h, d_max, mode, radius):
@@ -174,6 +179,34 @@ def test_rules_match_exhaustive_oracle(w, h, d_max, mode, radius):
     built = {(s.pre, s.post, s.sign, s.kind) for s in topo.synapses()}
     assert len(built) == topo.n_synapses  # no duplicate synapses
     assert built == rule_oracle(topo)
+
+
+@pytest.mark.parametrize("mode,radius", [("rectified", None), ("separated", 1)])
+def test_synapses_stored_by_pre_in_delivery_order(mode, radius):
+    """The simulator delivers each pre's synapses in stored order: ascending
+    post triplet (for a retina pixel, the excitatory copy before the
+    inhibitory one), and for a disparity pre its x_left family before its
+    x_right family."""
+    topo = build_topology(5, 3, 3, polarity_mode=mode, continuity_radius=radius)
+    pre, post = topo.syn_pre, topo.syn_post
+    assert np.all(np.diff(pre) >= 0)
+    triplet = (post - topo.offsets[Population.COINC_EXC]) % topo.n_triplets
+    x_left2 = topo.x_cyc - topo.d  # 2 * x_left per id
+    starts = np.searchsorted(pre, np.arange(topo.n_neurons + 1))
+    for p in range(topo.n_neurons):
+        lo, hi = starts[p], starts[p + 1]
+        pop = topo.pop_code[p]
+        if pop <= Population.RETINA_R:
+            keys = list(zip(triplet[lo:hi].tolist(), topo.pop_code[post[lo:hi]].tolist()))
+            assert keys == sorted(set(keys)), p
+        elif pop == Population.DISPARITY:
+            shares_left = x_left2[post[lo:hi]] == x_left2[p]
+            n_left = int(shares_left.sum())
+            assert shares_left[:n_left].all(), p
+            for family in (post[lo:lo + n_left], post[lo + n_left:hi]):
+                assert np.all(np.diff(family) > 0), p
+        else:
+            assert np.all(np.diff(post[lo:hi]) > 0), p
 
 
 def test_every_coincidence_has_two_retina_afferents():
