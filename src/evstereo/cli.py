@@ -22,12 +22,13 @@ from .events import (
     RIGHT,
     EventFormatError,
     StereoEventStream,
-    atomic_write,
     merge_streams,
     parse_event_file,
+    write_csv,
     write_event_file,
 )
 from .groundtruth import (
+    GroundTruthFormatError,
     disparity_trajectory,
     project_markers,
     read_calibration_json,
@@ -39,6 +40,7 @@ from .groundtruth import (
 from .metrics import build_report, write_com_csv
 from .preprocess import preprocess_pipeline_resolved
 from .simulator import (
+    POPULATION_CODE_NAMES,
     SpikeFormatError,
     SpikeRecord,
     instantaneous_rates,
@@ -48,7 +50,7 @@ from .simulator import (
     window_count,
     write_spike_csv,
 )
-from .synth import gen_stimulus, validate_profile_bounds
+from .synth import gen_stimulus
 from .topology import (
     HardwareLimits,
     Population,
@@ -57,6 +59,10 @@ from .topology import (
     check_hardware_constraints,
     largest_feasible_d_max,
 )
+
+
+# a bad config or a malformed input file: exit code 2, with the message
+INPUT_ERRORS = (ConfigError, EventFormatError, GroundTruthFormatError, SpikeFormatError)
 
 
 def _build_topology(cfg: RunConfig) -> Topology:
@@ -76,13 +82,10 @@ def _build_topology(cfg: RunConfig) -> Topology:
 
 def _load_file_stream(cfg: RunConfig) -> StereoEventStream:
     inp = cfg.input
-    try:
-        if inp.events is not None:
-            return parse_event_file(inp.events, cfg.full_geometry)
-        left = parse_event_file(inp.left_events, cfg.full_geometry, side=LEFT)
-        right = parse_event_file(inp.right_events, cfg.full_geometry, side=RIGHT)
-    except EventFormatError as exc:
-        raise ConfigError(str(exc)) from None
+    if inp.events is not None:
+        return parse_event_file(inp.events, cfg.full_geometry)
+    left = parse_event_file(inp.left_events, cfg.full_geometry, side=LEFT)
+    right = parse_event_file(inp.right_events, cfg.full_geometry, side=RIGHT)
     return merge_streams(left, right)
 
 
@@ -107,51 +110,40 @@ def _file_ground_truth(cfg: RunConfig, n_windows: int, origin: tuple[int, int], 
 
 def _write_rates_csv(record: SpikeRecord, topology: Topology, window_us: int, n_windows: int, path: str) -> None:
     """Long-format rate export (nonzero entries only): one row per
-    (window, neuron) with activity."""
-    centers = window_centers_us(n_windows, window_us)
-    rows = ["window_i,t_center_us,population,neuron_id,rate_hz"]
-    for pop in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY):
-        rates = instantaneous_rates(record, window_us, pop, topology, n_windows)
-        nz_rows, nz_cols = np.nonzero(rates.rates_hz)
-        for r, c in zip(nz_rows, nz_cols):
-            rows.append(
-                f"{c},{centers[c]:.1f},{pop.name},{rates.neuron_ids[r]},{float(rates.rates_hz[r, c])!r}"
-            )
-    atomic_write(path, "\n".join(rows) + "\n")
+    (window, neuron) with activity, by neuron id, then window."""
+    pops = (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)
+    rates = [instantaneous_rates(record, window_us, pop, topology, n_windows) for pop in pops]
+    ids = np.concatenate([r.neuron_ids for r in rates])
+    hz = np.vstack([r.rates_hz for r in rates])
+    row, window = np.nonzero(hz)
+    centers = list(map("{:.1f}".format, window_centers_us(n_windows, window_us)[window].tolist()))
+    columns = [window, centers, POPULATION_CODE_NAMES[topology.pop_code[ids[row]]], ids[row], hz[row, window]]
+    write_csv(path, "window_i,t_center_us,population,neuron_id,rate_hz", columns)
 
 
 def _write_mean_rates_csv(record: SpikeRecord, topology: Topology, path: str) -> None:
     """Whole-recording mean rate per neuron with its coordinates (feeds the
     per-row rate-map and disparity-histogram plots)."""
     duration_s = record.duration_us * 1e-6 if record.duration_us else 1.0
-    counts = np.bincount(record.neuron_ids, minlength=topology.n_neurons) if len(record) else np.zeros(topology.n_neurons, dtype=np.int64)
-    rows = ["population,neuron_id,d,x_cyc,y,mean_rate_hz"]
-    for pop in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY):
-        ids = topology.population_ids(pop)
-        columns = (ids, topology.d[ids], topology.x_cyc[ids], topology.y[ids], counts[ids] / duration_s)
-        rows.extend(
-            f"{pop.name},{nid},{d},{x_cyc},{y},{rate!r}"
-            for nid, d, x_cyc, y, rate in zip(*(c.tolist() for c in columns))
-        )
-    atomic_write(path, "\n".join(rows) + "\n")
+    ids = np.arange(topology.offsets[Population.COINC_EXC], topology.n_neurons)  # coincidence, then disparity
+    rate = np.bincount(record.neuron_ids, minlength=topology.n_neurons)[ids] / duration_s
+    columns = [POPULATION_CODE_NAMES[topology.pop_code[ids]], ids, topology.d[ids], topology.x_cyc[ids], topology.y[ids]]
+    write_csv(path, "population,neuron_id,d,x_cyc,y,mean_rate_hz", columns + [rate])
 
 
 def _write_disparity_hist_csv(record: SpikeRecord, topology: Topology, window_us: int, n_windows: int, path: str) -> None:
-    """Spike counts binned by encoded disparity per window and population."""
-    rows = ["population,window_i,d,count"]
-    combined = {"C": (Population.COINC_EXC, Population.COINC_INH), "D": (Population.DISPARITY,)}
-    for tag, pops in combined.items():
-        mask = record.for_population(*pops)
-        if not mask.any():
-            continue
-        d_n = topology.disparity_of_ids(record.neuron_ids[mask])
-        wi = record.times[mask] // window_us
-        keys, counts = np.unique(np.stack([wi, d_n]), axis=1, return_counts=True)
-        for k in range(keys.shape[1]):
-            w, d = int(keys[0, k]), int(keys[1, k])
-            if 0 <= w < n_windows:
-                rows.append(f"{tag},{w},{d},{counts[k]}")
-    atomic_write(path, "\n".join(rows) + "\n")
+    """Spike counts by population tag (C: both coincidence copies, D: disparity),
+    window and encoded disparity, in that order; windows from ``n_windows`` on are dropped."""
+    mask = record.populations >= Population.COINC_EXC
+    tag = (record.populations[mask] == Population.DISPARITY).astype(np.int64)
+    window = record.times[mask] // window_us
+    d = topology.disparity_of_ids(record.neuron_ids[mask]) + topology.d_max
+    span = 2 * topology.d_max + 1
+    hist = np.bincount(((tag * n_windows + window) * span + d)[window < n_windows])
+    key = np.flatnonzero(hist)
+    tag, window = np.divmod(key // span, n_windows)
+    columns = [np.array(["C", "D"])[tag], window, key % span - topology.d_max, hist[key]]
+    write_csv(path, "population,window_i,d,count", columns)
 
 
 def _print_headline(report) -> None:
@@ -243,7 +235,7 @@ def _run_one(config_path: str, overrides: list[str], auto_crop: bool) -> int:
 def _run_one_safe(config_path: str, overrides: list[str], auto_crop: bool) -> int:
     try:
         return _run_one(config_path, overrides, auto_crop)
-    except ConfigError as exc:
+    except INPUT_ERRORS as exc:
         print(f"config error (run {config_path}): {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
@@ -274,12 +266,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.set or [])
     if not cfg.input.is_synthetic:
         raise ConfigError("synth requires an input.synthetic profile")
-    if cfg.input.duration_us is None or cfg.input.duration_us <= 0:
-        raise ConfigError("synth requires a positive input.duration_us")
-    try:
-        validate_profile_bounds(cfg.input.synthetic, cfg.topology.geometry, cfg.input.duration_us)
-    except ValueError as exc:
-        raise ConfigError(f"input.synthetic: {exc}") from None
+    cfg.validate_for_run()
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     stream, trace = gen_stimulus(
@@ -328,10 +315,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"trace window {trace.window_us}us does not match analysis.window_us={cfg.analysis.window_us}"
         )
     duration = trace.n_windows * trace.window_us - 1
-    try:
-        record = read_spike_csv(args.spikes, topology, duration_us=duration)
-    except SpikeFormatError as exc:
-        raise ConfigError(str(exc)) from None
+    record = read_spike_csv(args.spikes, topology, duration_us=duration)
     # energy needs input/delivery counters that spike CSVs do not carry
     report = build_report(
         record,
@@ -398,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except INPUT_ERRORS as exc:
         print(f"config error ({args.command}): {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -164,6 +164,16 @@ def _profile_from_dict(data: dict, default_seed: int) -> DisparityProfile:
         raise ConfigError(f"input.synthetic: {exc}") from None
 
 
+def _as(kind: type, value, key: str):
+    """``kind(value)`` for ``kind`` int or float; a value it rejects is a
+    ConfigError naming the dotted ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
+
+
 def _take(data: dict, section: str, known: set[str]) -> dict:
     unknown = set(data) - known
     if unknown:
@@ -174,7 +184,7 @@ def _take(data: dict, section: str, known: set[str]) -> dict:
 def config_from_dict(data: dict) -> RunConfig:
     data = dict(data)
     cfg = RunConfig()
-    cfg.seed = int(data.pop("seed", 0))
+    cfg.seed = _as(int, data.pop("seed", 0), "seed")
     cfg.sample_label = str(data.pop("sample_label", "run"))
     cfg.output_dir = str(data.pop("output_dir", "out"))
 
@@ -189,7 +199,7 @@ def config_from_dict(data: dict) -> RunConfig:
         right_events=inp.get("right_events"),
         events=inp.get("events"),
         synthetic=_profile_from_dict(synthetic, cfg.seed) if synthetic else None,
-        duration_us=inp.get("duration_us"),
+        duration_us=None if inp.get("duration_us") is None else _as(int, inp["duration_us"], "input.duration_us"),
         markers=inp.get("markers"),
         calibration=inp.get("calibration"),
     )
@@ -205,7 +215,9 @@ def config_from_dict(data: dict) -> RunConfig:
     )
     cfg.preprocess_enabled = bool(pre.get("enabled", True))
     fg = pre.get("full_geometry", [346, 260])
-    cfg.full_geometry = CameraGeometry(int(fg[0]), int(fg[1]))
+    if not (isinstance(fg, (list, tuple)) and len(fg) == 2):
+        raise ConfigError(f"preprocess.full_geometry must be [width, height], got {fg!r}")
+    cfg.full_geometry = CameraGeometry(*(_as(int, v, "preprocess.full_geometry") for v in fg))
     try:
         cfg.preprocess = PreprocessConfig(
             mask_rects=[Rect(*map(int, r)) for r in pre.get("mask_rects", [])],
@@ -228,9 +240,9 @@ def config_from_dict(data: dict) -> RunConfig:
     weights = topo.get("weights", {})
     try:
         cfg.topology = TopologyConfig(
-            retina_width=int(topo.get("retina_width", 16)),
-            retina_height=int(topo.get("retina_height", 16)),
-            d_max=int(topo.get("d_max", 7)),
+            retina_width=_as(int, topo.get("retina_width", 16), "topology.retina_width"),
+            retina_height=_as(int, topo.get("retina_height", 16), "topology.retina_height"),
+            d_max=_as(int, topo.get("d_max", 7), "topology.d_max"),
             weights=WeightParams(**weights) if weights else WeightParams(),
             polarity_mode=topo.get("polarity_mode", "rectified"),
             continuity_radius=topo.get("continuity_radius"),
@@ -250,24 +262,25 @@ def config_from_dict(data: dict) -> RunConfig:
         overrides = {}
         for name, vals in overrides_raw.items():
             try:
-                overrides[Population[name]] = {k: float(v) for k, v in vals.items()}
+                pop = Population[name]
             except KeyError:
                 raise ConfigError(f"simulator.overrides: unknown population {name!r}") from None
+            overrides[pop] = {k: _as(float, v, f"simulator.overrides.{name}.{k}") for k, v in vals.items()}
     cfg.simulator = LifParams(
-        tau_m=float(sim.get("tau_m", 2000.0)),
-        tau_s=float(sim.get("tau_s", 10000.0)),
-        threshold=float(sim.get("threshold", 1.0)),
-        reset=float(sim.get("reset", 0.0)),
-        refractory_us=int(sim.get("refractory_us", 1000)),
-        v_floor=float(sim.get("v_floor", -1.0)),
+        tau_m=_as(float, sim.get("tau_m", 2000.0), "simulator.tau_m"),
+        tau_s=_as(float, sim.get("tau_s", 10000.0), "simulator.tau_s"),
+        threshold=_as(float, sim.get("threshold", 1.0), "simulator.threshold"),
+        reset=_as(float, sim.get("reset", 0.0), "simulator.reset"),
+        refractory_us=_as(int, sim.get("refractory_us", 1000), "simulator.refractory_us"),
+        v_floor=_as(float, sim.get("v_floor", -1.0), "simulator.v_floor"),
         overrides=overrides,
     )
     mm = sim.get("mismatch")
     cfg.mismatch = (
         MismatchModel(
-            seed=int(mm.get("seed", cfg.seed)),
-            weight_sigma=float(mm.get("weight_sigma", 0.0)),
-            threshold_sigma=float(mm.get("threshold_sigma", 0.0)),
+            seed=_as(int, mm.get("seed", cfg.seed), "simulator.mismatch.seed"),
+            weight_sigma=_as(float, mm.get("weight_sigma", 0.0), "simulator.mismatch.weight_sigma"),
+            threshold_sigma=_as(float, mm.get("threshold_sigma", 0.0), "simulator.mismatch.threshold_sigma"),
         )
         if mm
         else None
@@ -275,16 +288,16 @@ def config_from_dict(data: dict) -> RunConfig:
 
     ana = _take(data.pop("analysis", {}), "analysis", {"window_us", "eps_d", "pcd_mode"})
     cfg.analysis = AnalysisConfig(
-        window_us=int(ana.get("window_us", 50_000)),
-        eps_d=float(ana.get("eps_d", 1.0)),
+        window_us=_as(int, ana.get("window_us", 50_000), "analysis.window_us"),
+        eps_d=_as(float, ana.get("eps_d", 1.0), "analysis.eps_d"),
         pcd_mode=ana.get("pcd_mode", PCD_GLOBAL),
     )
 
     en = _take(data.pop("energy", {}), "energy", {"e_input_pj", "e_spike_pj", "e_delivery_pj"})
     cfg.energy = EnergyCoefficients(
-        e_input_pj=float(en.get("e_input_pj", 30.0)),
-        e_spike_pj=float(en.get("e_spike_pj", 900.0)),
-        e_delivery_pj=float(en.get("e_delivery_pj", 120.0)),
+        e_input_pj=_as(float, en.get("e_input_pj", 30.0), "energy.e_input_pj"),
+        e_spike_pj=_as(float, en.get("e_spike_pj", 900.0), "energy.e_spike_pj"),
+        e_delivery_pj=_as(float, en.get("e_delivery_pj", 120.0), "energy.e_delivery_pj"),
     )
 
     if data:

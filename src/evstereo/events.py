@@ -21,7 +21,7 @@ ON = 1
 LEFT = 0
 RIGHT = 1
 
-SIDE_NAMES = {LEFT: "L", RIGHT: "R"}
+SIDE_NAMES = np.array(["L", "R"])  # indexed by side code
 SIDE_CODES = {"L": LEFT, "R": RIGHT}
 
 EVENT_CSV_HEADER = "t_us,x,y,p,side"
@@ -311,12 +311,23 @@ def _parse_event_lines(path: str, text: str, geometry: CameraGeometry, side: int
 
 def write_event_file(stream: StereoEventStream, path: str) -> None:
     """Write a stream as event CSV; ``parse_event_file`` round-trips exactly."""
-    rows = [EVENT_CSV_HEADER]
-    side_names = SIDE_NAMES
-    t, x, y, p, s = stream.t, stream.x, stream.y, stream.p, stream.side
-    for i in range(len(stream)):
-        rows.append(f"{t[i]},{x[i]},{y[i]},{p[i]},{side_names[int(s[i])]}")
-    atomic_write(path, "\n".join(rows) + "\n")
+    write_csv(path, EVENT_CSV_HEADER, [stream.t, stream.x, stream.y, stream.p, SIDE_NAMES[stream.side]])
+
+
+def write_csv(path: str, header: str, columns: Sequence[Sequence]) -> None:
+    """Write ``header`` and one row per position of the equal-length
+    ``columns`` with ``atomic_write``; no rows give a header-only file. The
+    number format of every artifact: a float cell is the shortest round-trip
+    ``repr``, or empty for NaN (a missing value); any other cell is ``str``."""
+    cells = [_float_cells(a) if a.dtype.kind == "f" else map(str, a.tolist()) for a in map(np.asarray, columns)]
+    rows = map(",".join, zip(*cells, strict=True))
+    atomic_write(path, "\n".join([header, *rows]) + "\n")
+
+
+def _float_cells(a: np.ndarray) -> np.ndarray:
+    cells = np.array(list(map(repr, a.tolist())), dtype=object)
+    cells[np.isnan(a)] = ""
+    return cells
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -14,11 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import CameraGeometry, atomic_write
+from .events import CameraGeometry, write_csv
 from .simulator import window_centers_us, window_count
 
 MARKER_CSV_HEADER = "t_us,joint,X_mm,Y_mm,Z_mm"
 TRACE_CSV_HEADER = "window_i,t_center_us,d_mean,d_min,d_max,n_joints"
+
+
+class GroundTruthFormatError(ValueError):
+    """Malformed marker or trace CSV; the message starts with ``<path>:<line>:``."""
 
 
 @dataclass
@@ -198,14 +202,17 @@ def read_marker_csv(path: str) -> list[MarkerTrack3D]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MARKER_CSV_HEADER:
-        raise ValueError(f"{path}: expected header '{MARKER_CSV_HEADER}'")
+        raise GroundTruthFormatError(f"{path}:1: expected header '{MARKER_CSV_HEADER}'")
     samples: dict[str, list[tuple[int, float, float, float]]] = {}
     for i, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != 5:
-            raise ValueError(f"{path}:{i}: expected 5 fields, got {len(fields)}")
-        t, joint = int(fields[0]), fields[1]
-        samples.setdefault(joint, []).append((t, float(fields[2]), float(fields[3]), float(fields[4])))
+            raise GroundTruthFormatError(f"{path}:{i}: expected 5 fields, got {len(fields)}")
+        try:
+            sample = (int(fields[0]), float(fields[2]), float(fields[3]), float(fields[4]))
+        except ValueError as exc:
+            raise GroundTruthFormatError(f"{path}:{i}: {exc}") from None
+        samples.setdefault(fields[1], []).append(sample)
     tracks = []
     for joint, rows in samples.items():
         rows.sort(key=lambda r: r[0])
@@ -231,27 +238,20 @@ def read_calibration_json(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_trace_csv(trace: DisparityTrace, path: str) -> None:
-    centers = window_centers_us(trace.n_windows, trace.window_us)
-    rows = [TRACE_CSV_HEADER]
-    for i in range(trace.n_windows):
-        if trace.n_joints[i] > 0:
-            rows.append(
-                f"{i},{centers[i]:.1f},{float(trace.d_mean[i])!r},{float(trace.d_min[i])!r},"
-                f"{float(trace.d_max[i])!r},{trace.n_joints[i]}"
-            )
-        else:
-            rows.append(f"{i},{centers[i]:.1f},,,,0")
-    atomic_write(path, "\n".join(rows) + "\n")
+    """One row per window; the d cells are empty where no joint is visible."""
+    centers = list(map("{:.1f}".format, window_centers_us(trace.n_windows, trace.window_us).tolist()))
+    d = (np.where(trace.n_joints > 0, v, np.nan) for v in (trace.d_mean, trace.d_min, trace.d_max))
+    write_csv(path, TRACE_CSV_HEADER, [np.arange(trace.n_windows), centers, *d, trace.n_joints])
 
 
 def read_trace_csv(path: str) -> DisparityTrace:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != TRACE_CSV_HEADER:
-        raise ValueError(f"{path}: expected header '{TRACE_CSV_HEADER}'")
+        raise GroundTruthFormatError(f"{path}:1: expected header '{TRACE_CSV_HEADER}'")
     n = len(lines) - 1
     if n == 0:
-        raise ValueError(f"{path}: empty trace")
+        raise GroundTruthFormatError(f"{path}:1: no trace rows after the header")
     d_mean = np.full(n, np.nan)
     d_min = np.full(n, np.nan)
     d_max = np.full(n, np.nan)
@@ -260,14 +260,15 @@ def read_trace_csv(path: str) -> DisparityTrace:
     for i, line in enumerate(lines[1:]):
         fields = line.split(",")
         if len(fields) != 6:
-            raise ValueError(f"{path}:{i + 2}: expected 6 fields")
-        centers[i] = float(fields[1])
-        if fields[2]:
-            d_mean[i] = float(fields[2])
-            d_min[i] = float(fields[3])
-            d_max[i] = float(fields[4])
-            n_joints[i] = int(fields[5])
-    window_us = int(round(centers[0] * 2)) if n else 0
+            raise GroundTruthFormatError(f"{path}:{i + 2}: expected 6 fields, got {len(fields)}")
+        try:
+            centers[i] = float(fields[1])
+            if fields[2]:
+                d_mean[i], d_min[i], d_max[i] = map(float, fields[2:5])
+                n_joints[i] = int(fields[5])
+        except (ValueError, OverflowError) as exc:
+            raise GroundTruthFormatError(f"{path}:{i + 2}: {exc}") from None
+    window_us = int(round(centers[0] * 2))
     return DisparityTrace(
         window_us=window_us,
         d_mean=d_mean,

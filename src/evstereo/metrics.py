@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import atomic_write
+from .events import atomic_write, write_csv
 from .groundtruth import DisparityTrace
 from .simulator import RateMatrix, SpikeRecord, instantaneous_rates, window_centers_us
 from .topology import Population, Topology
@@ -279,15 +279,7 @@ def build_report(
 
 
 def write_com_csv(report: MetricsReport, path: str) -> None:
-    centers = window_centers_us(report.n_windows, report.window_us)
-
-    def cell(v):
-        return "" if v is None else repr(float(v))
-
-    rows = [COM_CSV_HEADER]
-    for i in range(report.n_windows):
-        rows.append(
-            f"{i},{centers[i]:.1f},{cell(report.com_c[i])},{cell(report.com_d[i])},"
-            f"{cell(report.gt_mean[i])},{cell(report.gt_min[i])},{cell(report.gt_max[i])}"
-        )
-    atomic_write(path, "\n".join(rows) + "\n")
+    """One row per window; an undefined CoM or ground truth is an empty cell."""
+    centers = list(map("{:.1f}".format, window_centers_us(report.n_windows, report.window_us).tolist()))
+    values = np.array([report.com_c, report.com_d, report.gt_mean, report.gt_min, report.gt_max], dtype=np.float64)
+    write_csv(path, COM_CSV_HEADER, [np.arange(report.n_windows), centers, *values])

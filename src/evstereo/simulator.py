@@ -37,7 +37,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .events import StereoEventStream, atomic_write
+from .events import StereoEventStream, write_csv
 from .topology import Population, Topology
 
 SPIKE_CSV_HEADER = "t_us,neuron_id,population"
@@ -486,14 +486,10 @@ def instantaneous_rates(
 
 
 def write_spike_csv(record: SpikeRecord, path: str) -> None:
-    rows = [SPIKE_CSV_HEADER]
-    names = POPULATION_CODE_NAMES
-    for i in range(len(record.times)):
-        rows.append(f"{record.times[i]},{record.neuron_ids[i]},{names[int(record.populations[i])]}")
-    atomic_write(path, "\n".join(rows) + "\n")
+    write_csv(path, SPIKE_CSV_HEADER, [record.times, record.neuron_ids, POPULATION_CODE_NAMES[record.populations]])
 
 
-POPULATION_CODE_NAMES = {int(p): p.name for p in Population}
+POPULATION_CODE_NAMES = np.array([p.name for p in Population])  # indexed by Population code
 POPULATION_NAME_CODES = {p.name: int(p) for p in Population}
 
 

@@ -454,3 +454,210 @@ def test_unexpected_error_in_one_config_is_reported_per_config(tmp_path, monkeyp
     assert cli._run_one_safe(str(tmp_path / "c.json"), [], False) == 1
     err = capsys.readouterr().err.strip()
     assert err == f"error (run {tmp_path / 'c.json'}): RuntimeError: boom"
+
+
+# ------------------------------------------------------------- config values
+
+
+@pytest.mark.parametrize(
+    "override,key",
+    [
+        ("seed=abc", "seed"),
+        ('input.duration_us="abc"', "input.duration_us"),
+        ("preprocess.full_geometry=[1]", "preprocess.full_geometry"),
+        ('preprocess.full_geometry=[346,"abc"]', "preprocess.full_geometry"),
+        ("topology.retina_width=abc", "topology.retina_width"),
+        ("topology.retina_height=abc", "topology.retina_height"),
+        ("topology.d_max=abc", "topology.d_max"),
+        ("simulator.tau_m=abc", "simulator.tau_m"),
+        ("simulator.tau_s=abc", "simulator.tau_s"),
+        ("simulator.threshold=abc", "simulator.threshold"),
+        ("simulator.reset=abc", "simulator.reset"),
+        ("simulator.refractory_us=abc", "simulator.refractory_us"),
+        ("simulator.refractory_us=1e999", "simulator.refractory_us"),
+        ("simulator.v_floor=abc", "simulator.v_floor"),
+        ('simulator.overrides={"DISPARITY":{"tau_m":"x"}}', "simulator.overrides.DISPARITY.tau_m"),
+        ('simulator.mismatch={"seed":"x"}', "simulator.mismatch.seed"),
+        ('simulator.mismatch={"weight_sigma":"x"}', "simulator.mismatch.weight_sigma"),
+        ('simulator.mismatch={"threshold_sigma":"x"}', "simulator.mismatch.threshold_sigma"),
+        ("analysis.window_us=abc", "analysis.window_us"),
+        ("analysis.eps_d=abc", "analysis.eps_d"),
+        ("energy.e_input_pj=abc", "energy.e_input_pj"),
+        ("energy.e_spike_pj=abc", "energy.e_spike_pj"),
+        ("energy.e_delivery_pj=abc", "energy.e_delivery_pj"),
+    ],
+)
+def test_invalid_config_value_exit_2_names_key(tmp_path, capsys, override, key):
+    path, _ = synthetic_config(tmp_path)
+    assert main(["run", "-c", str(path), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error (run): {key}"), err
+    assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------------- trace and marker CSV input
+
+
+def run_and_trace(tmp_path):
+    path, _ = synthetic_config(tmp_path)
+    assert main(["run", "-c", str(path)]) == 0
+    return path, tmp_path / "out" / "spikes.csv", tmp_path / "out" / "disparity_trace.csv"
+
+
+@pytest.mark.parametrize(
+    "edit,line,message",
+    [
+        (lambda rows: ["window_i,t_center_us,d_mean"] + rows[1:], 1, "expected header"),
+        (lambda rows: rows[:1], 1, "no trace rows after the header"),
+        (lambda rows: rows[:2] + ["1,75000.0,2.0"] + rows[3:], 3, "expected 6 fields, got 3"),
+        (lambda rows: rows[:2] + ["1,75000.0,abc,1.0,3.0,1"] + rows[3:], 3, "could not convert string to float: 'abc'"),
+        (lambda rows: rows[:2] + ["1,abc,,,,0"] + rows[3:], 3, "could not convert string to float: 'abc'"),
+        (lambda rows: rows[:2] + ["1,75000.0,2.0,2.0,2.0,x"] + rows[3:], 3, "invalid literal for int()"),
+    ],
+    ids=["header", "no-rows", "ragged", "d-not-a-number", "centre-not-a-number", "n-joints-not-an-integer"],
+)
+def test_eval_malformed_trace_exit_2_with_line(tmp_path, capsys, edit, line, message):
+    path, spikes, trace = run_and_trace(tmp_path)
+    trace.write_text("\n".join(edit(trace.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    rc = main(["eval", "-c", str(path), "--spikes", str(spikes), "--trace", str(trace)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"config error (eval): {trace}:{line}: {message}" in err, err
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("abc,torso,75.5,51.5,1.0", "invalid literal for int() with base 10: 'abc'"),
+        ("5,torso,75.5,abc,1.0", "could not convert string to float: 'abc'"),
+        ("5,torso,75.5,51.5", "expected 5 fields, got 4"),
+    ],
+)
+def test_run_malformed_marker_csv_exit_2_with_line(tmp_path, capsys, row, message):
+    left, right, markers, calib = write_file_fixture(tmp_path)
+    rows = markers.read_text().splitlines()
+    markers.write_text("\n".join(rows[:3] + [row] + rows[3:]) + "\n")
+    path = file_config(tmp_path, left, right, markers, calib)
+    assert main(["run", "-c", str(path)]) == 2
+    assert f"config error (run): {markers}:4: {message}" in capsys.readouterr().err
+
+
+def test_run_marker_csv_bad_header_exit_2(tmp_path, capsys):
+    left, right, markers, calib = write_file_fixture(tmp_path)
+    markers.write_text("t,joint,X,Y,Z\n" + "\n".join(markers.read_text().splitlines()[1:]) + "\n")
+    path = file_config(tmp_path, left, right, markers, calib)
+    assert main(["run", "-c", str(path)]) == 2
+    assert f"config error (run): {markers}:1: expected header" in capsys.readouterr().err
+
+
+# ---------------------------------------------------- readout artifact content
+
+
+def read_rows(path):
+    lines = path.read_text().splitlines()
+    return lines[0], [line.split(",") for line in lines[1:]]
+
+
+def test_readout_csvs_agree_with_spikes(tmp_path):
+    """rates.csv, mean_rates.csv and disparity_hist.csv recomputed from
+    spikes.csv and the topology's coordinates."""
+    from collections import Counter
+
+    from evstereo.topology import Population, build_topology
+
+    path, cfg = synthetic_config(tmp_path, topology={"retina_width": 8, "retina_height": 4, "d_max": 3})
+    cfg["input"]["synthetic"].update(x=3, y=1, keyframes=[[0, 1.0]])
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "-c", str(path)]) == 0
+    out = tmp_path / "out"
+    topo = build_topology(8, 4, 3)
+    window_us = cfg["analysis"]["window_us"]
+    n_windows = MetricsReport.read_json(str(out / "metrics.json")).n_windows
+    _, spikes = read_rows(out / "spikes.csv")
+    spikes = [(int(t), int(n), pop) for t, n, pop in spikes]
+    assert spikes and all(t // window_us < n_windows for t, _, _ in spikes)
+    coord = {n: topo.coord_of(n)[1] for n in range(topo.offsets[Population.COINC_EXC], topo.n_neurons)}
+
+    header, rows = read_rows(out / "rates.csv")
+    assert header == "window_i,t_center_us,population,neuron_id,rate_hz"
+    per_window = Counter((n, t // window_us) for t, n, _ in spikes)
+    names = {n: pop for _, n, pop in spikes}
+    expected = [
+        [str(w), f"{(w + 0.5) * window_us:.1f}", names[n], str(n), repr(c / (window_us * 1e-6))]
+        for (n, w), c in sorted(per_window.items())
+    ]
+    assert rows == expected
+
+    header, rows = read_rows(out / "mean_rates.csv")
+    assert header == "population,neuron_id,d,x_cyc,y,mean_rate_hz"
+    duration_s = max(cfg["input"]["duration_us"], max(t for t, _, _ in spikes)) * 1e-6
+    totals = Counter(n for _, n, _ in spikes)
+    assert [int(r[1]) for r in rows] == sorted(coord)
+    for pop, nid, d, x_cyc, y, rate in rows:
+        c = coord[int(nid)]
+        assert pop == topo.population_of(int(nid)).name
+        assert (int(d), int(x_cyc), int(y)) == (c.d, c.x_cyc, c.y)
+        assert rate == repr(totals[int(nid)] / duration_s)
+
+    header, rows = read_rows(out / "disparity_hist.csv")
+    assert header == "population,window_i,d,count"
+    tag = {"COINC_EXC": "C", "COINC_INH": "C", "DISPARITY": "D"}
+    hist = Counter((tag[pop], t // window_us, coord[n].d) for t, n, pop in spikes)
+    assert rows == [[k[0], str(k[1]), str(k[2]), str(c)] for k, c in sorted(hist.items())]
+
+
+def test_disparity_hist_drops_windows_past_the_horizon(tmp_path):
+    from evstereo import cli
+    from evstereo.simulator import SpikeRecord
+    from evstereo.topology import Population, build_topology
+
+    topo = build_topology(4, 2, 2)
+    exc = int(topo.population_ids(Population.COINC_EXC)[0])
+    disp = int(topo.population_ids(Population.DISPARITY)[-1])
+    times = np.array([5, 15, 15, 25, 40], dtype=np.int64)
+    ids = np.array([disp, exc, disp, exc, exc], dtype=np.int64)
+    record = SpikeRecord(times, ids, topo.pop_code[ids], 40, 0, 0, {})
+    cli._write_disparity_hist_csv(record, topo, 10, 2, str(tmp_path / "h.csv"))
+    d_exc, d_disp = topo.d[exc], topo.d[disp]
+    assert (tmp_path / "h.csv").read_text() == (
+        f"population,window_i,d,count\nC,1,{d_exc},1\nD,0,{d_disp},1\nD,1,{d_disp},1\n"
+    )
+
+
+def test_readout_csvs_of_an_empty_record(tmp_path):
+    from evstereo import cli
+    from evstereo.simulator import SpikeRecord
+    from evstereo.topology import build_topology
+
+    topo = build_topology(2, 1, 1)
+    empty = np.zeros(0, dtype=np.int64)
+    record = SpikeRecord(empty, empty, empty.astype(np.int8), 0, 0, 0, {})
+    cli.write_spike_csv(record, str(tmp_path / "spikes.csv"))
+    cli._write_rates_csv(record, topo, 50_000, 3, str(tmp_path / "rates.csv"))
+    cli._write_disparity_hist_csv(record, topo, 50_000, 3, str(tmp_path / "hist.csv"))
+    cli._write_mean_rates_csv(record, topo, str(tmp_path / "mean.csv"))
+    assert (tmp_path / "spikes.csv").read_text() == "t_us,neuron_id,population\n"
+    assert (tmp_path / "rates.csv").read_text() == "window_i,t_center_us,population,neuron_id,rate_hz\n"
+    assert (tmp_path / "hist.csv").read_text() == "population,window_i,d,count\n"
+    # 2x1 retina, d_max=1: triplets (d, x_cyc) = (-1,1), (0,0), (0,2), (1,1)
+    coords = ["-1,1,0", "0,0,0", "0,2,0", "1,1,0"]
+    pops = ["COINC_EXC"] * 4 + ["COINC_INH"] * 4 + ["DISPARITY"] * 4
+    rows = [f"{pop},{4 + i},{coords[i % 4]},0.0" for i, pop in enumerate(pops)]
+    expected = "\n".join(["population,neuron_id,d,x_cyc,y,mean_rate_hz", *rows]) + "\n"
+    assert (tmp_path / "mean.csv").read_text() == expected
+
+
+def test_readout_floats_in_exponent_form(tmp_path):
+    from evstereo import cli
+    from evstereo.simulator import SpikeRecord
+    from evstereo.topology import build_topology
+
+    topo = build_topology(2, 1, 1)
+    window_us = 10**11  # one spike in a window of 1e5 s is 1e-05 Hz
+    ids = np.array([5], dtype=np.int64)
+    record = SpikeRecord(np.array([3], dtype=np.int64), ids, topo.pop_code[ids], window_us, 0, 0, {})
+    cli._write_rates_csv(record, topo, window_us, 1, str(tmp_path / "rates.csv"))
+    cli._write_mean_rates_csv(record, topo, str(tmp_path / "mean.csv"))
+    assert (tmp_path / "rates.csv").read_text().splitlines()[1:] == ["0,50000000000.0,COINC_EXC,5,1e-05"]
+    assert (tmp_path / "mean.csv").read_text().splitlines()[2] == "COINC_EXC,5,0,0,0,1e-05"
