@@ -1,12 +1,16 @@
-/* Compiled event loop of the exact event-driven LIF simulation.
+/* Compiled kernels of evstereo: the event loop of the exact event-driven LIF
+ * simulation, the strict parser of plain event files and the
+ * background-activity filter. Each reproduces a Python/numpy reference in
+ * the package exactly; the reference stays the fallback.
  *
- * This is the algorithm of simulator._Engine, operation for operation: the
- * closed-form advance, the crossing prediction by closed-form argmax plus
- * integer bisection, the (t, nid, stamp) min-heap with stale-stamp skipping,
- * saturating synapses and the dirty list. Every floating-point expression is
- * evaluated in the order the Python code evaluates it and calls the same
- * libm exp/log, so that, compiled with -ffp-contract=off and without
- * -ffast-math, spike times, ids and delivery counts are bit-identical.
+ * The event loop is the algorithm of simulator._Engine, operation for
+ * operation: the closed-form advance, the crossing prediction by closed-form
+ * argmax plus integer bisection, the (t, nid, stamp) min-heap with
+ * stale-stamp skipping, saturating synapses and the dirty list. Every
+ * floating-point expression is evaluated in the order the Python code
+ * evaluates it and calls the same libm exp/log, so that, compiled with
+ * -ffp-contract=off and without -ffast-math, spike times, ids and delivery
+ * counts are bit-identical.
  *
  * Where the Python code would raise (a float division by zero) or produce a
  * time outside int64 (Python ints are unbounded), evstereo_run returns
@@ -351,5 +355,120 @@ done:
         *spike_t = *spike_id = NULL;
         *n_spikes = *deliveries_out = 0;
     }
+    return status;
+}
+
+/* ------------------------------------------------------------ event files */
+
+/* One unsigned decimal field of digits; *p advances past it. Returns 0 for
+ * an empty field or a value beyond int64, which the line scan rejects. */
+static int parse_field(const uint8_t **p, const uint8_t *end, int64_t *out)
+{
+    const uint8_t *q = *p;
+    int64_t v = 0;
+    while (q < end && *q >= '0' && *q <= '9') {
+        int64_t d = *q++ - '0';
+        if (v > (INT64_MAX - d) / 10)
+            return 0;
+        v = v * 10 + d;
+    }
+    if (q == *p)
+        return 0;
+    *p = q;
+    *out = v;
+    return 1;
+}
+
+/* The rows of a plain event file: buf[0 .. len) is everything after the
+ * header, rows of "t,x,y,p" plus ",L" or ",R" when has_side, each ended by
+ * '\n' (the last may end at len instead). Writes at most cap rows into the
+ * columns and their number into *n_rows. Returns EV_PYTHON for anything
+ * else: a byte out of place, an empty field, a value beyond int64, p > 1,
+ * or x >= x_end or y >= y_end. The line scan then decides. */
+int evstereo_parse_events(const uint8_t *buf, int64_t len, int has_side, int64_t side,
+                          int64_t x_end, int64_t y_end, int64_t cap,
+                          int64_t *t, int32_t *x, int32_t *y, int8_t *p, int8_t *s, int64_t *n_rows)
+{
+    const uint8_t *q = buf, *end = buf + len;
+    int64_t n = 0;
+    while (q < end) {
+        int64_t v[4];
+        for (int f = 0; f < 4; f++) {
+            if (!parse_field(&q, end, &v[f]))
+                return EV_PYTHON;
+            if (f < 3 || has_side) {
+                if (q == end || *q != ',')
+                    return EV_PYTHON;
+                q++;
+            }
+        }
+        int64_t code = side;
+        if (has_side) {
+            if (q == end || (*q != 'L' && *q != 'R'))
+                return EV_PYTHON;
+            code = *q++ == 'R';
+        }
+        if (q < end && *q++ != '\n')
+            return EV_PYTHON;
+        if (n == cap || v[3] > 1 || v[1] >= x_end || v[2] >= y_end)
+            return EV_PYTHON;
+        t[n] = v[0];
+        x[n] = (int32_t)v[1];
+        y[n] = (int32_t)v[2];
+        p[n] = (int8_t)v[3];
+        s[n] = (int8_t)code;
+        n++;
+    }
+    *n_rows = n;
+    return EV_OK;
+}
+
+/* ------------------------------------------------------------ background */
+
+/* Background-activity filter over n canonically ordered events (t
+ * non-decreasing): keep[i] = 1 iff a strictly earlier event on the same side
+ * within Chebyshev distance radius, on another pixel unless same_pixel, has
+ * t_prev >= t[i] - window. last[] holds the latest timestamp per pixel of a
+ * frame padded by radius on every edge, one frame per side, so no
+ * neighbourhood wraps. Each group of equal timestamps is queried before it
+ * is recorded, so support is strictly earlier. Returns EV_PYTHON if a time is
+ * negative or out of order or an event lies outside the frame. */
+int evstereo_background(int64_t n, const int64_t *t, const int32_t *x, const int32_t *y, const int8_t *side,
+                        int64_t width, int64_t height, int64_t radius, int same_pixel, int64_t window,
+                        uint8_t *keep)
+{
+    int64_t wp = width + 2 * radius, frame = wp * (height + 2 * radius);
+    int64_t *last = malloc((size_t)(2 * frame) * sizeof(int64_t));
+    if (!last)
+        return EV_NOMEM;
+    for (int64_t c = 0; c < 2 * frame; c++)
+        last[c] = INT64_MIN; /* below every t - window, as t >= 0 */
+    int status = EV_OK;
+    for (int64_t i = 0, j = 0; i < n && status == EV_OK; i = j) {
+        int64_t ti = t[i];
+        if (ti < 0 || (i && ti < t[i - 1])) {
+            status = EV_PYTHON;
+            break;
+        }
+        int64_t since = ti - window;
+        for (j = i; j < n && t[j] == ti; j++) {
+            if (x[j] < 0 || x[j] >= width || y[j] < 0 || y[j] >= height || side[j] < 0 || side[j] > 1) {
+                status = EV_PYTHON;
+                break;
+            }
+            const int64_t *centre = last + side[j] * frame + (y[j] + radius) * wp + x[j] + radius;
+            uint8_t ok = 0;
+            for (int64_t dy = -radius; dy <= radius && !ok; dy++)
+                for (int64_t dx = -radius; dx <= radius; dx++)
+                    if ((dx || dy || same_pixel) && centre[dy * wp + dx] >= since) {
+                        ok = 1;
+                        break;
+                    }
+            keep[j] = ok;
+        }
+        for (int64_t k = i; k < j; k++)
+            last[side[k] * frame + (y[k] + radius) * wp + x[k] + radius] = ti;
+    }
+    free(last);
     return status;
 }

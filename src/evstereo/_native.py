@@ -1,11 +1,15 @@
-"""Build, cache and call the compiled event loop in ``_engine.c``.
+"""Build, cache and call the compiled kernels in ``_engine.c``: the
+simulator's event loop, the strict parser of plain event files and the
+background-activity filter.
 
 The first call compiles the C source with the system ``cc`` into the
 package's ``__pycache__/``. The library's file name carries the sha256 of the
 source, the flags and the machine, so an edited kernel never loads a stale
 library. Each build writes a name unique to its process and renames it into
 place, so concurrent workers building at once are safe. Nothing here is
-imported until ``simulate`` runs.
+imported until ``parse_event_file``, ``filter_background`` or ``simulate``
+runs. Without a library each caller runs its Python or numpy reference,
+which gives the same result.
 """
 
 from __future__ import annotations
@@ -47,6 +51,19 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.evstereo_run.restype = ctypes.c_int
     lib.evstereo_free.argtypes = [ctypes.c_void_p]
     lib.evstereo_free.restype = None
+    i32p, i8p = ctypes.POINTER(ctypes.c_int32), ctypes.POINTER(ctypes.c_int8)
+    lib.evstereo_parse_events.argtypes = [
+        u8p, ctypes.c_int64, ctypes.c_int, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        i64p, i32p, i32p, i8p, i8p, i64p,
+    ]
+    lib.evstereo_parse_events.restype = ctypes.c_int
+    lib.evstereo_background.argtypes = [
+        ctypes.c_int64, i64p, i32p, i32p, i8p,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int, ctypes.c_int64,
+        u8p,
+    ]
+    lib.evstereo_background.restype = ctypes.c_int
     return lib
 
 
@@ -80,12 +97,68 @@ def build(cache_dir: str) -> ctypes.CDLL:
 @functools.cache
 def kernel() -> ctypes.CDLL | None:
     """The compiled library, or None (with one warning) if it cannot be
-    built here; the caller then runs the Python loop."""
+    built here; the callers then run the Python loop and the numpy parser
+    and background filter."""
     try:
         return build(CACHE_DIR)
     except OSError as exc:
-        warnings.warn(f"evstereo: compiled event loop unavailable ({exc}); using the Python loop", RuntimeWarning)
+        warnings.warn(
+            f"evstereo: compiled kernels unavailable ({exc}); using the Python loop for simulation "
+            "and numpy for parsing and background filtering",
+            RuntimeWarning,
+        )
         return None
+
+
+def _ptr(a: np.ndarray, ctype):
+    return a.ctypes.data_as(ctypes.POINTER(ctype))
+
+
+def parse_events(lib: ctypes.CDLL, data: bytes, start: int, side: int | None, x_end: int, y_end: int):
+    """The columns (t, x, y, p, side) of the rows of a plain event file,
+    ``data[start:]`` after its header, or None where the kernel declines
+    them. ``side`` is None for rows with a side column, else the side of
+    every row; a coordinate must lie below ``x_end``/``y_end``."""
+    body = np.frombuffer(data, dtype=np.uint8)[start:]
+    cap = data.count(b"\n", start) + (len(body) > 0 and data[-1:] != b"\n")
+    t = np.empty(cap, np.int64)
+    x, y = np.empty(cap, np.int32), np.empty(cap, np.int32)
+    p, s = np.empty(cap, np.int8), np.empty(cap, np.int8)
+    n = ctypes.c_int64(0)
+    status = lib.evstereo_parse_events(
+        _ptr(body, ctypes.c_uint8), len(body), side is None, 0 if side is None else side, x_end, y_end, cap,
+        _ptr(t, ctypes.c_int64), _ptr(x, ctypes.c_int32), _ptr(y, ctypes.c_int32),
+        _ptr(p, ctypes.c_int8), _ptr(s, ctypes.c_int8), ctypes.byref(n),
+    )
+    if status == EV_PYTHON:
+        return None
+    if status != EV_OK or n.value != cap:
+        raise RuntimeError(f"compiled parser: status {status}, {n.value} of {cap} rows")
+    return t, x, y, p, s
+
+
+def background(lib: ctypes.CDLL, stream, window_us: int, radius: int, include_same_pixel: bool) -> np.ndarray | None:
+    """The keep mask of the background-activity filter over ``stream`` (a
+    canonically ordered ``StereoEventStream``), or None where only the numpy
+    filter decides. The kernel allocates one int64 per pixel of both sides'
+    frames padded by ``radius``; ``1 <= window_us < 2**63``."""
+    t, x, y, side = (
+        np.ascontiguousarray(col, dtype)
+        for col, dtype in zip((stream.t, stream.x, stream.y, stream.side), (np.int64, np.int32, np.int32, np.int8))
+    )
+    keep = np.empty(len(t), np.uint8)
+    status = lib.evstereo_background(
+        len(t), _ptr(t, ctypes.c_int64), _ptr(x, ctypes.c_int32), _ptr(y, ctypes.c_int32), _ptr(side, ctypes.c_int8),
+        stream.geometry.width, stream.geometry.height, radius, bool(include_same_pixel), window_us,
+        _ptr(keep, ctypes.c_uint8),
+    )
+    if status == EV_NOMEM:
+        raise MemoryError("compiled background filter: allocation failed")
+    if status == EV_PYTHON:
+        return None
+    if status != EV_OK:
+        raise RuntimeError(f"compiled background filter: unknown status {status}")
+    return keep.view(bool)
 
 
 def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray):

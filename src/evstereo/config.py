@@ -175,6 +175,9 @@ def _as(kind: type, value, key: str):
 
 
 def _take(data: dict, section: str, known: set[str]) -> dict:
+    """``data``, checked to be an object with only ``known`` keys."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section} must be an object, got {data!r}")
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
@@ -182,6 +185,8 @@ def _take(data: dict, section: str, known: set[str]) -> dict:
 
 
 def config_from_dict(data: dict) -> RunConfig:
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be an object, got {data!r}")
     data = dict(data)
     cfg = RunConfig()
     cfg.seed = _as(int, data.pop("seed", 0), "seed")
@@ -237,7 +242,10 @@ def config_from_dict(data: dict) -> RunConfig:
         "topology",
         {"retina_width", "retina_height", "d_max", "weights", "polarity_mode", "continuity_radius"},
     )
-    weights = topo.get("weights", {})
+    weights = _take(topo.get("weights", {}), "topology.weights", {"w_rc", "w_ce", "w_ci", "w_dd"})
+    for name, value in weights.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"topology.weights.{name} must be a number, got {value!r}")
     try:
         cfg.topology = TopologyConfig(
             retina_width=_as(int, topo.get("retina_width", 16), "topology.retina_width"),
@@ -260,11 +268,15 @@ def config_from_dict(data: dict) -> RunConfig:
         overrides = LifParams().overrides
     else:
         overrides = {}
+        if not isinstance(overrides_raw, dict):
+            raise ConfigError(f"simulator.overrides must be an object, got {overrides_raw!r}")
         for name, vals in overrides_raw.items():
             try:
                 pop = Population[name]
             except KeyError:
                 raise ConfigError(f"simulator.overrides: unknown population {name!r}") from None
+            if not isinstance(vals, dict):
+                raise ConfigError(f"simulator.overrides.{name} must be an object, got {vals!r}")
             overrides[pop] = {k: _as(float, v, f"simulator.overrides.{name}.{k}") for k, v in vals.items()}
     cfg.simulator = LifParams(
         tau_m=_as(float, sim.get("tau_m", 2000.0), "simulator.tau_m"),
@@ -276,6 +288,8 @@ def config_from_dict(data: dict) -> RunConfig:
         overrides=overrides,
     )
     mm = sim.get("mismatch")
+    if mm is not None:
+        _take(mm, "simulator.mismatch", {"seed", "weight_sigma", "threshold_sigma"})
     cfg.mismatch = (
         MismatchModel(
             seed=_as(int, mm.get("seed", cfg.seed), "simulator.mismatch.seed"),

@@ -98,6 +98,9 @@ class StereoEventStream:
             if not _presorted:
                 order = _canonical_order(t, x, y, p, side, geometry)
                 t, x, y, p, side = t[order], x[order], y[order], p[order], side[order]
+        self._set(t, x, y, p, side, geometry)
+
+    def _set(self, t, x, y, p, side, geometry: CameraGeometry) -> None:
         for col in (t, x, y, p, side):
             col.setflags(write=False)
         self.t = t
@@ -106,7 +109,7 @@ class StereoEventStream:
         self.p = p
         self.side = side
         self.geometry = geometry
-        self.duration = int(t[-1]) if n else 0
+        self.duration = int(t[-1]) if len(t) else 0
 
     @classmethod
     def from_events(cls, events: Sequence[DvsEvent], geometry: CameraGeometry) -> "StereoEventStream":
@@ -156,11 +159,16 @@ class StereoEventStream:
         )
 
     def select(self, keep: np.ndarray) -> "StereoEventStream":
-        """New stream with the given boolean mask applied; order is preserved."""
-        return StereoEventStream(
-            self.t[keep], self.x[keep], self.y[keep], self.p[keep], self.side[keep],
-            self.geometry, _presorted=True,
-        )
+        """New stream with the given boolean mask applied; order is preserved.
+
+        A subset of a valid, canonically ordered stream is valid and ordered
+        too, so only the mask is checked."""
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (len(self),):
+            raise ValueError(f"select needs a boolean mask of {len(self)} values, got {keep.dtype} {keep.shape}")
+        out = object.__new__(StereoEventStream)
+        out._set(self.t[keep], self.x[keep], self.y[keep], self.p[keep], self.side[keep], self.geometry)
+        return out
 
     def replace_coords(self, x: np.ndarray, y: np.ndarray, geometry: CameraGeometry) -> "StereoEventStream":
         """New stream with remapped coordinates (used by downscale/crop).
@@ -194,10 +202,11 @@ def parse_event_file(path: str, geometry: CameraGeometry, side: int | None = Non
     canonical sort key.
 
     Plain files (one of the two headers, ASCII digits, ``L``/``R`` sides and
-    ``\\n`` line ends) are parsed in one ``np.loadtxt`` call. Whatever that
-    strict path declines goes through the line-by-line scan, which accepts
-    what ``int()`` accepts and reports the first bad line as
-    ``<path>:<line>:``.
+    ``\\n`` line ends) are parsed by a strict path: one pass of the compiled
+    kernel (``_native``), or one ``np.loadtxt`` call where there is no
+    compiler. Whatever that strict path declines goes through the
+    line-by-line scan, which accepts what ``int()`` accepts and reports the
+    first bad line as ``<path>:<line>:``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -229,7 +238,21 @@ def _parse_plain_event_bytes(data: bytes, geometry: CameraGeometry, side: int | 
         return None
     if not has_side and side not in (LEFT, RIGHT):
         return None
-    body = data[len(header):]
+    x_end, y_end = min(geometry.width, _INT32_MAX + 1), min(geometry.height, _INT32_MAX + 1)
+    from . import _native  # deferred, so that importing the package compiles and loads nothing
+
+    lib = _native.kernel()
+    if lib is None:
+        return _parse_plain_numpy(data[len(header):], has_side, side, x_end, y_end, geometry)
+    cols = _native.parse_events(lib, data, len(header), None if has_side else side, x_end, y_end)
+    return None if cols is None else StereoEventStream(*cols, geometry)
+
+
+def _parse_plain_numpy(
+    body: bytes, has_side: bool, side: int | None, x_end: int, y_end: int, geometry: CameraGeometry
+) -> StereoEventStream | None:
+    """``_parse_plain_event_bytes`` without the compiled kernel: the rows
+    after the header in one ``np.loadtxt`` call."""
     if not body.endswith(b"\n"):
         body += b"\n"
     rows = body.count(b"\n")
@@ -249,7 +272,6 @@ def _parse_plain_event_bytes(data: bytes, geometry: CameraGeometry, side: int | 
     if cols.shape[1] != (5 if has_side else 4):
         return None
     t, x, y, p = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
-    x_end, y_end = min(geometry.width, _INT32_MAX + 1), min(geometry.height, _INT32_MAX + 1)
     if (p > ON).any() or (x >= x_end).any() or (y >= y_end).any():
         return None
     s = cols[:, 4] if has_side else np.full(rows, side)

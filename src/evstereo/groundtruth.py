@@ -212,6 +212,8 @@ def read_marker_csv(path: str) -> list[MarkerTrack3D]:
             sample = (int(fields[0]), float(fields[2]), float(fields[3]), float(fields[4]))
         except ValueError as exc:
             raise GroundTruthFormatError(f"{path}:{i}: {exc}") from None
+        if not -(2**63) <= sample[0] < 2**63:
+            raise GroundTruthFormatError(f"{path}:{i}: timestamp {fields[0]} exceeds the 64-bit range")
         samples.setdefault(fields[1], []).append(sample)
     tracks = []
     for joint, rows in samples.items():

@@ -134,6 +134,11 @@ def remove_pixels(stream: StereoEventStream, pixels: set[tuple[int, int, int]]) 
     return stream.select(~flagged[pixel])
 
 
+#: Largest padded grid ``2 * (W + 2r) * (H + 2r)`` the compiled background
+#: filter allocates (one int64 per cell, 32 MiB); beyond it numpy filters.
+_BACKGROUND_GRID_CELLS = 1 << 22
+
+
 def filter_background(
     stream: StereoEventStream,
     window_us: int,
@@ -145,6 +150,32 @@ def filter_background(
     preceding ``window_us`` (``t_prev >= t - window_us``). The same pixel
     counts as support only when ``include_same_pixel`` is set.
 
+    The compiled kernel (``_native``) makes one pass over the time-ordered
+    events with the latest timestamp of every pixel (Delbruck 2008). The
+    numpy filter ``_background_keep`` gives the same result; it runs where
+    there is no compiler and on geometries whose padded grid exceeds
+    ``_BACKGROUND_GRID_CELLS``.
+    """
+    if window_us <= 0:
+        raise ValueError("window_us must be > 0")
+    if len(stream) == 0:
+        return stream
+    keep = None
+    cells = 2 * (stream.geometry.width + 2 * radius) * (stream.geometry.height + 2 * radius)
+    if radius >= 0 and cells <= _BACKGROUND_GRID_CELLS and window_us < 1 << 63:
+        from . import _native  # deferred, so that importing the package compiles and loads nothing
+
+        lib = _native.kernel()
+        if lib is not None:
+            keep = _native.background(lib, stream, window_us, radius, include_same_pixel)
+    if keep is None:
+        keep = _background_keep(stream, window_us, radius, include_same_pixel)
+    return stream.select(keep)
+
+
+def _background_keep(stream: StereoEventStream, window_us: int, radius: int, include_same_pixel: bool) -> np.ndarray:
+    """The keep mask of ``filter_background`` in array code.
+
     Each event gets the key ``pixel * n_times + rank(t)``, where ``pixel``
     numbers ``(side, y, x)`` on a frame padded by ``radius`` on every edge (so
     no neighbour wraps across a row or into the other side) and ``rank`` is
@@ -152,11 +183,7 @@ def filter_background(
     the sorted keys shifted by a constant, so one ``searchsorted`` finds, for
     every event at once, the latest strictly earlier event at that neighbour.
     """
-    if window_us <= 0:
-        raise ValueError("window_us must be > 0")
     n = len(stream)
-    if n == 0:
-        return stream
     hp, wp = stream.geometry.height + 2 * radius, stream.geometry.width + 2 * radius
     times, rank = np.unique(stream.t, return_inverse=True)
     m = len(times)
@@ -180,7 +207,7 @@ def filter_background(
     latest = (best - first).astype(np.int64)  # rank of the latest support time; < 0 for none
     keep = np.empty(n, dtype=bool)
     keep[order] = (latest >= 0) & (times[np.maximum(latest, 0)] >= stream.t[order] - window_us)
-    return stream.select(keep)
+    return keep
 
 
 def downscale(stream: StereoEventStream, factor: int) -> StereoEventStream:

@@ -4,14 +4,27 @@
 semantics by independent means (kernel superposition and 1-microsecond
 stepping respectively); they deliberately share no code with the event-driven
 engine so they can serve as oracles for it.
+
+`without_kernel` runs the numpy and Python references that stand in for the
+compiled kernels on hosts without a compiler.
 """
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 
+from evstereo import _native
 from evstereo.simulator import LifParams
 from evstereo.topology import Population, Topology
+
+
+@contextlib.contextmanager
+def without_kernel():
+    """Inside the block, callers of ``_native.kernel`` see no compiled library."""
+    with mock.patch.object(_native, "kernel", lambda: None):
+        yield
 
 
 def kernel_gain(tau_m: float, tau_s: float) -> float:

@@ -1,9 +1,11 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from evstereo import _native
 from evstereo.cli import main
 from evstereo.config import ConfigError, apply_overrides, config_from_dict, config_to_dict, load_config
 from evstereo.metrics import MetricsReport
@@ -266,6 +268,29 @@ def test_run_file_inputs_epoch_rebased(tmp_path):
     assert b.rmse_d == pytest.approx(a.rmse_d, abs=1e-12)
 
 
+def test_run_without_a_compiler_writes_the_same_artifacts(tmp_path, monkeypatch):
+    # the numpy parser and background filter and the Python event loop give
+    # the compiled kernels' artifacts byte for byte
+    if _native.kernel() is None:
+        pytest.skip("no C compiler on this host")
+    path = file_config(tmp_path, *write_file_fixture(tmp_path))
+    out = tmp_path / "out_file"
+    assert main(["run", "-c", str(path)]) == 0
+    compiled = {f.name: f.read_bytes() for f in out.iterdir()}
+    shutil.rmtree(out)
+    _native.kernel.cache_clear()
+    monkeypatch.setattr(_native, "_find_compiler", lambda: None)
+    monkeypatch.setattr(_native, "CACHE_DIR", str(tmp_path / "empty_cache"))
+    try:
+        with pytest.warns(RuntimeWarning, match="compiled kernels unavailable"):
+            assert main(["run", "-c", str(path)]) == 0
+        assert _native.kernel() is None
+    finally:
+        _native.kernel.cache_clear()
+    assert len(compiled) == 8
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == compiled
+
+
 def test_run_multiple_configs_with_jobs(tmp_path):
     path1, _ = synthetic_config(tmp_path)
     cfg2_path = tmp_path / "config2.json"
@@ -459,6 +484,13 @@ def test_unexpected_error_in_one_config_is_reported_per_config(tmp_path, monkeyp
 # ------------------------------------------------------------- config values
 
 
+def test_config_that_is_not_an_object_exit_2(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text("[1]")
+    assert main(["run", "-c", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error (run): config must be an object, got [1]")
+
+
 @pytest.mark.parametrize(
     "override,key",
     [
@@ -480,6 +512,12 @@ def test_unexpected_error_in_one_config_is_reported_per_config(tmp_path, monkeyp
         ('simulator.mismatch={"seed":"x"}', "simulator.mismatch.seed"),
         ('simulator.mismatch={"weight_sigma":"x"}', "simulator.mismatch.weight_sigma"),
         ('simulator.mismatch={"threshold_sigma":"x"}', "simulator.mismatch.threshold_sigma"),
+        ("simulator.mismatch=5", "simulator.mismatch must be an object, got 5"),
+        ("simulator.overrides=5", "simulator.overrides must be an object, got 5"),
+        ('simulator.overrides={"DISPARITY":5}', "simulator.overrides.DISPARITY must be an object, got 5"),
+        ("topology=5", "topology must be an object, got 5"),
+        ("topology.weights=5", "topology.weights must be an object, got 5"),
+        ('topology.weights={"w_rc":"abc"}', "topology.weights.w_rc must be a number, got 'abc'"),
         ("analysis.window_us=abc", "analysis.window_us"),
         ("analysis.eps_d=abc", "analysis.eps_d"),
         ("energy.e_input_pj=abc", "energy.e_input_pj"),
@@ -532,6 +570,7 @@ def test_eval_malformed_trace_exit_2_with_line(tmp_path, capsys, edit, line, mes
         ("abc,torso,75.5,51.5,1.0", "invalid literal for int() with base 10: 'abc'"),
         ("5,torso,75.5,abc,1.0", "could not convert string to float: 'abc'"),
         ("5,torso,75.5,51.5", "expected 5 fields, got 4"),
+        ("99999999999999999999,torso,1,2,3", "timestamp 99999999999999999999 exceeds the 64-bit range"),
     ],
 )
 def test_run_malformed_marker_csv_exit_2_with_line(tmp_path, capsys, row, message):

@@ -1,6 +1,7 @@
 """The compiled event loop against the Python loop it reproduces: exact
 equality of spike times, ids and delivery counts over random small networks,
-the fallback without a compiler, and concurrent builds."""
+the fallback without a compiler, concurrent builds, and a warning-free build
+of the kernel source."""
 
 import os
 import subprocess
@@ -151,3 +152,12 @@ def test_concurrent_builds_into_empty_cache_both_load(lib, tmp_path):
     assert outputs == ["loaded\n", "loaded\n"]
     names = [f.name for f in tmp_path.iterdir()]
     assert len(names) == 1 and names[0].startswith("_engine-") and names[0].endswith(".so")  # no temp files left
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    cc = _native._find_compiler()
+    if cc is None:
+        pytest.skip("no C compiler on this host")
+    cmd = [cc, *_native.CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "engine.so"), _native.SOURCE, "-lm"]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,12 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import without_kernel
+from evstereo import _native
 from evstereo.events import (
     LEFT,
     ON,
@@ -131,35 +135,50 @@ def test_parse_coordinate_beyond_int32_in_wide_geometry(tmp_path):
 # ---------------------------------------------------------------- both parse paths
 
 
+def strict_paths():
+    """Context managers that select the strict path: the compiled kernel,
+    where this host builds one, and numpy."""
+    paths = [without_kernel]
+    if _native.kernel() is not None:
+        paths.insert(0, contextlib.nullcontext)
+    return paths
+
+
 def parse_both(path, geometry=GEOM, side=None):
-    """The strict path's stream (or None where it declines) and the line
-    scan's stream (or its EventFormatError message)."""
+    """The stream of each strict path (or None where it declines) and the
+    line scan's stream (or its EventFormatError message)."""
     data = path.read_bytes()
-    fast = _parse_plain_event_bytes(data, geometry, side)
+    fasts = []
+    for strict in strict_paths():
+        with strict():
+            fasts.append(_parse_plain_event_bytes(data, geometry, side))
     try:
         slow = _parse_event_lines(str(path), data.decode("utf-8"), geometry, side)
     except EventFormatError as exc:
         slow = str(exc)
-    return fast, slow
+    return fasts, slow
 
 
 def assert_paths_agree(path, expected, geometry=GEOM, side=None, fast_accepts=None):
     """``expected`` is a list of events or an error message without the
-    ``<path>:`` prefix; both paths and ``parse_event_file`` must give it."""
-    fast, slow = parse_both(path, geometry, side)
-    if isinstance(expected, str):
-        assert fast is None
-        assert slow == f"{path}:{expected}"
-        with pytest.raises(EventFormatError) as exc:
-            parse_event_file(str(path), geometry, side)
-        assert str(exc.value) == slow
-        return
-    stream = StereoEventStream.from_events(expected, geometry)
-    assert slow == stream
-    assert fast is None or fast == stream
-    if fast_accepts is not None:
-        assert (fast is not None) == fast_accepts
-    assert parse_event_file(str(path), geometry, side) == stream
+    ``<path>:`` prefix; every path and ``parse_event_file`` on each strict
+    path must give it."""
+    fasts, slow = parse_both(path, geometry, side)
+    for fast, strict in zip(fasts, strict_paths()):
+        with strict():
+            if isinstance(expected, str):
+                assert fast is None
+                assert slow == f"{path}:{expected}"
+                with pytest.raises(EventFormatError) as exc:
+                    parse_event_file(str(path), geometry, side)
+                assert str(exc.value) == slow
+                continue
+            stream = StereoEventStream.from_events(expected, geometry)
+            assert slow == stream
+            assert fast is None or fast == stream
+            if fast_accepts is not None:
+                assert (fast is not None) == fast_accepts
+            assert parse_event_file(str(path), geometry, side) == stream
 
 
 TWO = [DvsEvent(0, 1, 2, ON, LEFT), DvsEvent(5, 3, 4, OFF, RIGHT)]
@@ -189,6 +208,13 @@ TWO = [DvsEvent(0, 1, 2, ON, LEFT), DvsEvent(5, 3, 4, OFF, RIGHT)]
         (b"t_us,x,y,p,side\n0,1,2,1,L\n5,3,4,0,1\n", "3: side must be L or R, got '1'", False),
         (b"t_us,x,y,p,side\n0,1,2,1,L\n5,3,24,0,R\n", "3: coordinate (3,24) outside 32x24", False),
         (b"t_us,x,y,p,side\n0,1,2,1,L\n5,3,4,2,R\n", "3: polarity must be 0 or 1, got '2'", False),
+        (b"t_us,x,y,p,side\n9223372036854775807,1,2,1,L\n", [DvsEvent(2**63 - 1, 1, 2, ON, LEFT)], True),
+        (b"t_us,x,y,p,side\n0000000000000000000005,3,4,00000000000000000000,R\n", [DvsEvent(5, 3, 4, OFF, RIGHT)], True),
+        (b"t_us,x,y,p,side\n9223372036854775808,1,2,1,L\n", "2: timestamp 9223372036854775808 exceeds the 64-bit range", False),
+        (b"t_us,x,y,p,side\n9999999999999999999,1,2,1,L\n", "2: timestamp 9999999999999999999 exceeds the 64-bit range", False),
+        (b"t_us,x,y,p,side\n0,9999999999999999999,2,1,L\n", "2: coordinate (9999999999999999999,2) outside 32x24", False),
+        (b"t_us,x,y,p,side\n0,1,18446744073709551618,1,L\n", "2: coordinate (1,18446744073709551618) outside 32x24", False),
+        (b"t_us,x,y,p,side\n0,1,2,18446744073709551617,L\n", "2: polarity must be 0 or 1, got '18446744073709551617'", False),
     ],
 )
 def test_edge_inputs_through_both_parse_paths(tmp_path, content, expected, fast_accepts):
@@ -209,6 +235,8 @@ LEFT_TWO = [DvsEvent(0, 1, 2, ON, LEFT), DvsEvent(9, 3, 4, OFF, LEFT)]
         (b"t_us,x,y,p\n0,1,2,1\n\n9,3,4,0\n", "3: expected 4 fields, got 1", False),
         (b"t_us,x,y,p\n0,1,2,1\n9,3,4,0\n\n", "4: expected 4 fields, got 1", False),
         (b"t_us,x,y,p\n0,1,2,1,0\n9,3,4,0,1\n", "2: expected 4 fields, got 5", False),
+        (b"t_us,x,y,p\n0,1,2,1\n9,3,4,0,\n", "3: expected 4 fields, got 5", False),
+        (b"t_us,x,y,p\n0,1,2,1\n9,3,4,0L\n", "3: invalid literal for int() with base 10: '0L'", False),
     ],
 )
 def test_single_sided_edge_inputs_through_both_parse_paths(tmp_path, content, expected, fast_accepts):
@@ -272,9 +300,10 @@ def event_file_text(draw):
 def test_fast_parse_declines_or_equals_line_scan(tmp_path_factory, text, side):
     path = tmp_path_factory.mktemp("mut") / "ev.csv"
     path.write_bytes(text.encode("utf-8"))
-    fast, slow = parse_both(path, side=side)
-    if fast is not None:
-        assert isinstance(slow, StereoEventStream) and fast == slow
+    fasts, slow = parse_both(path, side=side)
+    for fast in fasts:
+        if fast is not None:
+            assert isinstance(slow, StereoEventStream) and fast == slow
 
 
 def test_roundtrip_two_events(tmp_path):
@@ -410,6 +439,24 @@ def test_canonical_order_for_wide_and_offset_time_spans(t_near, t_far):
         DvsEvent(t_far, 0, 1, ON, LEFT),
     ]
     assert list(StereoEventStream.from_events(events, GEOM)) == sorted(events, key=DvsEvent.sort_key)
+
+
+def test_select_keeps_the_order_and_checks_the_mask():
+    rng = np.random.default_rng(5)
+    s = StereoEventStream(
+        rng.integers(0, 50, 300), rng.integers(0, 32, 300), rng.integers(0, 24, 300),
+        rng.integers(0, 2, 300), rng.integers(0, 2, 300), GEOM,
+    )
+    keep = rng.random(300) < 0.5
+    out = s.select(keep)
+    assert out == StereoEventStream(s.t[keep], s.x[keep], s.y[keep], s.p[keep], s.side[keep], GEOM)
+    assert out.duration == int(s.t[keep][-1])
+    assert not any(col.flags.writeable for col in (out.t, out.x, out.y, out.p, out.side))
+    assert len(s.select(np.zeros(300, dtype=bool))) == 0
+    with pytest.raises(ValueError, match="boolean mask of 300"):
+        s.select(keep.astype(np.int64))
+    with pytest.raises(ValueError, match="boolean mask of 300"):
+        s.select(keep[:-1])
 
 
 def test_stream_arrays_are_readonly():

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import without_kernel
+from evstereo import _native
 from evstereo.events import LEFT, ON, RIGHT, CameraGeometry, DvsEvent, StereoEventStream
 from evstereo.preprocess import (
     PreprocessConfig,
     Rect,
+    _background_keep,
     auto_crop_origin,
     crop,
     detect_hot_pixels,
@@ -112,6 +115,15 @@ def test_hot_pixel_removal_drops_only_flagged():
 
 # ---------------------------------------------------------------- background
 
+def filter_both(stream, window_us, radius, include_same_pixel=False):
+    """``filter_background`` on the compiled kernel (where this host builds
+    one) and on numpy; the two must return equal streams."""
+    out = filter_background(stream, window_us, radius, include_same_pixel)
+    with without_kernel():
+        assert filter_background(stream, window_us, radius, include_same_pixel) == out
+    return out
+
+
 def background_oracle(stream, window, radius, include_same_pixel):
     """O(n^2) re-check over all prior events."""
     kept = []
@@ -141,20 +153,20 @@ def test_background_same_pixel_pair_inclusive():
     s = StereoEventStream.from_events(
         [DvsEvent(0, 5, 5, ON, LEFT), DvsEvent(100, 5, 5, ON, LEFT)], GEOM
     )
-    out = filter_background(s, window_us=5000, radius=1, include_same_pixel=True)
+    out = filter_both(s, window_us=5000, radius=1, include_same_pixel=True)
     assert list(out) == [DvsEvent(100, 5, 5, ON, LEFT)]
 
 
 def test_background_single_isolated_event_dropped():
     s = StereoEventStream.from_events([DvsEvent(0, 5, 5, ON, LEFT)], GEOM)
-    assert len(filter_background(s, 5000, 1)) == 0
+    assert len(filter_both(s, 5000, 1)) == 0
 
 
 def test_background_isolated_event_dropped_under_widest_window():
     s = StereoEventStream.from_events(
         [DvsEvent(0, 5, 5, ON, LEFT), DvsEvent(7, 20, 20, ON, LEFT), DvsEvent(9, 21, 20, ON, LEFT)], GEOM
     )
-    out = filter_background(s, 2**63 - 1, 1)
+    out = filter_both(s, 2**63 - 1, 1)
     assert list(out) == [DvsEvent(9, 21, 20, ON, LEFT)]
 
 
@@ -162,7 +174,7 @@ def test_background_neighbor_supports():
     s = StereoEventStream.from_events(
         [DvsEvent(0, 5, 5, ON, LEFT), DvsEvent(10, 6, 5, ON, LEFT)], GEOM
     )
-    out = filter_background(s, 5000, 1)
+    out = filter_both(s, 5000, 1)
     assert list(out) == [DvsEvent(10, 6, 5, ON, LEFT)]
 
 
@@ -170,21 +182,21 @@ def test_background_same_timestamp_is_not_support():
     s = StereoEventStream.from_events(
         [DvsEvent(50, 5, 5, ON, LEFT), DvsEvent(50, 6, 5, ON, LEFT)], GEOM
     )
-    assert len(filter_background(s, 5000, 1)) == 0
+    assert len(filter_both(s, 5000, 1)) == 0
 
 
 def test_background_other_side_is_not_support():
     s = StereoEventStream.from_events(
         [DvsEvent(0, 5, 5, ON, RIGHT), DvsEvent(10, 6, 5, ON, LEFT)], GEOM
     )
-    assert len(filter_background(s, 5000, 1)) == 0
+    assert len(filter_both(s, 5000, 1)) == 0
 
 
 @pytest.mark.parametrize("include_same", [False, True])
-@pytest.mark.parametrize("radius", [0, 1, 2])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
 def test_background_matches_quadratic_oracle(radius, include_same):
     s = random_stream(7, 10_000, geometry=CameraGeometry(16, 16), max_t=60_000)
-    out = filter_background(s, window_us=800, radius=radius, include_same_pixel=include_same)
+    out = filter_both(s, window_us=800, radius=radius, include_same_pixel=include_same)
     assert list(out) == background_oracle(s, 800, radius, include_same)
 
 
@@ -203,9 +215,9 @@ def small_streams(draw):
 
 
 @settings(max_examples=250, deadline=None)
-@given(small_streams(), st.integers(1, 40), st.integers(0, 3), st.booleans())
+@given(small_streams(), st.integers(1, 40) | st.just(2**62 - 1), st.integers(0, 3), st.booleans())
 def test_background_property_matches_quadratic_oracle(s, window, radius, include_same):
-    out = filter_background(s, window_us=window, radius=radius, include_same_pixel=include_same)
+    out = filter_both(s, window_us=window, radius=radius, include_same_pixel=include_same)
     assert list(out) == background_oracle(s, window, radius, include_same)
 
 
@@ -232,9 +244,34 @@ def test_background_on_a_geometry_beyond_int64_keys_matches_oracle(include_same)
         ]
     ]
     s = StereoEventStream.from_events(events, huge)
-    out = filter_background(s, window_us=6, radius=1, include_same_pixel=include_same)
+    out = filter_both(s, window_us=6, radius=1, include_same_pixel=include_same)
     assert list(out) == background_oracle(s, 6, 1, include_same)
     assert len(out) == (2 if include_same else 1)
+
+
+@pytest.mark.parametrize("include_same", [False, True])
+def test_compiled_background_equals_numpy_on_the_full_frame(include_same):
+    lib = _native.kernel()
+    if lib is None:
+        pytest.skip("no C compiler on this host")
+    s = random_stream(11, 20_000, geometry=FULL, max_t=10_000)  # about two events per microsecond
+    for radius in range(4):
+        for window in (1, 300, 2**62 - 1):
+            keep = _native.background(lib, s, window, radius, include_same)
+            assert keep is not None
+            assert np.array_equal(keep, _background_keep(s, window, radius, include_same))
+
+
+def test_compiled_background_declines_what_it_cannot_index():
+    lib = _native.kernel()
+    if lib is None:
+        pytest.skip("no C compiler on this host")
+    s = random_stream(12, 200)
+    cols = dict(t=s.t, x=s.x, y=s.y, p=s.p, side=s.side)
+    for name, col in [("t", s.t[::-1]), ("t", s.t - s.t[0] - 1), ("x", s.x + 1), ("y", s.y - 1), ("side", s.side * 2)]:
+        bad = object.__new__(StereoEventStream)  # bypasses validation, as no public constructor does
+        bad._set(**{**cols, name: np.array(col)}, geometry=s.geometry)
+        assert _native.background(lib, bad, 100, 1, False) is None, name
 
 
 # ---------------------------------------------------------------- downscale
