@@ -1,7 +1,8 @@
 /* Compiled kernels of evstereo: the event loop of the exact event-driven LIF
- * simulation, the strict parser of plain event files and the
- * background-activity filter. Each reproduces a Python/numpy reference in
- * the package exactly; the reference stays the fallback.
+ * simulation, the strict parser of plain event files, the
+ * background-activity filter, the draws of a synthetic stimulus and the
+ * rows of a CSV artifact. Each reproduces a Python/numpy reference in the
+ * package exactly; the reference stays the fallback.
  *
  * The event loop is the algorithm of simulator._Engine, operation for
  * operation: the closed-form advance, the crossing prediction by closed-form
@@ -10,7 +11,9 @@
  * floating-point expression is evaluated in the order the Python code
  * evaluates it and calls the same libm exp/log, so that, compiled with
  * -ffp-contract=off and without -ffast-math, spike times, ids and delivery
- * counts are bit-identical.
+ * counts are bit-identical. Every exp argument is an integer microsecond
+ * count over one of a few time constants; below TABLE_SIZE its value comes
+ * from a lazily filled table that holds exactly what exp returns for it.
  *
  * Where the Python code would raise (a float division by zero) or produce a
  * time outside int64 (Python ints are unbounded), evstereo_run returns
@@ -18,18 +21,24 @@
  */
 
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 enum { EV_OK = 0, EV_NOMEM = 1, EV_PYTHON = 2 };
 enum { NO_CROSSING = 0, CROSSING = 1, UNREPRESENTABLE = -1 };
 
 #define TIME_LIMIT 0x1p62 /* bisection bounds stay exact and their sum fits int64 */
+#define TABLE_SIZE 65536 /* decay table entries per time constant: 512 KiB, touched lazily */
 
 typedef struct {
     const double *tau_m, *tau_s, *gain, *theta, *reset, *v_floor, *coef;
     const int64_t *refr;
     const uint8_t *equal_tau;
+    const double *taus; /* the distinct time constants */
+    const int64_t *m_idx, *s_idx; /* per neuron: tau_m == taus[m_idx], tau_s == taus[s_idx] */
+    double *table; /* TABLE_SIZE entries per time constant, 0 until first use */
     double *v, *s;
     int64_t *t_last, *refr_until, *stamp;
 } network;
@@ -50,14 +59,28 @@ typedef struct {
 
 /* ------------------------------------------------------------ closed form */
 
+/* exp(-dt / taus[j]) for an integer-valued dt >= 0. Below TABLE_SIZE the
+ * table entry holds exactly that value; an entry that underflowed to 0 is
+ * simply computed again. */
+static double decay(const network *net, int64_t j, double dt)
+{
+    if (dt < TABLE_SIZE) {
+        double *e = net->table + j * TABLE_SIZE + (int64_t)dt;
+        if (*e == 0.0)
+            *e = exp(-dt / net->taus[j]);
+        return *e;
+    }
+    return exp(-dt / net->taus[j]);
+}
+
 static double v_at(const network *net, int64_t i, double v0, double s0, double dt)
 {
     if (net->equal_tau[i]) {
-        double em = exp(-dt / net->tau_m[i]);
+        double em = decay(net, net->m_idx[i], dt);
         return (v0 + net->gain[i] * s0 * dt) * em;
     }
     double a = net->coef[i] * s0;
-    return (v0 - a) * exp(-dt / net->tau_m[i]) + a * exp(-dt / net->tau_s[i]);
+    return (v0 - a) * decay(net, net->m_idx[i], dt) + a * decay(net, net->s_idx[i], dt);
 }
 
 static void advance(network *net, int64_t i, int64_t t)
@@ -68,7 +91,7 @@ static void advance(network *net, int64_t i, int64_t t)
     int64_t ru = net->refr_until[i];
     if (ru > t0) {
         int64_t tr = ru < t ? ru : t;
-        net->s[i] *= exp(-(double)(tr - t0) / net->tau_s[i]);
+        net->s[i] *= decay(net, net->s_idx[i], (double)(tr - t0));
         net->v[i] = net->reset[i];
         t0 = tr;
     }
@@ -76,7 +99,7 @@ static void advance(network *net, int64_t i, int64_t t)
         double v = v_at(net, i, net->v[i], net->s[i], (double)(t - t0));
         double fl = net->v_floor[i];
         net->v[i] = v > fl ? v : fl;
-        net->s[i] *= exp(-(double)(t - t0) / net->tau_s[i]);
+        net->s[i] *= decay(net, net->s_idx[i], (double)(t - t0));
     }
     net->t_last[i] = t;
 }
@@ -87,7 +110,7 @@ static int predict_crossing(const network *net, int64_t i, int64_t *out)
     double theta = net->theta[i], v0, s0;
     if (ru > t0) {
         v0 = net->reset[i];
-        s0 = net->s[i] * exp(-(double)(ru - t0) / net->tau_s[i]);
+        s0 = net->s[i] * decay(net, net->s_idx[i], (double)(ru - t0));
         base = ru;
     } else {
         v0 = net->v[i];
@@ -233,28 +256,36 @@ void evstereo_free(void *p)
 }
 
 /* par holds the per-neuron rows tau_m, tau_s, gain, theta, reset, v_floor and
- * coef, n values each. The efferent synapses of neuron i are
- * adj_start[i] .. adj_start[i+1]-1. On EV_OK, *spike_t and *spike_id hold
- * *n_spikes entries owned by the caller (release with evstereo_free). */
+ * coef, n values each. taus holds the n_taus distinct time constants and
+ * tau_idx the rows m_idx and s_idx, n values each, with tau_m[i] ==
+ * taus[m_idx[i]] and tau_s[i] == taus[s_idx[i]]. The efferent synapses of
+ * neuron i are adj_start[i] .. adj_start[i+1]-1. On EV_OK, *spike_t and
+ * *spike_id hold *n_spikes entries owned by the caller (release with
+ * evstereo_free), and final_state, unless NULL, the final v, s (n values
+ * each) and sat_value (one per synapse). */
 int evstereo_run(int64_t n, const double *par, const int64_t *refr, const uint8_t *equal_tau,
+                 int64_t n_taus, const double *taus, const int64_t *tau_idx,
                  const int64_t *adj_start, const int64_t *adj_post, const double *adj_weight,
                  const uint8_t *adj_sat, int64_t n_events, const int64_t *ev_t, const int64_t *ev_src,
-                 int64_t **spike_t, int64_t **spike_id, int64_t *n_spikes, int64_t *deliveries_out)
+                 int64_t **spike_t, int64_t **spike_id, int64_t *n_spikes, int64_t *deliveries_out,
+                 double *final_state)
 {
     int64_t m = adj_start[n];
     network net = {
         .tau_m = par, .tau_s = par + n, .gain = par + 2 * n, .theta = par + 3 * n,
         .reset = par + 4 * n, .v_floor = par + 5 * n, .coef = par + 6 * n,
         .refr = refr, .equal_tau = equal_tau,
+        .taus = taus, .m_idx = tau_idx, .s_idx = tau_idx + n,
     };
     double *state = calloc((size_t)(2 * n + m) + 1, sizeof(double));
     int64_t *istate = calloc((size_t)(4 * n + m) + 1, sizeof(int64_t));
     uint8_t *in_dirty = calloc((size_t)n + 1, 1);
+    net.table = calloc((size_t)n_taus * TABLE_SIZE + 1, sizeof(double));
     heap h = {0};
     spikes sp = {0};
     int status = EV_OK;
     int64_t deliveries = 0, n_dirty = 0, i_evt = 0;
-    if (!state || !istate || !in_dirty) {
+    if (!state || !istate || !in_dirty || !net.table) {
         status = EV_NOMEM;
         goto done;
     }
@@ -326,7 +357,7 @@ int evstereo_run(int64_t n, const double *par, const int64_t *refr, const uint8_
             advance(&net, post, t);
             double w = adj_weight[k];
             if (adj_sat[k]) {
-                double lingering = sat_value[k] * exp(-(double)(t - sat_time[k]) / net.tau_s[post]);
+                double lingering = sat_value[k] * decay(&net, net.s_idx[post], (double)(t - sat_time[k]));
                 net.s[post] += w - lingering;
                 sat_value[k] = w;
                 sat_time[k] = t;
@@ -338,11 +369,14 @@ int evstereo_run(int64_t n, const double *par, const int64_t *refr, const uint8_
         deliveries += adj_start[pre + 1] - adj_start[pre];
     }
 #undef MARK_DIRTY
+    if (final_state)
+        memcpy(final_state, state, (size_t)(2 * n + m) * sizeof(double)); /* v, s, sat_value */
 
 done:
     free(state);
     free(istate);
     free(in_dirty);
+    free(net.table);
     free(h.items);
     if (status == EV_OK) {
         *spike_t = sp.t;
@@ -470,5 +504,166 @@ int evstereo_background(int64_t n, const int64_t *t, const int32_t *x, const int
             last[side[k] * frame + (y[k] + radius) * wp + x[k] + radius] = ti;
     }
     free(last);
+    return status;
+}
+
+/* ------------------------------------------------------------ synthetic stimulus */
+
+#ifdef EVSTEREO_NPYRANDOM
+/* numpy's random C library, numpy/random/lib/libnpyrandom.a. Its header
+ * needs Python.h; a bit generator is only passed through, so an incomplete
+ * type serves. */
+typedef struct bitgen bitgen_t;
+double random_standard_uniform(bitgen_t *bitgen_state);
+double random_normal(bitgen_t *bitgen_state, double loc, double scale);
+void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t rng, intptr_t cnt, bool use_masked,
+                                uint64_t *out);
+
+/* jittered(t) of synth._emit: max(0, min(duration, t + int(round(j))))
+ * of j = max(-3 sigma, min(3 sigma, rng.normal(0, sigma))), picking as
+ * Python's min and max do and rounding half to even; duration < 2^62 */
+static int64_t jittered(bitgen_t *bg, int64_t t, double sigma, int64_t duration)
+{
+    if (sigma == 0.0)
+        return t;
+    double j = random_normal(bg, 0.0, sigma), hi = 3.0 * sigma, lo = -3.0 * sigma;
+    j = j < hi ? j : hi;
+    j = j > lo ? j : lo;
+    double r = nearbyint(j);
+    if (r >= 0x1p62)
+        return duration;
+    if (r <= -0x1p62)
+        return 0;
+    int64_t tj = t + (int64_t)r;
+    return tj < duration ? (tj > 0 ? tj : 0) : duration;
+}
+
+/* The emission loop of synth._emit, drawing from bg in the same
+ * order: at step k (time k * lattice) every (row, column) emits with
+ * probability p_emit, a LEFT event at the column and a RIGHT one at the
+ * column plus d[k], sharing one polarity, each jittered on its own. On EV_OK
+ * *events holds *n_events rows (t, x, y, p, side), owned by the caller
+ * (release with evstereo_free). */
+int evstereo_synth(bitgen_t *bg, int64_t n_steps, int64_t lattice, const int64_t *d, int64_t n_rows,
+                   const int64_t *rows, int64_t n_cols, const int64_t *cols, double p_emit, double sigma,
+                   int64_t duration, int64_t **events, int64_t *n_events)
+{
+    int64_t *ev = NULL, len = 0, cap = 0;
+    for (int64_t k = 0; k < n_steps; k++) {
+        int64_t t = k * lattice;
+        for (int64_t r = 0; r < n_rows; r++) {
+            for (int64_t c = 0; c < n_cols; c++) {
+                if (p_emit < 1.0 && random_standard_uniform(bg) >= p_emit)
+                    continue;
+                uint64_t pol;
+                random_bounded_uint64_fill(bg, 0, 1, 1, false, &pol);
+                if (len + 2 > cap) {
+                    cap = cap ? 2 * cap : 4096;
+                    int64_t *grown = realloc(ev, (size_t)cap * 5 * sizeof(int64_t));
+                    if (!grown) {
+                        free(ev);
+                        *events = NULL;
+                        *n_events = 0;
+                        return EV_NOMEM;
+                    }
+                    ev = grown;
+                }
+                int64_t *e = ev + 5 * len;
+                e[0] = jittered(bg, t, sigma, duration);
+                e[1] = cols[c];
+                e[2] = rows[r];
+                e[3] = (int64_t)pol;
+                e[4] = 0;
+                e[5] = jittered(bg, t, sigma, duration);
+                e[6] = cols[c] + d[k];
+                e[7] = rows[r];
+                e[8] = (int64_t)pol;
+                e[9] = 1;
+                len += 2;
+            }
+        }
+    }
+    *events = ev;
+    *n_events = len;
+    return EV_OK;
+}
+#endif
+
+/* ------------------------------------------------------------ CSV rows */
+
+static char *put_int(char *p, int64_t v)
+{
+    char digits[20];
+    int k = 0;
+    uint64_t u = v < 0 ? -(uint64_t)v : (uint64_t)v;
+    do {
+        digits[k++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (v < 0)
+        *p++ = '-';
+    while (k)
+        *p++ = digits[--k];
+    return p;
+}
+
+/* The body of a CSV file: n_rows lines of n_cols cells joined by ',', each
+ * ended by '\n'. Column c holds n_rows int64 values at cols[c]. If
+ * n_names[c] < 0 a cell is its value in decimal; otherwise the value is a
+ * code k in [0, n_names[c]) and the cell the name j = first[c] + k, the
+ * bytes text[bounds[j] .. bounds[j+1]). On EV_OK *out holds *out_len bytes
+ * owned by the caller (release with evstereo_free). Returns EV_PYTHON for a
+ * code out of range. */
+int evstereo_format_rows(int64_t n_rows, int64_t n_cols, const int64_t *const *cols, const int64_t *n_names,
+                         const int64_t *first, const int64_t *bounds, const char *text, char **out,
+                         int64_t *out_len)
+{
+    int64_t row_max = n_cols; /* separators and the line end */
+    for (int64_t c = 0; c < n_cols; c++) {
+        int64_t width = n_names[c] < 0 ? 20 : 0;
+        for (int64_t k = 0; k < n_names[c]; k++) {
+            int64_t j = first[c] + k;
+            if (bounds[j + 1] - bounds[j] > width)
+                width = bounds[j + 1] - bounds[j];
+        }
+        row_max += width;
+    }
+    char *buf = NULL;
+    int64_t len = 0, cap = 0;
+    int status = EV_OK;
+    for (int64_t i = 0; i < n_rows && status == EV_OK; i++) {
+        if (len + row_max > cap) {
+            cap = 2 * cap > len + row_max ? 2 * cap : len + row_max + 65536;
+            char *grown = realloc(buf, (size_t)cap);
+            if (!grown) {
+                status = EV_NOMEM;
+                break;
+            }
+            buf = grown;
+        }
+        char *p = buf + len;
+        for (int64_t c = 0; c < n_cols; c++) {
+            int64_t v = cols[c][i];
+            if (n_names[c] < 0) {
+                p = put_int(p, v);
+            } else if (v < 0 || v >= n_names[c]) {
+                status = EV_PYTHON;
+                break;
+            } else {
+                int64_t j = first[c] + v;
+                memcpy(p, text + bounds[j], (size_t)(bounds[j + 1] - bounds[j]));
+                p += bounds[j + 1] - bounds[j];
+            }
+            *p++ = c + 1 < n_cols ? ',' : '\n';
+        }
+        len = p - buf;
+    }
+    if (status != EV_OK) {
+        free(buf);
+        buf = NULL;
+        len = 0;
+    }
+    *out = buf;
+    *out_len = len;
     return status;
 }

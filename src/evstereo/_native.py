@@ -1,15 +1,19 @@
 """Build, cache and call the compiled kernels in ``_engine.c``: the
-simulator's event loop, the strict parser of plain event files and the
-background-activity filter.
+simulator's event loop, the strict parser of plain event files, the
+background-activity filter, the emission loop of a synthetic stimulus and
+the row assembly of the CSV writer.
 
 The first call compiles the C source with the system ``cc`` into the
-package's ``__pycache__/``. The library's file name carries the sha256 of the
-source, the flags and the machine, so an edited kernel never loads a stale
-library. Each build writes a name unique to its process and renames it into
-place, so concurrent workers building at once are safe. Nothing here is
-imported until ``parse_event_file``, ``filter_background`` or ``simulate``
-runs. Without a library each caller runs its Python or numpy reference,
-which gives the same result.
+package's ``__pycache__/``. Where numpy ships its random C library
+(``numpy/random/lib/libnpyrandom.a``), the build links it and defines
+``evstereo_synth``, which draws from a Generator's own bit generator; without
+it that symbol is absent and ``gen_stimulus`` runs its Python loop. The
+library's file name carries the sha256 of the source, the flags, the machine
+and that archive, so an edited kernel never loads a stale library. Each
+build writes a name unique to its process and renames it into place, so
+concurrent workers building at once are safe. Nothing here is imported
+until a caller needs a kernel. Without a library each caller runs its
+Python or numpy reference, which gives the same result.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import functools
 import hashlib
 import os
 import shutil
-import subprocess
 import warnings
 
 import numpy as np
@@ -27,6 +30,7 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(HERE, "_engine.c")
 CACHE_DIR = os.path.join(HERE, "__pycache__")
+NPYRANDOM = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
 # no -ffast-math and no fused multiply-add: every operation rounds as in
 # CPython, which keeps spikes bit-identical to the Python loop
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -44,9 +48,11 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     u8p = ctypes.POINTER(ctypes.c_uint8)
     lib.evstereo_run.argtypes = [
         ctypes.c_int64, f64p, i64p, u8p,
+        ctypes.c_int64, f64p, i64p,
         i64p, i64p, f64p, u8p,
         ctypes.c_int64, i64p, i64p,
         ctypes.POINTER(i64p), ctypes.POINTER(i64p), i64p, i64p,
+        f64p,
     ]
     lib.evstereo_run.restype = ctypes.c_int
     lib.evstereo_free.argtypes = [ctypes.c_void_p]
@@ -64,7 +70,26 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         u8p,
     ]
     lib.evstereo_background.restype = ctypes.c_int
+    lib.evstereo_format_rows.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.POINTER(i64p), i64p, i64p, i64p, ctypes.c_char_p,
+        ctypes.POINTER(ctypes.c_void_p), i64p,
+    ]
+    lib.evstereo_format_rows.restype = ctypes.c_int
+    if hasattr(lib, "evstereo_synth"):
+        lib.evstereo_synth.argtypes = [
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, i64p, ctypes.c_int64, i64p, ctypes.c_int64, i64p,
+            ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.POINTER(i64p), i64p,
+        ]
+        lib.evstereo_synth.restype = ctypes.c_int
     return lib
+
+
+def compile_command(cc: str, out: str) -> list[str]:
+    """The command that builds the library at ``out``: with numpy's random C
+    library linked where numpy ships it."""
+    if os.path.exists(NPYRANDOM):
+        return [cc, *CFLAGS, "-DEVSTEREO_NPYRANDOM", "-o", out, SOURCE, NPYRANDOM, "-lm"]
+    return [cc, *CFLAGS, "-o", out, SOURCE, "-lm"]
 
 
 def build(cache_dir: str) -> ctypes.CDLL:
@@ -72,19 +97,22 @@ def build(cache_dir: str) -> ctypes.CDLL:
     if absent. Raises OSError (or a subclass) if it cannot be built or
     loaded."""
     with open(SOURCE, "rb") as fh:
-        source = fh.read()
-    key = hashlib.sha256(source + " ".join(CFLAGS).encode() + os.uname().machine.encode()).hexdigest()[:16]
-    path = os.path.join(cache_dir, f"_engine-{key}.so")
+        digest = hashlib.sha256(fh.read())
+    digest.update(" ".join(CFLAGS).encode() + os.uname().machine.encode())
+    if os.path.exists(NPYRANDOM):
+        with open(NPYRANDOM, "rb") as fh:
+            digest.update(fh.read())
+    path = os.path.join(cache_dir, f"_engine-{digest.hexdigest()[:16]}.so")
     if not os.path.exists(path):
+        import subprocess  # deferred: only a build needs it
+
         cc = _find_compiler()
         if cc is None:
             raise FileNotFoundError("no C compiler ('cc') on PATH")
         os.makedirs(cache_dir, exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"
         try:
-            proc = subprocess.run(
-                [cc, *CFLAGS, "-o", tmp, SOURCE, "-lm"], capture_output=True, text=True
-            )
+            proc = subprocess.run(compile_command(cc, tmp), capture_output=True, text=True)
             if proc.returncode != 0:
                 raise OSError(f"{cc} failed: {proc.stderr.strip()}")
             os.replace(tmp, path)
@@ -97,14 +125,13 @@ def build(cache_dir: str) -> ctypes.CDLL:
 @functools.cache
 def kernel() -> ctypes.CDLL | None:
     """The compiled library, or None (with one warning) if it cannot be
-    built here; the callers then run the Python loop and the numpy parser
-    and background filter."""
+    built here; the callers then run their Python and numpy references."""
     try:
         return build(CACHE_DIR)
     except OSError as exc:
         warnings.warn(
-            f"evstereo: compiled kernels unavailable ({exc}); using the Python loop for simulation "
-            "and numpy for parsing and background filtering",
+            f"evstereo: compiled kernels unavailable ({exc}); using the Python loop for simulation and "
+            "stimuli, numpy for parsing and background filtering and Python for CSV rows",
             RuntimeWarning,
         )
         return None
@@ -161,16 +188,26 @@ def background(lib: ctypes.CDLL, stream, window_us: int, radius: int, include_sa
     return keep.view(bool)
 
 
-def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray):
+def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray, final_state: np.ndarray | None = None):
     """Run the event loop over ``net`` (a ``simulator._Network``) and the
     input events. Returns (spike times, spike ids, deliveries), or None where
-    only the Python loop reproduces the result exactly."""
+    only the Python loop reproduces the result exactly. A float64
+    ``final_state`` of 2n + m values receives the final v, s (n values each)
+    and the saturating synapses' values (m)."""
     n, m = len(net.tau_m), len(net.adj_post)
     if len(net.adj_start) != n + 1 or net.adj_start[0] != 0 or net.adj_start[-1] != m or np.any(np.diff(net.adj_start) < 0):
         raise ValueError("malformed synapse table")
     for ids in (net.adj_post, ev_src):
         if len(ids) and (ids.min() < 0 or ids.max() >= n):
             raise ValueError("neuron id out of range")
+    tau_idx = np.concatenate([net.tau_m_idx, net.tau_s_idx])
+    if len(tau_idx) and (tau_idx.min() < 0 or tau_idx.max() >= len(net.taus)):
+        raise ValueError("time constant index out of range")
+    if not np.array_equal(net.taus[tau_idx], np.concatenate([net.tau_m, net.tau_s])):
+        raise ValueError("time constant table disagrees with the per-neuron time constants")
+    if final_state is not None and (final_state.dtype != np.float64 or final_state.shape != (2 * n + m,)
+                                    or not final_state.flags.c_contiguous):
+        raise ValueError(f"final_state must be a contiguous float64 array of {2 * n + m} values")
     kept = []  # the arrays behind the pointers, alive until the call returns
 
     def arg(arr, dtype, ctype, length):
@@ -190,6 +227,9 @@ def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray):
         arg(par, np.float64, f64, 7 * n),
         arg(net.refr, np.int64, i64, n),
         arg(net.equal_tau, np.uint8, u8, n),
+        len(net.taus),
+        arg(net.taus, np.float64, f64, len(net.taus)),
+        arg(tau_idx, np.int64, i64, 2 * n),
         arg(net.adj_start, np.int64, i64, n + 1),
         arg(net.adj_post, np.int64, i64, m),
         arg(net.adj_weight, np.float64, f64, m),
@@ -198,6 +238,7 @@ def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray):
         arg(ev_t, np.int64, i64, len(ev_t)),
         arg(ev_src, np.int64, i64, len(ev_t)),
         ctypes.byref(spike_t), ctypes.byref(spike_id), ctypes.byref(n_spikes), ctypes.byref(deliveries),
+        None if final_state is None else _ptr(final_state, f64),
     )
     try:
         if status == EV_NOMEM:
@@ -215,3 +256,64 @@ def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray):
     finally:
         lib.evstereo_free(spike_t)
         lib.evstereo_free(spike_id)
+
+
+def synth(lib: ctypes.CDLL, rng: np.random.Generator, lattice_us: int, d: list[int], rows: list[int],
+          cols: list[int], p_emit: float, sigma: float, duration_us: int) -> np.ndarray | None:
+    """The emission loop of ``synth._emit`` on ``rng``'s own bit
+    generator, which it advances exactly as the Python loop does: an (n, 5)
+    int64 array of rows (t, x, y, p, side), or None where only the Python
+    loop reproduces the result (no numpy random library linked, a jitter
+    sigma that is not finite, or a duration of 2**62 or more)."""
+    if not hasattr(lib, "evstereo_synth") or not np.isfinite(sigma) or not 0 < duration_us < 2**62:
+        return None
+    d_arr, rows_arr, cols_arr = (np.array(v, dtype=np.int64) for v in (d, rows, cols))
+    events = ctypes.POINTER(ctypes.c_int64)()
+    n = ctypes.c_int64(0)
+    with rng.bit_generator.lock:
+        status = lib.evstereo_synth(
+            rng.bit_generator.ctypes.bit_generator, len(d_arr), lattice_us, _ptr(d_arr, ctypes.c_int64),
+            len(rows_arr), _ptr(rows_arr, ctypes.c_int64), len(cols_arr), _ptr(cols_arr, ctypes.c_int64),
+            p_emit, sigma, duration_us, ctypes.byref(events), ctypes.byref(n),
+        )
+    try:
+        if status == EV_NOMEM:
+            raise MemoryError("compiled stimulus: allocation failed")
+        if status != EV_OK:
+            raise RuntimeError(f"compiled stimulus: unknown status {status}")
+        if n.value == 0:
+            return np.zeros((0, 5), np.int64)
+        return np.ctypeslib.as_array(events, shape=(n.value, 5)).copy()
+    finally:
+        lib.evstereo_free(events)
+
+
+def format_rows(lib: ctypes.CDLL, columns: list[tuple[np.ndarray, list[str] | None]]) -> bytes | None:
+    """The CSV body of equal-length int64 ``columns``, each paired with its
+    names (a cell is then ``names[value]``) or with None (a cell is the value
+    in decimal); None where a value is no valid index into its names."""
+    n_rows = len(columns[0][0]) if columns else 0
+    values = [np.ascontiguousarray(v, dtype=np.int64) for v, _ in columns]
+    if any(v.shape != (n_rows,) for v in values):
+        raise ValueError("CSV columns have mismatched lengths")
+    encoded = [[name.encode() for name in names] for _, names in columns if names is not None]
+    bounds = np.cumsum([0] + [len(e) for names in encoded for e in names], dtype=np.int64)
+    n_names = np.array([-1 if names is None else len(names) for _, names in columns], dtype=np.int64)
+    first = np.concatenate([[0], np.cumsum(np.maximum(n_names, 0))[:-1]]).astype(np.int64)
+    i64p = ctypes.POINTER(ctypes.c_int64)
+    out, out_len = ctypes.c_void_p(), ctypes.c_int64(0)
+    status = lib.evstereo_format_rows(
+        n_rows, len(values), (i64p * len(values))(*(_ptr(v, ctypes.c_int64) for v in values)),
+        _ptr(n_names, ctypes.c_int64), _ptr(first, ctypes.c_int64), _ptr(bounds, ctypes.c_int64),
+        b"".join(e for names in encoded for e in names), ctypes.byref(out), ctypes.byref(out_len),
+    )
+    try:
+        if status == EV_NOMEM:
+            raise MemoryError("compiled CSV rows: allocation failed")
+        if status == EV_PYTHON:
+            return None
+        if status != EV_OK:
+            raise RuntimeError(f"compiled CSV rows: unknown status {status}")
+        return ctypes.string_at(out, out_len.value) if out_len.value else b""
+    finally:
+        lib.evstereo_free(out)

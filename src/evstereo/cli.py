@@ -116,8 +116,9 @@ def _write_rates_csv(record: SpikeRecord, topology: Topology, window_us: int, n_
     ids = np.concatenate([r.neuron_ids for r in rates])
     hz = np.vstack([r.rates_hz for r in rates])
     row, window = np.nonzero(hz)
-    centers = list(map("{:.1f}".format, window_centers_us(n_windows, window_us)[window].tolist()))
-    columns = [window, centers, POPULATION_CODE_NAMES[topology.pop_code[ids[row]]], ids[row], hz[row, window]]
+    centers = list(map("{:.1f}".format, window_centers_us(n_windows, window_us).tolist()))
+    population = (POPULATION_CODE_NAMES, topology.pop_code[ids[row]])
+    columns = [window, (centers, window), population, ids[row], hz[row, window]]
     write_csv(path, "window_i,t_center_us,population,neuron_id,rate_hz", columns)
 
 
@@ -127,8 +128,9 @@ def _write_mean_rates_csv(record: SpikeRecord, topology: Topology, path: str) ->
     duration_s = record.duration_us * 1e-6 if record.duration_us else 1.0
     ids = np.arange(topology.offsets[Population.COINC_EXC], topology.n_neurons)  # coincidence, then disparity
     rate = np.bincount(record.neuron_ids, minlength=topology.n_neurons)[ids] / duration_s
-    columns = [POPULATION_CODE_NAMES[topology.pop_code[ids]], ids, topology.d[ids], topology.x_cyc[ids], topology.y[ids]]
-    write_csv(path, "population,neuron_id,d,x_cyc,y,mean_rate_hz", columns + [rate])
+    population = (POPULATION_CODE_NAMES, topology.pop_code[ids])
+    columns = [population, ids, topology.d[ids], topology.x_cyc[ids], topology.y[ids], rate]
+    write_csv(path, "population,neuron_id,d,x_cyc,y,mean_rate_hz", columns)
 
 
 def _write_disparity_hist_csv(record: SpikeRecord, topology: Topology, window_us: int, n_windows: int, path: str) -> None:
@@ -142,7 +144,7 @@ def _write_disparity_hist_csv(record: SpikeRecord, topology: Topology, window_us
     hist = np.bincount(((tag * n_windows + window) * span + d)[window < n_windows])
     key = np.flatnonzero(hist)
     tag, window = np.divmod(key // span, n_windows)
-    columns = [np.array(["C", "D"])[tag], window, key % span - topology.d_max, hist[key]]
+    columns = [(["C", "D"], tag), window, key % span - topology.d_max, hist[key]]
     write_csv(path, "population,window_i,d,count", columns)
 
 

@@ -179,7 +179,8 @@ class StereoEventStream:
         return StereoEventStream(self.t, x, y, self.p, self.side, geometry, _presorted=False)
 
     def sides_present(self) -> set[int]:
-        return set(int(s) for s in np.unique(self.side))
+        counts = np.bincount(self.side, minlength=2)
+        return {side for side in (LEFT, RIGHT) if counts[side]}
 
 
 def _canonical_order(t, x, y, p, side, geometry: CameraGeometry) -> np.ndarray:
@@ -333,33 +334,84 @@ def _parse_event_lines(path: str, text: str, geometry: CameraGeometry, side: int
 
 def write_event_file(stream: StereoEventStream, path: str) -> None:
     """Write a stream as event CSV; ``parse_event_file`` round-trips exactly."""
-    write_csv(path, EVENT_CSV_HEADER, [stream.t, stream.x, stream.y, stream.p, SIDE_NAMES[stream.side]])
+    write_csv(path, EVENT_CSV_HEADER, [stream.t, stream.x, stream.y, stream.p, (SIDE_NAMES, stream.side)])
 
 
-def write_csv(path: str, header: str, columns: Sequence[Sequence]) -> None:
+def write_csv(path: str, header: str, columns: Sequence) -> None:
     """Write ``header`` and one row per position of the equal-length
-    ``columns`` with ``atomic_write``; no rows give a header-only file. The
-    number format of every artifact: a float cell is the shortest round-trip
-    ``repr``, or empty for NaN (a missing value); any other cell is ``str``."""
-    cells = [_float_cells(a) if a.dtype.kind == "f" else map(str, a.tolist()) for a in map(np.asarray, columns)]
-    rows = map(",".join, zip(*cells, strict=True))
-    atomic_write(path, "\n".join([header, *rows]) + "\n")
+    ``columns`` with ``atomic_write``; no rows give a header-only file. A
+    column is an array of numbers or a ``(names, codes)`` pair, whose cell is
+    ``names[code]``. The number format of every artifact: a float cell is the
+    shortest round-trip ``repr``, or empty for NaN (a missing value); an
+    integer cell is ``str``. The compiled kernel (``_native``) assembles the
+    rows where it can, else ``_python_rows``; both give the same bytes."""
+    from . import _native  # deferred, so that importing the package compiles and loads nothing
+
+    lib = _native.kernel()
+    coded = None if lib is None else _coded_columns(columns)
+    body = None if coded is None else _native.format_rows(lib, coded)
+    if body is None:
+        body = _python_rows(columns)
+    atomic_write(path, header.encode() + b"\n" + body)
 
 
-def _float_cells(a: np.ndarray) -> np.ndarray:
-    cells = np.array(list(map(repr, a.tolist())), dtype=object)
-    cells[np.isnan(a)] = ""
-    return cells
+def _python_rows(columns: Sequence) -> bytes:
+    """The CSV body of ``columns`` in Python: the reference for the kernel."""
+
+    def cells(col) -> list[str]:
+        if isinstance(col, tuple):
+            names, codes = col
+            return [str(names[k]) for k in np.asarray(codes).tolist()]
+        a = np.asarray(col)
+        if a.dtype.kind == "f":
+            return ["" if v != v else repr(v) for v in a.tolist()]
+        return list(map(str, a.tolist()))
+
+    rows = map(",".join, zip(*map(cells, columns), strict=True))
+    return "".join(row + "\n" for row in rows).encode()
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write UTF-8 ``text`` with ``\\n`` line ends to a per-process temp name,
-    then rename it onto ``path``: the file is either whole or absent, also
-    under concurrent writers. The temp file is removed if the write fails."""
+def _coded_columns(columns: Sequence) -> list[tuple[np.ndarray, list[str] | None]] | None:
+    """``columns`` as the kernel takes them: int64 values, each with None
+    (printed in decimal) or with the names its values index. A float column
+    becomes codes into the cells of its distinct bit patterns, so each
+    distinct value is formatted once. None if a column is neither a pair nor
+    of integers or floats."""
+    coded = []
+    for col in columns:
+        names, values = col if isinstance(col, tuple) else (None, col)
+        a = np.asarray(values)
+        if a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64):
+            coded.append((a, None if names is None else [str(name) for name in names]))
+        elif a.dtype.kind == "f" and names is None:
+            coded.append(_float_codes(np.ascontiguousarray(a, dtype=np.float64)))
+        else:
+            return None
+    return coded
+
+
+def _float_codes(a: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Codes into the cells of the distinct bit patterns of ``a``: ``repr``,
+    or empty for NaN. A sort, not ``np.unique``, which imports ``numpy.ma``."""
+    bits = a.view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    ranked = bits[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    codes = np.empty(len(a), dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    return codes, ["" if v != v else repr(v) for v in ranked[new].view(np.float64).tolist()]
+
+
+def atomic_write(path: str, data: str | bytes) -> None:
+    """Write ``data``, a ``str`` as UTF-8 with ``\\n`` line ends, to a
+    per-process temp name, then rename it onto ``path``: the file is either
+    whole or absent, also under concurrent writers. The temp file is removed
+    if the write fails."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -368,18 +420,19 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def merge_streams(left: StereoEventStream, right: StereoEventStream) -> StereoEventStream:
-    """Merge two single-sided streams into one canonical stereo stream."""
+    """Merge two single-sided streams into one canonical stereo stream.
+
+    Both inputs are valid and in canonical order, so one stable sort of the
+    concatenated times, which puts LEFT first on equal times, gives the
+    canonical order of the merge, and nothing needs validating again."""
     if left.geometry != right.geometry:
         raise ValueError(f"geometry mismatch: {left.geometry} vs {right.geometry}")
     if len(left) and left.sides_present() != {LEFT}:
         raise ValueError("left stream contains non-LEFT events")
     if len(right) and right.sides_present() != {RIGHT}:
         raise ValueError("right stream contains non-RIGHT events")
-    return StereoEventStream(
-        np.concatenate([left.t, right.t]),
-        np.concatenate([left.x, right.x]),
-        np.concatenate([left.y, right.y]),
-        np.concatenate([left.p, right.p]),
-        np.concatenate([left.side, right.side]),
-        left.geometry,
-    )
+    order = np.argsort(np.concatenate([left.t, right.t]), kind="stable")
+    out = object.__new__(StereoEventStream)
+    out._set(*(np.concatenate([getattr(left, f), getattr(right, f)])[order] for f in ("t", "x", "y", "p", "side")),
+             left.geometry)
+    return out

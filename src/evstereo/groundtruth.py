@@ -243,7 +243,8 @@ def write_trace_csv(trace: DisparityTrace, path: str) -> None:
     """One row per window; the d cells are empty where no joint is visible."""
     centers = list(map("{:.1f}".format, window_centers_us(trace.n_windows, trace.window_us).tolist()))
     d = (np.where(trace.n_joints > 0, v, np.nan) for v in (trace.d_mean, trace.d_min, trace.d_max))
-    write_csv(path, TRACE_CSV_HEADER, [np.arange(trace.n_windows), centers, *d, trace.n_joints])
+    window = np.arange(trace.n_windows)
+    write_csv(path, TRACE_CSV_HEADER, [window, (centers, window), *d, trace.n_joints])
 
 
 def read_trace_csv(path: str) -> DisparityTrace:

@@ -282,4 +282,5 @@ def write_com_csv(report: MetricsReport, path: str) -> None:
     """One row per window; an undefined CoM or ground truth is an empty cell."""
     centers = list(map("{:.1f}".format, window_centers_us(report.n_windows, report.window_us).tolist()))
     values = np.array([report.com_c, report.com_d, report.gt_mean, report.gt_min, report.gt_max], dtype=np.float64)
-    write_csv(path, COM_CSV_HEADER, [np.arange(report.n_windows), centers, *values])
+    window = np.arange(report.n_windows)
+    write_csv(path, COM_CSV_HEADER, [window, (centers, window), *values])

@@ -71,6 +71,11 @@ class PreprocessConfig:
             raise ValueError(f"background_window_us must be an integer in [1, 2**62), got {window!r}")
         if self.background_radius < 0:
             raise ValueError("background_radius must be >= 0")
+        if window is not None and self.background_radius == 0 and not self.background_include_same_pixel:
+            raise ValueError(
+                "background_radius=0 with background_include_same_pixel=false keeps no event: "
+                "no pixel can support another"
+            )
         factor = self.hot_pixel_factor
         if factor is not None and not (
             isinstance(factor, (int, float)) and not isinstance(factor, bool) and math.isfinite(factor) and factor > 0

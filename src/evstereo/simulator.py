@@ -19,12 +19,13 @@ bit-identical spike records for identical inputs.
 The event loop runs compiled: ``_engine.c`` is built with the system ``cc``
 on the first call and cached in this package's ``__pycache__/`` (see
 ``_native``). It performs the operations of ``_Engine`` in the same order
-and calls the same libm ``exp``/``log``; compiled with ``-ffp-contract=off``
-and without ``-ffast-math``, it rounds exactly as CPython does, so its
-spikes are bit-identical. Without a compiler, or in the corner cases only
-Python arithmetic reproduces (a time beyond int64, a float division by
-zero), ``simulate`` runs ``_Engine``, the Python loop, which is also the
-reference the tests compare the compiled loop against.
+and calls the same libm ``exp``/``log`` (a decay over fewer than 2**16
+microseconds comes from a table of exactly those ``exp`` values); compiled
+with ``-ffp-contract=off`` and without ``-ffast-math``, it rounds exactly as
+CPython does, so its spikes are bit-identical. Without a compiler, or in the
+corner cases only Python arithmetic reproduces (a time beyond int64, a float
+division by zero), ``simulate`` runs ``_Engine``, the Python loop, which is
+also the reference the tests compare the compiled loop against.
 """
 
 from __future__ import annotations
@@ -197,6 +198,11 @@ class _Network:
 
         self.tau_m = per_neuron([pp.tau_m for pp in pop_params])
         self.tau_s = per_neuron([pp.tau_s for pp in pop_params])
+        # the distinct time constants, and each neuron's index into them
+        taus = list(dict.fromkeys(tau for pp in pop_params for tau in (pp.tau_m, pp.tau_s)))
+        self.taus = np.array(taus)
+        self.tau_m_idx = per_neuron([taus.index(pp.tau_m) for pp in pop_params], np.int64)
+        self.tau_s_idx = per_neuron([taus.index(pp.tau_s) for pp in pop_params], np.int64)
         self.gain = per_neuron([pp.gain for pp in pop_params])
         self.theta = per_neuron([pp.threshold for pp in pop_params])
         self.reset = per_neuron([pp.reset for pp in pop_params])
@@ -486,7 +492,7 @@ def instantaneous_rates(
 
 
 def write_spike_csv(record: SpikeRecord, path: str) -> None:
-    write_csv(path, SPIKE_CSV_HEADER, [record.times, record.neuron_ids, POPULATION_CODE_NAMES[record.populations]])
+    write_csv(path, SPIKE_CSV_HEADER, [record.times, record.neuron_ids, (POPULATION_CODE_NAMES, record.populations)])
 
 
 POPULATION_CODE_NAMES = np.array([p.name for p in Population])  # indexed by Population code

@@ -6,6 +6,11 @@ shape draws one Bernoulli emission (probability rate/1000), producing a LEFT
 event and its RIGHT twin at x + round(d(t)), each independently jittered by
 a clamped seeded Gaussian. The generator also returns the exact disparity
 trace evaluated at the analysis window centres.
+
+The emission loop runs compiled where the kernel library links numpy's
+random C library (see ``_native``): it draws from the Generator's own bit
+generator through numpy's own functions, in the order of the Python loop
+``_emit``, so the stream is the same; elsewhere ``_emit`` runs.
 """
 
 from __future__ import annotations
@@ -116,6 +121,45 @@ def _left_columns(profile: DisparityProfile, geometry: CameraGeometry, rng: np.r
     return [profile.x]
 
 
+def _emit(rng: np.random.Generator, steps: range, d: list[int], rows: list[int], cols: list[int],
+          p_emit: float, sigma: float, duration_us: int) -> tuple[list[int], ...]:
+    """The events (t, x, y, p, side columns) of every lattice step, with
+    ``d[k]`` the rounded disparity of step k: each (row, column) emits with
+    probability ``p_emit`` a LEFT event and its RIGHT twin at x + d, sharing
+    one polarity and each jittered on its own. The reference for the
+    compiled loop, which draws from ``rng`` in the same order."""
+    t_list: list[int] = []
+    x_list: list[int] = []
+    y_list: list[int] = []
+    p_list: list[int] = []
+    s_list: list[int] = []
+
+    def jittered(t: int) -> int:
+        if sigma == 0:
+            return t
+        j = rng.normal(0.0, sigma)
+        j = max(-3.0 * sigma, min(3.0 * sigma, j))
+        return max(0, min(duration_us, t + int(round(j))))
+
+    for t, dk in zip(steps, d):
+        for y in rows:
+            for x in cols:
+                if p_emit < 1.0 and rng.random() >= p_emit:
+                    continue
+                pol = int(rng.integers(0, 2))  # twins share the brightness sign
+                t_list.append(jittered(t))
+                x_list.append(x)
+                y_list.append(y)
+                p_list.append(pol)
+                s_list.append(LEFT)
+                t_list.append(jittered(t))
+                x_list.append(x + dk)
+                y_list.append(y)
+                p_list.append(pol)
+                s_list.append(RIGHT)
+    return t_list, x_list, y_list, p_list, s_list
+
+
 def gen_stimulus(
     profile: DisparityProfile,
     geometry: CameraGeometry,
@@ -133,45 +177,13 @@ def gen_stimulus(
 
     p_emit = min(profile.rate_hz * LATTICE_US * 1e-6, 1.0)
     sigma = profile.jitter_sigma_us
-    t_list: list[int] = []
-    x_list: list[int] = []
-    y_list: list[int] = []
-    p_list: list[int] = []
-    s_list: list[int] = []
+    d = [int(round(profile.d_at(t))) for t in steps]
+    from . import _native  # deferred, so that importing the package compiles and loads nothing
 
-    def jittered(t: int) -> int:
-        if sigma == 0:
-            return t
-        j = rng.normal(0.0, sigma)
-        j = max(-3.0 * sigma, min(3.0 * sigma, j))
-        return max(0, min(duration_us, t + int(round(j))))
-
-    for t in steps:
-        d = int(round(profile.d_at(t)))
-        for y in rows:
-            for x in cols:
-                if p_emit < 1.0 and rng.random() >= p_emit:
-                    continue
-                pol = int(rng.integers(0, 2))  # twins share the brightness sign
-                t_list.append(jittered(t))
-                x_list.append(x)
-                y_list.append(y)
-                p_list.append(pol)
-                s_list.append(LEFT)
-                t_list.append(jittered(t))
-                x_list.append(x + d)
-                y_list.append(y)
-                p_list.append(pol)
-                s_list.append(RIGHT)
-
-    stream = StereoEventStream(
-        np.array(t_list, dtype=np.int64),
-        np.array(x_list, dtype=np.int32),
-        np.array(y_list, dtype=np.int32),
-        np.array(p_list, dtype=np.int8),
-        np.array(s_list, dtype=np.int8),
-        geometry,
-    )
+    lib = _native.kernel()
+    events = None if lib is None else _native.synth(lib, rng, LATTICE_US, d, rows, cols, p_emit, sigma, duration_us)
+    columns = _emit(rng, steps, d, rows, cols, p_emit, sigma, duration_us) if events is None else events.T
+    stream = StereoEventStream(*columns, geometry)
 
     n_windows = window_count(duration_us, window_us)
     centers = window_centers_us(n_windows, window_us)

@@ -291,6 +291,43 @@ def test_run_without_a_compiler_writes_the_same_artifacts(tmp_path, monkeypatch)
     assert {f.name: f.read_bytes() for f in out.iterdir()} == compiled
 
 
+@pytest.mark.parametrize("missing", ["random library", "compiler"])
+def test_synthetic_run_and_synth_write_the_same_files_without_the_random_library_or_a_compiler(
+    tmp_path, monkeypatch, missing
+):
+    # without numpy's random C library the kernel library has no stimulus
+    # loop, and without a compiler there is no library: either way the
+    # Python references write the compiled kernels' files byte for byte
+    if _native.kernel() is None:
+        pytest.skip("no C compiler on this host")
+    path, _ = synthetic_config(tmp_path)
+    out = tmp_path / "out"
+
+    def run_and_synth() -> dict:
+        assert main(["run", "-c", str(path)]) == 0
+        assert main(["synth", "-c", str(path)]) == 0
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        shutil.rmtree(out)
+        return files
+
+    compiled = run_and_synth()
+    _native.kernel.cache_clear()
+    monkeypatch.setattr(_native, "CACHE_DIR", str(tmp_path / "empty_cache"))
+    try:
+        if missing == "compiler":
+            monkeypatch.setattr(_native, "_find_compiler", lambda: None)
+            with pytest.warns(RuntimeWarning, match="compiled kernels unavailable"):
+                assert run_and_synth() == compiled
+            assert _native.kernel() is None
+        else:
+            monkeypatch.setattr(_native, "NPYRANDOM", str(tmp_path / "no_such_archive.a"))
+            assert run_and_synth() == compiled
+            assert not hasattr(_native.kernel(), "evstereo_synth")
+    finally:
+        _native.kernel.cache_clear()
+    assert sorted(compiled) == sorted(ARTIFACTS + ["left.csv", "right.csv", "trace.csv"])
+
+
 def test_run_multiple_configs_with_jobs(tmp_path):
     path1, _ = synthetic_config(tmp_path)
     cfg2_path = tmp_path / "config2.json"
@@ -441,6 +478,14 @@ def test_invalid_preprocess_values_are_config_errors(tmp_path, capsys, override)
     path = file_config(tmp_path, *write_file_fixture(tmp_path))
     assert main(["run", "-c", str(path), "--set", override]) == 2
     assert "config error (run): preprocess: " in capsys.readouterr().err
+
+
+def test_background_filter_that_keeps_no_event_is_config_error(tmp_path, capsys):
+    path = file_config(tmp_path, *write_file_fixture(tmp_path))
+    assert main(["run", "-c", str(path), "--set", "preprocess.background_radius=0"]) == 2
+    err = capsys.readouterr().err
+    assert "config error (run): preprocess: background_radius=0 with background_include_same_pixel=false" in err
+    assert not (tmp_path / "out_file").exists()
 
 
 def bad_event_file_config(tmp_path):

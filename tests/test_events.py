@@ -16,11 +16,13 @@ from evstereo.events import (
     DvsEvent,
     EventFormatError,
     StereoEventStream,
+    _coded_columns,
     _parse_event_lines,
     _parse_plain_event_bytes,
     atomic_write,
     merge_streams,
     parse_event_file,
+    write_csv,
     write_event_file,
 )
 
@@ -476,3 +478,48 @@ def test_atomic_write_replaces_whole_file_or_leaves_old_one(tmp_path):
         atomic_write(str(tmp_path / "d"), "x")  # fails at the rename
     assert path.read_bytes() == b"a\nb\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "out.csv"]
+
+
+INT_EDGES = [-(2**63), 2**63 - 1, -1, 0, 1, 10**18, -(10**18)]
+FLOAT_EDGES = [
+    0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-05, 1e16, 1.5e300, 5e-324, -2.5e-07, 0.1, 1 / 3,
+    123456789.0, 1e22, 2.0**-1074 * 3,
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 2000])
+def test_compiled_csv_rows_equal_python_rows(tmp_path, n):
+    lib = _native.kernel()
+    if lib is None:
+        pytest.skip("no C compiler on this host")
+    rng = np.random.default_rng(n)
+    floats = np.where(rng.random(n) < 0.5, rng.choice(np.array(FLOAT_EDGES), n), rng.normal(0.0, 1e3, n))
+    if n:
+        floats[0] = (np.array([np.nan]).view(np.int64) | 1).view(np.float64)[0]  # another NaN bit pattern
+    columns = [
+        rng.choice(np.array(INT_EDGES, dtype=np.int64), n),
+        rng.integers(-128, 128, n, dtype=np.int8),
+        rng.integers(0, 2**32, n, dtype=np.uint32),
+        floats,
+        rng.normal(0.0, 1e6, n).astype(np.float32),
+        (np.array(["L", "R"]), rng.integers(0, 2, n)),
+        (["C", "D", "µs", ""], rng.integers(0, 4, n, dtype=np.int8)),
+    ]
+    assert _native.format_rows(lib, _coded_columns(columns)) is not None
+    write_csv(str(tmp_path / "compiled.csv"), "a,b,c,d,e,f,g", columns)
+    with without_kernel():
+        write_csv(str(tmp_path / "python.csv"), "a,b,c,d,e,f,g", columns)
+    written = (tmp_path / "compiled.csv").read_bytes()
+    assert written == (tmp_path / "python.csv").read_bytes()
+    assert written.count(b"\n") == n + 1
+    if n == 0:
+        assert written == b"a,b,c,d,e,f,g\n"
+
+
+def test_compiled_csv_rows_decline_codes_outside_their_names():
+    lib = _native.kernel()
+    if lib is None:
+        pytest.skip("no C compiler on this host")
+    for codes in ([0, 2], [-1, 0]):
+        assert _native.format_rows(lib, [(np.array(codes), ["a", "b"])]) is None
+    assert _native.format_rows(lib, [(np.array([1, 0]), ["a", "b"]), (np.array([5, -5]), None)]) == b"b,5\na,-5\n"

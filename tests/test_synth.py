@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from conftest import without_kernel
+from evstereo import _native
 from evstereo.events import LEFT, RIGHT, CameraGeometry, StereoEventStream
 from evstereo.synth import (
     BAR,
     CLOUD,
     DOT,
+    LATTICE_US,
     DisparityProfile,
     OracleMatch,
+    _emit,
     gen_stimulus,
     oracle_disparity_estimate,
     oracle_matches,
@@ -43,6 +47,48 @@ def test_seeded_generation_is_reproducible():
     a, _ = gen_stimulus(profile, GEOM, 200_000, 50_000)
     b, _ = gen_stimulus(profile, GEOM, 200_000, 50_000)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "shape, rate_hz, sigma",
+    [
+        (DOT, 600.0, 0.0),
+        (DOT, 1000.0, 300.0),  # p_emit = 1: no emission draws
+        (BAR, 2500.0, 0.0),
+        (BAR, 300.0, 40.0),
+        (CLOUD, 600.0, 300.0),
+        (CLOUD, 1000.0, 0.0),
+        (CLOUD, 600.0, 1e20),  # every jitter clamps to 0 or the duration
+    ],
+)
+def test_compiled_stimulus_equals_python_loop(shape, rate_hz, sigma):
+    # the compiled emission loop draws the same numbers from the generator's
+    # bit generator as the Python loop, leaves it in the same state and
+    # gives the same stream through gen_stimulus
+    lib = _native.kernel()
+    if lib is None or not hasattr(lib, "evstereo_synth"):
+        pytest.skip("no compiled stimulus loop on this host")
+    duration = 40_000
+    steps = range(0, duration, LATTICE_US)
+    for seed in range(20):
+        profile = DisparityProfile(
+            shape=shape, keyframes=((0, -2.0), (duration, 3.0)), x=5, y=3, height=4, dots_per_row=3,
+            rate_hz=rate_hz, jitter_sigma_us=sigma, seed=seed,
+        )
+        d = [int(round(profile.d_at(t))) for t in steps]
+        rows, cols = [3, 4, 5] if shape != DOT else [3], [2, 6] if shape == CLOUD else [5]
+        p_emit = min(rate_hz * LATTICE_US * 1e-6, 1.0)
+        compiled_rng, python_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        events = _native.synth(lib, compiled_rng, LATTICE_US, d, rows, cols, p_emit, sigma, duration)
+        expected = _emit(python_rng, steps, d, rows, cols, p_emit, sigma, duration)
+        assert events is not None and events.dtype == np.int64
+        assert events.T.tolist() == [list(col) for col in expected]
+        assert compiled_rng.bit_generator.state == python_rng.bit_generator.state
+
+        compiled, _ = gen_stimulus(profile, GEOM, duration, 20_000)
+        with without_kernel():
+            python, _ = gen_stimulus(profile, GEOM, duration, 20_000)
+        assert compiled == python
 
 
 def test_out_of_frame_profile_rejected_before_generation():
