@@ -76,7 +76,7 @@ def _build_topology(cfg: RunConfig) -> Topology:
             polarity_mode=t.polarity_mode,
             continuity_radius=t.continuity_radius,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"topology: {exc}") from None
 
 

@@ -6,13 +6,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Any
 
 from .events import CameraGeometry
 from .metrics import PCD_GLOBAL, PCD_PER_WINDOW_MEAN, EnergyCoefficients
 from .preprocess import PreprocessConfig, Rect
-from .simulator import LifParams, MismatchModel
+from .simulator import LifParams, MismatchModel, NeuronParams
 from .synth import DisparityProfile, validate_profile_bounds
 from .topology import Population, WeightParams
 
@@ -127,285 +127,256 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
 
-# ---------------------------------------------------------------- parsing
+# ---------------------------------------------------------------- the table
 
 
-def _keyframes(raw) -> tuple[tuple[int, float], ...]:
-    """``[[t_us, d], ...]`` as a tuple of (int, float) pairs."""
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError(f"input.synthetic.keyframes must be a list of [t_us, d] pairs, got {raw!r}")
-    pairs = []
-    for i, pair in enumerate(raw):
-        if not (
-            isinstance(pair, (list, tuple))
-            and len(pair) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in pair)
-        ):
-            raise ConfigError(f"input.synthetic.keyframes[{i}] must be a [t_us, d] pair of finite numbers, got {pair!r}")
-        pairs.append((int(pair[0]), float(pair[1])))
-    return tuple(pairs)
+class _Kind:
+    """The JSON kind of a key: ``accepts`` checks a raw value's type,
+    ``build`` turns it into its field's value (raising ValueError for a value
+    the field's dataclass rejects) and ``dump`` turns that back into JSON."""
+
+    def __init__(self, what: str, accepts, build=lambda raw: raw, dump=lambda value: value):
+        self.what, self.accepts, self.build, self.dump = what, accepts, build, dump
+
+    def parse(self, raw, key: str):
+        if not self.accepts(raw):
+            raise ConfigError(f"{key} must be {self.what}, got {raw!r}")
+        try:
+            return self.build(raw)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{key}: {exc}") from None
 
 
-def _profile_from_dict(data: dict, default_seed: int) -> DisparityProfile:
-    known = {
-        "shape", "keyframes", "x", "y", "height", "dots_per_row",
-        "rate_hz", "jitter_sigma_us", "seed",
-    }
-    unknown = set(data) - known
+def _is_number(raw) -> bool:
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
+def _nullable(kind: _Kind) -> _Kind:
+    return _Kind(
+        f"{kind.what} or null",
+        lambda raw: raw is None or kind.accepts(raw),
+        lambda raw: None if raw is None else kind.build(raw),
+        lambda value: None if value is None else kind.dump(value),
+    )
+
+
+def _fixed_list(what: str, kinds: tuple[_Kind, ...], build, dump=list) -> _Kind:
+    """A JSON list of ``len(kinds)`` items of those kinds, as ``build(items)``."""
+    return _Kind(
+        what,
+        lambda raw: isinstance(raw, list) and len(raw) == len(kinds) and all(k.accepts(v) for k, v in zip(kinds, raw)),
+        lambda raw: build([kind.build(item) for kind, item in zip(kinds, raw)]),
+        dump,
+    )
+
+
+def _list_of(what: str, item: _Kind, build) -> _Kind:
+    return _Kind(
+        what,
+        lambda raw: isinstance(raw, list) and all(map(item.accepts, raw)),
+        lambda raw: build(map(item.build, raw)),
+        lambda value: [item.dump(v) for v in value],
+    )
+
+
+INT = _Kind("an integer", lambda raw: _is_number(raw) and (isinstance(raw, int) or raw.is_integer()), int)
+FLOAT = _Kind("a number", _is_number, float)
+FINITE = _Kind("a finite number", lambda raw: _is_number(raw) and math.isfinite(raw), float)
+BOOL = _Kind("a boolean", lambda raw: isinstance(raw, bool))
+STR = _Kind("a string", lambda raw: isinstance(raw, str))
+INT_PAIR = _fixed_list("a list of 2 integers", (INT, INT), tuple)
+GEOMETRY = _fixed_list("a list of 2 integers", (INT, INT), lambda v: CameraGeometry(*v), lambda v: list(astuple(v)))
+KEYFRAMES = _list_of("a list of [t_us, d] pairs of finite numbers", _fixed_list("", (INT, FINITE), tuple), tuple)
+RECTS = _list_of(
+    "a list of [x, y, w, h] lists", _fixed_list("", (INT,) * 4, lambda v: Rect(*v), lambda v: list(astuple(v))), list
+)
+
+
+@dataclass(frozen=True)
+class _Section:
+    """A JSON object built into ``cls``; a nullable one reads null and ``{}``
+    as None."""
+
+    cls: type
+    nullable: bool = False
+
+
+class _PopulationMap:
+    """``{population name: {NeuronParams field: number}}``, with float values."""
+
+    def parse(self, raw, key: str) -> dict:
+        params = [f.name for f in fields(NeuronParams)]
+        return {
+            Population[name]: {
+                param: FLOAT.parse(value, f"{key}.{name}.{param}")
+                for param, value in _object(vals, f"{key}.{name}", params).items()
+            }
+            for name, vals in _object(raw, key, Population.__members__).items()
+        }
+
+    def dump(self, value: dict) -> dict:
+        return {pop.name: dict(vals) for pop, vals in value.items()}
+
+
+@dataclass(frozen=True)
+class Row:
+    """One config key: the value at dotted JSON ``key`` has ``kind`` and fills
+    ``owner.field``."""
+
+    key: str
+    kind: Any
+    owner: type | None = None  # default: the dataclass of the enclosing section
+    field: str | None = None  # default: the last part of ``key``
+    seeded: bool = False  # an absent value takes the run's ``seed``
+
+    @property
+    def section(self) -> str:
+        return self.key.rpartition(".")[0]
+
+    @property
+    def name(self) -> str:
+        return self.key.rpartition(".")[2]
+
+
+def _table(*rows: Row) -> tuple[Row, ...]:
+    """``rows`` with each owner and field filled in; a section precedes its keys."""
+    section_cls = {"": RunConfig}
+    resolved = []
+    for row in rows:
+        row = replace(row, owner=row.owner or section_cls[row.section], field=row.field or row.name)
+        if isinstance(row.kind, _Section):
+            section_cls[row.key] = row.kind.cls
+        resolved.append(row)
+    return tuple(resolved)
+
+
+# Every config key, in echo order. Defaults are the dataclasses' own.
+TABLE = _table(
+    Row("seed", INT),
+    Row("sample_label", STR),
+    Row("output_dir", STR),
+    Row("input", _Section(InputConfig)),
+    Row("input.left_events", _nullable(STR)),
+    Row("input.right_events", _nullable(STR)),
+    Row("input.events", _nullable(STR)),
+    Row("input.synthetic", _Section(DisparityProfile, nullable=True)),
+    Row("input.synthetic.shape", STR),
+    Row("input.synthetic.keyframes", KEYFRAMES),
+    Row("input.synthetic.x", INT),
+    Row("input.synthetic.y", INT),
+    Row("input.synthetic.height", INT),
+    Row("input.synthetic.dots_per_row", INT),
+    Row("input.synthetic.rate_hz", FLOAT),
+    Row("input.synthetic.jitter_sigma_us", FLOAT),
+    Row("input.synthetic.seed", INT, seeded=True),
+    Row("input.duration_us", _nullable(INT)),
+    Row("input.markers", _nullable(STR)),
+    Row("input.calibration", _nullable(STR)),
+    Row("preprocess", _Section(PreprocessConfig)),
+    Row("preprocess.enabled", BOOL, RunConfig, "preprocess_enabled"),
+    Row("preprocess.mask_rects", RECTS),
+    Row("preprocess.hot_pixel_factor", _nullable(FLOAT)),
+    Row("preprocess.background_window_us", _nullable(INT)),
+    Row("preprocess.background_radius", INT),
+    Row("preprocess.background_include_same_pixel", BOOL),
+    Row("preprocess.downscale_factor", INT),
+    Row("preprocess.crop_origin", _nullable(INT_PAIR)),
+    Row("preprocess.crop_size", INT_PAIR),
+    Row("preprocess.full_geometry", GEOMETRY, RunConfig, "full_geometry"),
+    Row("topology", _Section(TopologyConfig)),
+    Row("topology.retina_width", INT),
+    Row("topology.retina_height", INT),
+    Row("topology.d_max", INT),
+    Row("topology.weights", _Section(WeightParams)),
+    Row("topology.weights.w_rc", FLOAT),
+    Row("topology.weights.w_ce", FLOAT),
+    Row("topology.weights.w_ci", FLOAT),
+    Row("topology.weights.w_dd", FLOAT),
+    Row("topology.polarity_mode", STR),
+    Row("topology.continuity_radius", _nullable(INT)),
+    Row("simulator", _Section(LifParams)),
+    Row("simulator.tau_m", FLOAT),
+    Row("simulator.tau_s", FLOAT),
+    Row("simulator.threshold", FLOAT),
+    Row("simulator.reset", FLOAT),
+    Row("simulator.refractory_us", INT),
+    Row("simulator.v_floor", FLOAT),
+    Row("simulator.overrides", _PopulationMap()),
+    Row("simulator.mismatch", _Section(MismatchModel, nullable=True), RunConfig, "mismatch"),
+    Row("simulator.mismatch.seed", INT, seeded=True),
+    Row("simulator.mismatch.weight_sigma", FLOAT),
+    Row("simulator.mismatch.threshold_sigma", FLOAT),
+    Row("analysis", _Section(AnalysisConfig)),
+    Row("analysis.window_us", INT),
+    Row("analysis.eps_d", FLOAT),
+    Row("analysis.pcd_mode", STR),
+    Row("energy", _Section(EnergyCoefficients)),
+    Row("energy.e_input_pj", FLOAT),
+    Row("energy.e_spike_pj", FLOAT),
+    Row("energy.e_delivery_pj", FLOAT),
+)
+_CHILDREN: dict[str, list[Row]] = {}
+for _row in TABLE:
+    _CHILDREN.setdefault(_row.section, []).append(_row)
+
+
+def _object(raw, key: str, known) -> dict:
+    """``raw``, checked to be a JSON object with only ``known`` keys."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{key} must be an object, got {raw!r}")
+    unknown = set(raw) - set(known)
     if unknown:
-        raise ConfigError(f"unknown synthetic profile keys: {sorted(unknown)}")
-    kwargs = dict(data)
-    if "keyframes" in kwargs:
-        kwargs["keyframes"] = _keyframes(kwargs["keyframes"])
-    kwargs.setdefault("seed", default_seed)
-    try:
-        return DisparityProfile(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"input.synthetic: {exc}") from None
+        raise ConfigError(f"{key}: unknown keys {sorted(unknown)}")
+    return raw
 
 
-def _as(kind: type, value, key: str):
-    """``kind(value)`` for ``kind`` int or float; a value it rejects is a
-    ConfigError naming the dotted ``key``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
-
-
-def _take(data: dict, section: str, known: set[str]) -> dict:
-    """``data``, checked to be an object with only ``known`` keys."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{section} must be an object, got {data!r}")
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}")
-    return data
+def _parse_section(key: str, raw, kwargs: dict) -> None:
+    """Check the object ``raw`` at ``key`` against its rows and put each value
+    given (or seeded) into ``kwargs[row.owner][row.field]``."""
+    rows = _CHILDREN[key]
+    _object(raw, key or "config", [row.name for row in rows])
+    for row in rows:
+        if row.name not in raw:
+            if row.seeded:
+                kwargs[row.owner][row.field] = kwargs[RunConfig].get("seed", RunConfig.seed)
+            continue
+        value = raw[row.name]
+        if not isinstance(row.kind, _Section):
+            value = row.kind.parse(value, row.key)
+        elif row.kind.nullable and value in (None, {}):
+            value = None
+        else:
+            kwargs[row.kind.cls] = {}
+            _parse_section(row.key, value, kwargs)
+            try:
+                value = row.kind.cls(**kwargs.pop(row.kind.cls))
+            except ValueError as exc:
+                raise ConfigError(f"{row.key}: {exc}") from None
+        kwargs[row.owner][row.field] = value
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError(f"config must be an object, got {data!r}")
-    data = dict(data)
-    cfg = RunConfig()
-    cfg.seed = _as(int, data.pop("seed", 0), "seed")
-    cfg.sample_label = str(data.pop("sample_label", "run"))
-    cfg.output_dir = str(data.pop("output_dir", "out"))
+    kwargs = {RunConfig: {}}
+    _parse_section("", data, kwargs)
+    return RunConfig(**kwargs[RunConfig])
 
-    inp = _take(
-        data.pop("input", {}),
-        "input",
-        {"left_events", "right_events", "events", "synthetic", "duration_us", "markers", "calibration"},
-    )
-    synthetic = inp.get("synthetic")
-    cfg.input = InputConfig(
-        left_events=inp.get("left_events"),
-        right_events=inp.get("right_events"),
-        events=inp.get("events"),
-        synthetic=_profile_from_dict(synthetic, cfg.seed) if synthetic else None,
-        duration_us=None if inp.get("duration_us") is None else _as(int, inp["duration_us"], "input.duration_us"),
-        markers=inp.get("markers"),
-        calibration=inp.get("calibration"),
-    )
 
-    pre = _take(
-        data.pop("preprocess", {}),
-        "preprocess",
-        {
-            "enabled", "mask_rects", "hot_pixel_factor", "background_window_us",
-            "background_radius", "background_include_same_pixel", "downscale_factor",
-            "crop_origin", "crop_size", "full_geometry",
-        },
-    )
-    cfg.preprocess_enabled = bool(pre.get("enabled", True))
-    fg = pre.get("full_geometry", [346, 260])
-    if not (isinstance(fg, (list, tuple)) and len(fg) == 2):
-        raise ConfigError(f"preprocess.full_geometry must be [width, height], got {fg!r}")
-    cfg.full_geometry = CameraGeometry(*(_as(int, v, "preprocess.full_geometry") for v in fg))
-    try:
-        cfg.preprocess = PreprocessConfig(
-            mask_rects=[Rect(*map(int, r)) for r in pre.get("mask_rects", [])],
-            hot_pixel_factor=pre.get("hot_pixel_factor", 10.0),
-            background_window_us=pre.get("background_window_us", 5000),
-            background_radius=int(pre.get("background_radius", 1)),
-            background_include_same_pixel=bool(pre.get("background_include_same_pixel", False)),
-            downscale_factor=int(pre.get("downscale_factor", 6)),
-            crop_origin=tuple(map(int, pre["crop_origin"])) if pre.get("crop_origin") else None,
-            crop_size=tuple(map(int, pre.get("crop_size", (16, 16)))),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"preprocess: {exc}") from None
-
-    topo = _take(
-        data.pop("topology", {}),
-        "topology",
-        {"retina_width", "retina_height", "d_max", "weights", "polarity_mode", "continuity_radius"},
-    )
-    weights = _take(topo.get("weights", {}), "topology.weights", {"w_rc", "w_ce", "w_ci", "w_dd"})
-    for name, value in weights.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"topology.weights.{name} must be a number, got {value!r}")
-    try:
-        cfg.topology = TopologyConfig(
-            retina_width=_as(int, topo.get("retina_width", 16), "topology.retina_width"),
-            retina_height=_as(int, topo.get("retina_height", 16), "topology.retina_height"),
-            d_max=_as(int, topo.get("d_max", 7), "topology.d_max"),
-            weights=WeightParams(**weights) if weights else WeightParams(),
-            polarity_mode=topo.get("polarity_mode", "rectified"),
-            continuity_radius=topo.get("continuity_radius"),
-        )
-    except TypeError as exc:
-        raise ConfigError(f"topology: {exc}") from None
-
-    sim = _take(
-        data.pop("simulator", {}),
-        "simulator",
-        {"tau_m", "tau_s", "threshold", "reset", "refractory_us", "v_floor", "overrides", "mismatch"},
-    )
-    overrides_raw = sim.get("overrides")
-    if overrides_raw is None:
-        overrides = LifParams().overrides
-    else:
-        overrides = {}
-        if not isinstance(overrides_raw, dict):
-            raise ConfigError(f"simulator.overrides must be an object, got {overrides_raw!r}")
-        for name, vals in overrides_raw.items():
-            try:
-                pop = Population[name]
-            except KeyError:
-                raise ConfigError(f"simulator.overrides: unknown population {name!r}") from None
-            if not isinstance(vals, dict):
-                raise ConfigError(f"simulator.overrides.{name} must be an object, got {vals!r}")
-            overrides[pop] = {k: _as(float, v, f"simulator.overrides.{name}.{k}") for k, v in vals.items()}
-    cfg.simulator = LifParams(
-        tau_m=_as(float, sim.get("tau_m", 2000.0), "simulator.tau_m"),
-        tau_s=_as(float, sim.get("tau_s", 10000.0), "simulator.tau_s"),
-        threshold=_as(float, sim.get("threshold", 1.0), "simulator.threshold"),
-        reset=_as(float, sim.get("reset", 0.0), "simulator.reset"),
-        refractory_us=_as(int, sim.get("refractory_us", 1000), "simulator.refractory_us"),
-        v_floor=_as(float, sim.get("v_floor", -1.0), "simulator.v_floor"),
-        overrides=overrides,
-    )
-    mm = sim.get("mismatch")
-    if mm is not None:
-        _take(mm, "simulator.mismatch", {"seed", "weight_sigma", "threshold_sigma"})
-    cfg.mismatch = (
-        MismatchModel(
-            seed=_as(int, mm.get("seed", cfg.seed), "simulator.mismatch.seed"),
-            weight_sigma=_as(float, mm.get("weight_sigma", 0.0), "simulator.mismatch.weight_sigma"),
-            threshold_sigma=_as(float, mm.get("threshold_sigma", 0.0), "simulator.mismatch.threshold_sigma"),
-        )
-        if mm
-        else None
-    )
-
-    ana = _take(data.pop("analysis", {}), "analysis", {"window_us", "eps_d", "pcd_mode"})
-    cfg.analysis = AnalysisConfig(
-        window_us=_as(int, ana.get("window_us", 50_000), "analysis.window_us"),
-        eps_d=_as(float, ana.get("eps_d", 1.0), "analysis.eps_d"),
-        pcd_mode=ana.get("pcd_mode", PCD_GLOBAL),
-    )
-
-    en = _take(data.pop("energy", {}), "energy", {"e_input_pj", "e_spike_pj", "e_delivery_pj"})
-    cfg.energy = EnergyCoefficients(
-        e_input_pj=_as(float, en.get("e_input_pj", 30.0), "energy.e_input_pj"),
-        e_spike_pj=_as(float, en.get("e_spike_pj", 900.0), "energy.e_spike_pj"),
-        e_delivery_pj=_as(float, en.get("e_delivery_pj", 120.0), "energy.e_delivery_pj"),
-    )
-
-    if data:
-        raise ConfigError(f"unknown top-level config keys: {sorted(data)}")
-    return cfg
+def _dump_section(key: str, objects: dict) -> dict:
+    out = {}
+    for row in _CHILDREN[key]:
+        value = getattr(objects[row.owner], row.field)
+        if isinstance(row.kind, _Section):
+            objects[row.kind.cls] = value
+            out[row.name] = None if value is None else _dump_section(row.key, objects)
+        else:
+            out[row.name] = row.kind.dump(value)
+    return out
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Resolved configuration (echoed into reports; feeding it back
     reproduces the run)."""
-    profile = cfg.input.synthetic
-    return {
-        "seed": cfg.seed,
-        "sample_label": cfg.sample_label,
-        "output_dir": cfg.output_dir,
-        "input": {
-            "left_events": cfg.input.left_events,
-            "right_events": cfg.input.right_events,
-            "events": cfg.input.events,
-            "synthetic": (
-                {
-                    "shape": profile.shape,
-                    "keyframes": [[t, d] for t, d in profile.keyframes],
-                    "x": profile.x,
-                    "y": profile.y,
-                    "height": profile.height,
-                    "dots_per_row": profile.dots_per_row,
-                    "rate_hz": profile.rate_hz,
-                    "jitter_sigma_us": profile.jitter_sigma_us,
-                    "seed": profile.seed,
-                }
-                if profile
-                else None
-            ),
-            "duration_us": cfg.input.duration_us,
-            "markers": cfg.input.markers,
-            "calibration": cfg.input.calibration,
-        },
-        "preprocess": {
-            "enabled": cfg.preprocess_enabled,
-            "mask_rects": [[r.x, r.y, r.w, r.h] for r in cfg.preprocess.mask_rects],
-            "hot_pixel_factor": cfg.preprocess.hot_pixel_factor,
-            "background_window_us": cfg.preprocess.background_window_us,
-            "background_radius": cfg.preprocess.background_radius,
-            "background_include_same_pixel": cfg.preprocess.background_include_same_pixel,
-            "downscale_factor": cfg.preprocess.downscale_factor,
-            "crop_origin": list(cfg.preprocess.crop_origin) if cfg.preprocess.crop_origin else None,
-            "crop_size": list(cfg.preprocess.crop_size),
-            "full_geometry": [cfg.full_geometry.width, cfg.full_geometry.height],
-        },
-        "topology": {
-            "retina_width": cfg.topology.retina_width,
-            "retina_height": cfg.topology.retina_height,
-            "d_max": cfg.topology.d_max,
-            "weights": {
-                "w_rc": cfg.topology.weights.w_rc,
-                "w_ce": cfg.topology.weights.w_ce,
-                "w_ci": cfg.topology.weights.w_ci,
-                "w_dd": cfg.topology.weights.w_dd,
-            },
-            "polarity_mode": cfg.topology.polarity_mode,
-            "continuity_radius": cfg.topology.continuity_radius,
-        },
-        "simulator": {
-            "tau_m": cfg.simulator.tau_m,
-            "tau_s": cfg.simulator.tau_s,
-            "threshold": cfg.simulator.threshold,
-            "reset": cfg.simulator.reset,
-            "refractory_us": cfg.simulator.refractory_us,
-            "v_floor": cfg.simulator.v_floor,
-            "overrides": {
-                pop.name: dict(vals) for pop, vals in cfg.simulator.overrides.items()
-            },
-            "mismatch": (
-                {
-                    "seed": cfg.mismatch.seed,
-                    "weight_sigma": cfg.mismatch.weight_sigma,
-                    "threshold_sigma": cfg.mismatch.threshold_sigma,
-                }
-                if cfg.mismatch
-                else None
-            ),
-        },
-        "analysis": {
-            "window_us": cfg.analysis.window_us,
-            "eps_d": cfg.analysis.eps_d,
-            "pcd_mode": cfg.analysis.pcd_mode,
-        },
-        "energy": {
-            "e_input_pj": cfg.energy.e_input_pj,
-            "e_spike_pj": cfg.energy.e_spike_pj,
-            "e_delivery_pj": cfg.energy.e_delivery_pj,
-        },
-    }
+    return _dump_section("", {RunConfig: cfg})
 
 
 def apply_overrides(data: dict, overrides: list[str]) -> dict:

@@ -1,13 +1,24 @@
+import dataclasses
 import json
 import os
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from evstereo import _native
 from evstereo.cli import main
-from evstereo.config import ConfigError, apply_overrides, config_from_dict, config_to_dict, load_config
+from evstereo.config import (
+    TABLE,
+    ConfigError,
+    RunConfig,
+    apply_overrides,
+    config_from_dict,
+    config_to_dict,
+    load_config,
+)
 from evstereo.metrics import MetricsReport
 
 
@@ -437,19 +448,22 @@ def test_bad_config_does_not_abort_batch(tmp_path, jobs):
 
 @pytest.mark.parametrize("command", ["run", "topology", "eval"])
 @pytest.mark.parametrize(
-    "override",
+    "override,message",
     [
-        "topology.polarity_mode=bogus",
-        "topology.d_max=16",
-        "topology.continuity_radius=-1",
-        "topology.continuity_radius=abc",
+        pytest.param(override, message, id=override)
+        for override, message in [
+            ("topology.polarity_mode=bogus", "topology: "),
+            ("topology.d_max=16", "topology: "),
+            ("topology.continuity_radius=-1", "topology: "),
+            ("topology.continuity_radius=abc", "topology.continuity_radius must be an integer or null, got 'abc'"),
+        ]
     ],
 )
-def test_invalid_topology_is_config_error(tmp_path, capsys, command, override):
+def test_invalid_topology_is_config_error(tmp_path, capsys, command, override, message):
     path, _ = synthetic_config(tmp_path)
     files = ["--spikes", str(tmp_path / "s.csv"), "--trace", str(tmp_path / "t.csv")] if command == "eval" else []
     assert main([command, "-c", str(path), "--set", override, *files]) == 2
-    assert f"config error ({command}): topology: " in capsys.readouterr().err
+    assert f"config error ({command}): {message}" in capsys.readouterr().err
 
 
 def test_invalid_topology_does_not_abort_batch(tmp_path, capfd):
@@ -465,19 +479,25 @@ def test_invalid_topology_does_not_abort_batch(tmp_path, capfd):
 
 
 @pytest.mark.parametrize(
-    "override",
+    "override,message",
     [
-        "preprocess.background_window_us=18446744073709551616",
-        "preprocess.background_window_us=9223372036854775807",
-        "preprocess.background_window_us=abc",
-        "preprocess.hot_pixel_factor=abc",
-        "preprocess.hot_pixel_factor=NaN",
+        pytest.param(override, message, id=override)
+        for override, message in [
+            ("preprocess.background_window_us=18446744073709551616", "preprocess: "),
+            ("preprocess.background_window_us=9223372036854775807", "preprocess: "),
+            (
+                "preprocess.background_window_us=abc",
+                "preprocess.background_window_us must be an integer or null, got 'abc'",
+            ),
+            ("preprocess.hot_pixel_factor=abc", "preprocess.hot_pixel_factor must be a number or null, got 'abc'"),
+            ("preprocess.hot_pixel_factor=NaN", "preprocess: "),
+        ]
     ],
 )
-def test_invalid_preprocess_values_are_config_errors(tmp_path, capsys, override):
+def test_invalid_preprocess_values_are_config_errors(tmp_path, capsys, override, message):
     path = file_config(tmp_path, *write_file_fixture(tmp_path))
     assert main(["run", "-c", str(path), "--set", override]) == 2
-    assert "config error (run): preprocess: " in capsys.readouterr().err
+    assert f"config error (run): {message}" in capsys.readouterr().err
 
 
 def test_background_filter_that_keeps_no_event_is_config_error(tmp_path, capsys):
@@ -568,6 +588,21 @@ def test_config_that_is_not_an_object_exit_2(tmp_path, capsys):
         ("energy.e_input_pj=abc", "energy.e_input_pj"),
         ("energy.e_spike_pj=abc", "energy.e_spike_pj"),
         ("energy.e_delivery_pj=abc", "energy.e_delivery_pj"),
+        ('input.synthetic.x="a"', "input.synthetic.x must be an integer, got 'a'"),
+        ("input.synthetic.seed=1.5", "input.synthetic.seed must be an integer, got 1.5"),
+        ('simulator.overrides={"DISPARITY":{"bogus":1.0}}', "simulator.overrides.DISPARITY: unknown keys ['bogus']"),
+        ('preprocess.enabled="no"', "preprocess.enabled must be a boolean, got 'no'"),
+        ("simulator.tau_m=true", "simulator.tau_m must be a number, got True"),
+        ("seed=1.5", "seed must be an integer, got 1.5"),
+        ("sample_label=null", "sample_label must be a string, got None"),
+        (
+            "input.synthetic.keyframes=[[0,Infinity]]",
+            "input.synthetic.keyframes must be a list of [t_us, d] pairs of finite numbers, got [[0, inf]]",
+        ),
+        (
+            "input.synthetic.keyframes=[[0,NaN]]",
+            "input.synthetic.keyframes must be a list of [t_us, d] pairs of finite numbers, got [[0, nan]]",
+        ),
     ],
 )
 def test_invalid_config_value_exit_2_names_key(tmp_path, capsys, override, key):
@@ -576,6 +611,45 @@ def test_invalid_config_value_exit_2_names_key(tmp_path, capsys, override, key):
     err = capsys.readouterr().err
     assert err.startswith(f"config error (run): {key}"), err
     assert not (tmp_path / "out").exists()
+
+
+# a wrong-typed --set value for each kind of leaf key; sections take 5
+WRONG_TYPED = {
+    "an integer": '"a"',
+    "an integer or null": "1.5",
+    "a number": "true",
+    "a number or null": '"a"',
+    "a boolean": '"no"',
+    "a string": "null",
+    "a string or null": "5",
+    "a list of 2 integers": '[16,"a"]',
+    "a list of 2 integers or null": "[1]",
+    "a list of [t_us, d] pairs of finite numbers": '[[0,"a"]]',
+    "a list of [x, y, w, h] lists": '[[1,2,"a",4]]',
+}
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [(row.key, WRONG_TYPED[row.kind.what] if hasattr(row.kind, "what") else "5") for row in TABLE]
+    + [("simulator.overrides.DISPARITY.tau_m", '"x"')],
+)
+def test_every_config_key_rejects_a_wrong_type(tmp_path, capsys, key, value):
+    path, _ = synthetic_config(tmp_path)
+    assert main(["run", "-c", str(path), "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error (run): {key} must be "), (key, value)
+
+
+def test_config_table_has_one_row_per_dataclass_field():
+    sections = {RunConfig} | {row.kind.cls for row in TABLE if hasattr(row.kind, "cls")}
+    expected = sorted((cls.__name__, f.name) for cls in sections for f in dataclasses.fields(cls))
+    assert sorted((row.owner.__name__, row.field) for row in TABLE) == expected
+
+
+def test_readme_config_block_is_the_default_echo():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    assert json.loads(re.sub(r"//.*", "", block)) == config_to_dict(config_from_dict({}))
 
 
 # ------------------------------------------------- trace and marker CSV input
