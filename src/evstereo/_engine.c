@@ -15,6 +15,14 @@
  * count over one of a few time constants; below TABLE_SIZE its value comes
  * from a lazily filled table that holds exactly what exp returns for it.
  *
+ * A merged twin pair is an excitatory coincidence neuron and its inhibitory
+ * shadow with the same parameters and the same input, which the caller has
+ * checked. The loop advances, predicts and schedules only the excitatory
+ * neuron and skips every delivery to the shadow (they still count). When the
+ * excitatory spike pops at t it pushes (t, shadow) with the shadow's
+ * unchanging stamp, so the shadow spikes, and its synapses deliver, at the
+ * (t, nid) heap position the unmerged loop gives it.
+ *
  * Where the Python code would raise (a float division by zero) or produce a
  * time outside int64 (Python ints are unbounded), evstereo_run returns
  * EV_PYTHON and the caller runs the Python loop instead.
@@ -259,14 +267,19 @@ void evstereo_free(void *p)
  * coef, n values each. taus holds the n_taus distinct time constants and
  * tau_idx the rows m_idx and s_idx, n values each, with tau_m[i] ==
  * taus[m_idx[i]] and tau_s[i] == taus[s_idx[i]]. The efferent synapses of
- * neuron i are adj_start[i] .. adj_start[i+1]-1. On EV_OK, *spike_t and
- * *spike_id hold *n_spikes entries owned by the caller (release with
- * evstereo_free), and final_state, unless NULL, the final v, s (n values
- * each) and sat_value (one per synapse). */
+ * neuron i are adj_start[i] .. adj_start[i+1]-1. twins holds n_twins merged
+ * pairs (excitatory id, shadow id), the shadow's id the larger, and
+ * twin_syn the n_twin_syn synapse pairs (into the excitatory neuron, into
+ * the shadow) that match their inputs in delivery order. On EV_OK,
+ * *spike_t and *spike_id hold *n_spikes entries owned by the caller
+ * (release with evstereo_free), and final_state, unless NULL, the final v,
+ * s (n values each) and sat_value (one per synapse); a shadow's values are
+ * its twin's. */
 int evstereo_run(int64_t n, const double *par, const int64_t *refr, const uint8_t *equal_tau,
                  int64_t n_taus, const double *taus, const int64_t *tau_idx,
                  const int64_t *adj_start, const int64_t *adj_post, const double *adj_weight,
                  const uint8_t *adj_sat, int64_t n_events, const int64_t *ev_t, const int64_t *ev_src,
+                 int64_t n_twins, const int64_t *twins, int64_t n_twin_syn, const int64_t *twin_syn,
                  int64_t **spike_t, int64_t **spike_id, int64_t *n_spikes, int64_t *deliveries_out,
                  double *final_state)
 {
@@ -278,8 +291,8 @@ int evstereo_run(int64_t n, const double *par, const int64_t *refr, const uint8_
         .taus = taus, .m_idx = tau_idx, .s_idx = tau_idx + n,
     };
     double *state = calloc((size_t)(2 * n + m) + 1, sizeof(double));
-    int64_t *istate = calloc((size_t)(4 * n + m) + 1, sizeof(int64_t));
-    uint8_t *in_dirty = calloc((size_t)n + 1, 1);
+    int64_t *istate = calloc((size_t)(5 * n + m) + 1, sizeof(int64_t));
+    uint8_t *in_dirty = calloc((size_t)(2 * n) + 1, 1);
     net.table = calloc((size_t)n_taus * TABLE_SIZE + 1, sizeof(double));
     heap h = {0};
     spikes sp = {0};
@@ -297,8 +310,16 @@ int evstereo_run(int64_t n, const double *par, const int64_t *refr, const uint8_
     net.stamp = istate + 2 * n;
     int64_t *dirty = istate + 3 * n; /* each neuron at most once, guarded by in_dirty */
     int64_t *sat_time = istate + 4 * n;
-    for (int64_t i = 0; i < n; i++)
+    int64_t *twin = istate + 4 * n + m; /* the shadow of a merged excitatory neuron, else -1 */
+    uint8_t *shadow = in_dirty + n;
+    for (int64_t i = 0; i < n; i++) {
         net.refr_until[i] = -1;
+        twin[i] = -1;
+    }
+    for (int64_t p = 0; p < n_twins; p++) {
+        twin[twins[2 * p]] = twins[2 * p + 1];
+        shadow[twins[2 * p + 1]] = 1;
+    }
 
 #define MARK_DIRTY(nid)                      \
     do {                                     \
@@ -332,18 +353,25 @@ int evstereo_run(int64_t n, const double *par, const int64_t *refr, const uint8_
             int64_t nid = h.items[0].nid;
             t = h.items[0].t;
             heap_pop(&h);
-            advance(&net, nid, t);
-            /* stamp matched, so the state is exactly the predicted one */
             if (!spikes_append(&sp, t, nid)) {
                 status = EV_NOMEM;
                 goto done;
             }
-            net.v[nid] = net.reset[nid];
-            if (__builtin_add_overflow(t, net.refr[nid], &net.refr_until[nid])) {
-                status = EV_PYTHON;
-                goto done;
+            if (!shadow[nid]) {
+                /* stamp matched, so the state is exactly the predicted one */
+                advance(&net, nid, t);
+                net.v[nid] = net.reset[nid];
+                if (__builtin_add_overflow(t, net.refr[nid], &net.refr_until[nid])) {
+                    status = EV_PYTHON;
+                    goto done;
+                }
+                MARK_DIRTY(nid); /* may cross again once refractoriness ends */
+                int64_t tw = twin[nid];
+                if (tw >= 0 && !heap_push(&h, (entry){t, tw, net.stamp[tw]})) {
+                    status = EV_NOMEM;
+                    goto done;
+                }
             }
-            MARK_DIRTY(nid); /* may cross again once refractoriness ends */
             pre = nid;
         } else if (have_ext) {
             t = ev_t[i_evt];
@@ -354,6 +382,8 @@ int evstereo_run(int64_t n, const double *par, const int64_t *refr, const uint8_
         }
         for (int64_t k = adj_start[pre]; k < adj_start[pre + 1]; k++) {
             int64_t post = adj_post[k];
+            if (shadow[post])
+                continue;
             advance(&net, post, t);
             double w = adj_weight[k];
             if (adj_sat[k]) {
@@ -369,6 +399,12 @@ int evstereo_run(int64_t n, const double *par, const int64_t *refr, const uint8_
         deliveries += adj_start[pre + 1] - adj_start[pre];
     }
 #undef MARK_DIRTY
+    for (int64_t p = 0; p < n_twins; p++) {
+        net.v[twins[2 * p + 1]] = net.v[twins[2 * p]];
+        net.s[twins[2 * p + 1]] = net.s[twins[2 * p]];
+    }
+    for (int64_t q = 0; q < n_twin_syn; q++)
+        sat_value[twin_syn[2 * q + 1]] = sat_value[twin_syn[2 * q]];
     if (final_state)
         memcpy(final_state, state, (size_t)(2 * n + m) * sizeof(double)); /* v, s, sat_value */
 

@@ -51,6 +51,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_int64, f64p, i64p,
         i64p, i64p, f64p, u8p,
         ctypes.c_int64, i64p, i64p,
+        ctypes.c_int64, i64p, ctypes.c_int64, i64p,
         ctypes.POINTER(i64p), ctypes.POINTER(i64p), i64p, i64p,
         f64p,
     ]
@@ -190,16 +191,18 @@ def background(lib: ctypes.CDLL, stream, window_us: int, radius: int, include_sa
 
 def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray, final_state: np.ndarray | None = None):
     """Run the event loop over ``net`` (a ``simulator._Network``) and the
-    input events. Returns (spike times, spike ids, deliveries), or None where
-    only the Python loop reproduces the result exactly. A float64
-    ``final_state`` of 2n + m values receives the final v, s (n values each)
-    and the saturating synapses' values (m)."""
+    input events, with ``net.twins`` merged. Returns (spike times, spike ids,
+    deliveries), or None where only the Python loop reproduces the result
+    exactly. A float64 ``final_state`` of 2n + m values receives the final
+    v, s (n values each) and the saturating synapses' values (m)."""
     n, m = len(net.tau_m), len(net.adj_post)
     if len(net.adj_start) != n + 1 or net.adj_start[0] != 0 or net.adj_start[-1] != m or np.any(np.diff(net.adj_start) < 0):
         raise ValueError("malformed synapse table")
-    for ids in (net.adj_post, ev_src):
-        if len(ids) and (ids.min() < 0 or ids.max() >= n):
-            raise ValueError("neuron id out of range")
+    for ids, bound in ((net.adj_post, n), (ev_src, n), (net.twins, n), (net.twin_synapses, m)):
+        if ids.size and (ids.min() < 0 or ids.max() >= bound):
+            raise ValueError("neuron or synapse id out of range")
+    if np.any(np.bincount(net.twins.ravel(), minlength=n) > 1) or np.any(net.twins[:, 0] >= net.twins[:, 1]):
+        raise ValueError("twin pairs must be disjoint, each shadow after its excitatory neuron")
     tau_idx = np.concatenate([net.tau_m_idx, net.tau_s_idx])
     if len(tau_idx) and (tau_idx.min() < 0 or tau_idx.max() >= len(net.taus)):
         raise ValueError("time constant index out of range")
@@ -237,6 +240,10 @@ def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray, final_state
         len(ev_t),
         arg(ev_t, np.int64, i64, len(ev_t)),
         arg(ev_src, np.int64, i64, len(ev_t)),
+        len(net.twins),
+        arg(net.twins.ravel(), np.int64, i64, net.twins.size),
+        len(net.twin_synapses),
+        arg(net.twin_synapses.ravel(), np.int64, i64, net.twin_synapses.size),
         ctypes.byref(spike_t), ctypes.byref(spike_id), ctypes.byref(n_spikes), ctypes.byref(deliveries),
         None if final_state is None else _ptr(final_state, f64),
     )

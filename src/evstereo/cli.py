@@ -11,6 +11,8 @@ are written to a temp name and renamed, so each is fully written or absent.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import os
 import sys
 
@@ -41,6 +43,7 @@ from .metrics import build_report, write_com_csv
 from .preprocess import preprocess_pipeline_resolved
 from .simulator import (
     POPULATION_CODE_NAMES,
+    RateMatrix,
     SpikeFormatError,
     SpikeRecord,
     instantaneous_rates,
@@ -55,6 +58,7 @@ from .topology import (
     HardwareLimits,
     Population,
     Topology,
+    WeightParams,
     build_topology,
     check_hardware_constraints,
     largest_feasible_d_max,
@@ -68,16 +72,21 @@ INPUT_ERRORS = (ConfigError, EventFormatError, GroundTruthFormatError, SpikeForm
 def _build_topology(cfg: RunConfig) -> Topology:
     t = cfg.topology
     try:
-        return build_topology(
-            t.retina_width,
-            t.retina_height,
-            t.d_max,
-            t.weights,
-            polarity_mode=t.polarity_mode,
-            continuity_radius=t.continuity_radius,
-        )
+        return _topology(t.retina_width, t.retina_height, t.d_max, t.weights, t.polarity_mode, t.continuity_radius)
     except ValueError as exc:
         raise ConfigError(f"topology: {exc}") from None
+
+
+@functools.lru_cache(maxsize=1)
+def _topology(
+    width: int, height: int, d_max: int, weights: WeightParams, polarity_mode: str, continuity_radius: int | None
+) -> Topology:
+    """The most recent topology, kept: the configs of a batch usually share
+    one, so each process (each ``--jobs`` worker) builds it once. A
+    ``Topology`` is immutable."""
+    return build_topology(
+        width, height, d_max, weights, polarity_mode=polarity_mode, continuity_radius=continuity_radius
+    )
 
 
 def _load_file_stream(cfg: RunConfig) -> StereoEventStream:
@@ -108,15 +117,23 @@ def _file_ground_truth(cfg: RunConfig, n_windows: int, origin: tuple[int, int], 
     return disparity_trajectory(left2d, right2d, cfg.analysis.window_us, n_windows)
 
 
-def _write_rates_csv(record: SpikeRecord, topology: Topology, window_us: int, n_windows: int, path: str) -> None:
+def _population_rates(
+    record: SpikeRecord, topology: Topology, window_us: int, n_windows: int
+) -> dict[Population, RateMatrix]:
+    """The rate matrices of the coincidence and disparity populations, which
+    the report and ``rates.csv`` share."""
+    pops = (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)
+    return {pop: instantaneous_rates(record, window_us, pop, topology, n_windows) for pop in pops}
+
+
+def _write_rates_csv(rates: dict[Population, RateMatrix], topology: Topology, path: str) -> None:
     """Long-format rate export (nonzero entries only): one row per
     (window, neuron) with activity, by neuron id, then window."""
-    pops = (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)
-    rates = [instantaneous_rates(record, window_us, pop, topology, n_windows) for pop in pops]
-    ids = np.concatenate([r.neuron_ids for r in rates])
-    hz = np.vstack([r.rates_hz for r in rates])
+    matrices = list(rates.values())
+    ids = np.concatenate([r.neuron_ids for r in matrices])
+    hz = np.vstack([r.rates_hz for r in matrices])
     row, window = np.nonzero(hz)
-    centers = list(map("{:.1f}".format, window_centers_us(n_windows, window_us).tolist()))
+    centers = list(map("{:.1f}".format, window_centers_us(hz.shape[1], matrices[0].window_us).tolist()))
     population = (POPULATION_CODE_NAMES, topology.pop_code[ids[row]])
     columns = [window, (centers, window), population, ids[row], hz[row, window]]
     write_csv(path, "window_i,t_center_us,population,neuron_id,rate_hz", columns)
@@ -208,6 +225,7 @@ def _run_one(config_path: str, overrides: list[str], auto_crop: bool) -> int:
         trace.n_joints = np.concatenate([trace.n_joints, np.zeros(pad, dtype=np.int64)])
         trace.per_joint = np.hstack([trace.per_joint, np.full((trace.per_joint.shape[0], pad), np.nan)])
 
+    rates = _population_rates(record, topology, cfg.analysis.window_us, n_windows)
     report = build_report(
         record,
         topology,
@@ -218,11 +236,12 @@ def _run_one(config_path: str, overrides: list[str], auto_crop: bool) -> int:
         config=config_to_dict(cfg),
         sample_label=cfg.sample_label,
         pcd_mode=cfg.analysis.pcd_mode,
+        rates=rates,
     )
 
     write_event_file(stream, os.path.join(out, "input_events.csv"))
     write_spike_csv(record, os.path.join(out, "spikes.csv"))
-    _write_rates_csv(record, topology, cfg.analysis.window_us, n_windows, os.path.join(out, "rates.csv"))
+    _write_rates_csv(rates, topology, os.path.join(out, "rates.csv"))
     write_trace_csv(trace, os.path.join(out, "disparity_trace.csv"))
     write_com_csv(report, os.path.join(out, "com.csv"))
     _write_mean_rates_csv(record, topology, os.path.join(out, "mean_rates.csv"))
@@ -259,8 +278,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            codes = list(pool.map(_run_one_safe, configs, [overrides] * len(configs), [args.auto_crop] * len(configs)))
+        # the forked workers share the parent's heap until they write to it;
+        # frozen, its objects are left out of the workers' garbage
+        # collections, which would otherwise copy every page they visit
+        gc.freeze()
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                codes = list(pool.map(_run_one_safe, configs, [overrides] * len(configs), [args.auto_crop] * len(configs)))
+        finally:
+            gc.unfreeze()
     return max(codes)
 
 

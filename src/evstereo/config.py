@@ -181,6 +181,7 @@ def _list_of(what: str, item: _Kind, build) -> _Kind:
 
 INT = _Kind("an integer", lambda raw: _is_number(raw) and (isinstance(raw, int) or raw.is_integer()), int)
 FLOAT = _Kind("a number", _is_number, float)
+INTEGRAL = _Kind(INT.what, INT.accepts, float)  # an integer, stored as a float
 FINITE = _Kind("a finite number", lambda raw: _is_number(raw) and math.isfinite(raw), float)
 BOOL = _Kind("a boolean", lambda raw: isinstance(raw, bool))
 STR = _Kind("a string", lambda raw: isinstance(raw, str))
@@ -202,13 +203,14 @@ class _Section:
 
 
 class _PopulationMap:
-    """``{population name: {NeuronParams field: number}}``, with float values."""
+    """``{population name: {NeuronParams field: number}}``, with float values;
+    ``refractory_us`` must be integral."""
 
     def parse(self, raw, key: str) -> dict:
         params = [f.name for f in fields(NeuronParams)]
         return {
             Population[name]: {
-                param: FLOAT.parse(value, f"{key}.{name}.{param}")
+                param: (INTEGRAL if param == "refractory_us" else FLOAT).parse(value, f"{key}.{name}.{param}")
                 for param, value in _object(vals, f"{key}.{name}", params).items()
             }
             for name, vals in _object(raw, key, Population.__members__).items()

@@ -207,21 +207,26 @@ def build_report(
     sample_label: str = "run",
     pcd_mode: str = PCD_GLOBAL,
     with_energy: bool = True,
+    rates: dict[Population, RateMatrix] | None = None,
 ) -> MetricsReport:
     """Single report with disparity-population headline metrics, coincidence
-    metrics for diagnosis, label counts, and the energy estimate."""
+    metrics for diagnosis, label counts, and the energy estimate. ``rates``
+    holds the COINC_EXC, COINC_INH and DISPARITY rate matrices over the
+    trace's windows, if the caller has them already."""
     if trace.window_us != window_us:
         raise ValueError(
             f"analysis window {window_us}us does not match ground truth {trace.window_us}us"
         )
     n_windows = trace.n_windows
+    if rates is None:
+        pops = (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)
+        rates = {pop: instantaneous_rates(record, window_us, pop, topology, n_windows) for pop in pops}
 
-    rates_d = instantaneous_rates(record, window_us, Population.DISPARITY, topology, n_windows)
+    rates_d = rates[Population.DISPARITY]
     d_vals_d = topology.disparity_of_ids(rates_d.neuron_ids)
     com_d = center_of_mass(rates_d, d_vals_d, "D")
 
-    rates_ce = instantaneous_rates(record, window_us, Population.COINC_EXC, topology, n_windows)
-    rates_ci = instantaneous_rates(record, window_us, Population.COINC_INH, topology, n_windows)
+    rates_ce, rates_ci = rates[Population.COINC_EXC], rates[Population.COINC_INH]
     rates_c = RateMatrix(
         window_us=window_us,
         neuron_ids=np.concatenate([rates_ce.neuron_ids, rates_ci.neuron_ids]),

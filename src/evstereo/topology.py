@@ -25,6 +25,7 @@ populations are ordered by (d, y, x_cyc) so rasters sort by disparity.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import IntEnum
@@ -195,9 +196,6 @@ class Topology:
         self._index[valid] = np.arange(self.n_triplets)
         self._index.setflags(write=False)
         tri_d, tri_y, tri_x = d[valid], y[valid], x_cyc[valid]
-        self.disparity_coords: tuple[NeuronCoord, ...] = tuple(
-            map(NeuronCoord, tri_x.tolist(), tri_y.tolist(), tri_d.tolist())
-        )
 
         self.offsets = {
             Population.RETINA_L: 0,
@@ -227,6 +225,12 @@ class Topology:
         self._build_synapses(tri_d, tri_y, tri_x)
 
     # ---------------------------------------------------------- id algebra
+
+    @functools.cached_property
+    def disparity_coords(self) -> tuple[NeuronCoord, ...]:
+        """The coordinate of each triplet, by index; built on first use."""
+        tri = slice(self.offsets[Population.DISPARITY], None)
+        return tuple(map(NeuronCoord, self.x_cyc[tri].tolist(), self.y[tri].tolist(), self.d[tri].tolist()))
 
     def population_of(self, neuron_id: int) -> Population:
         if not 0 <= neuron_id < self.n_neurons:

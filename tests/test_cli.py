@@ -352,6 +352,39 @@ def test_run_multiple_configs_with_jobs(tmp_path):
     assert (tmp_path / "out_b" / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batch_sharing_a_topology_writes_the_files_of_single_runs(tmp_path, jobs):
+    # a and b share one topology, which a process builds once; c has another d_max
+    from evstereo import cli
+
+    _, cfg = synthetic_config(tmp_path)
+    paths = []
+    for name, d, d_max in (("a", 2.0, 5), ("b", -2.0, 5), ("c", 1.0, 4)):
+        one = json.loads(json.dumps(cfg))
+        one["input"]["synthetic"]["keyframes"] = [[0, d]]
+        one["topology"]["d_max"] = d_max
+        one["output_dir"] = str(tmp_path / name)
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(one))
+
+    def files() -> dict:
+        found = {f"{name}/{f.name}": f.read_bytes() for name in "abc" for f in (tmp_path / name).iterdir()}
+        for name in "abc":
+            shutil.rmtree(tmp_path / name)
+        return found
+
+    for path in paths:
+        cli._topology.cache_clear()
+        assert main(["run", "-c", str(path)]) == 0
+    single = files()
+    cli._topology.cache_clear()
+    assert main(["run", *(a for path in paths for a in ("-c", str(path))), "--jobs", str(jobs)]) == 0
+    if jobs == 1:
+        assert cli._topology.cache_info().hits == 1
+    assert len(single) == 3 * len(ARTIFACTS)
+    assert files() == single
+
+
 def test_run_multiple_configs_aggregates_failures(tmp_path):
     path1, _ = synthetic_config(tmp_path)
     missing = tmp_path / "missing.json"
@@ -591,6 +624,10 @@ def test_config_that_is_not_an_object_exit_2(tmp_path, capsys):
         ('input.synthetic.x="a"', "input.synthetic.x must be an integer, got 'a'"),
         ("input.synthetic.seed=1.5", "input.synthetic.seed must be an integer, got 1.5"),
         ('simulator.overrides={"DISPARITY":{"bogus":1.0}}', "simulator.overrides.DISPARITY: unknown keys ['bogus']"),
+        (
+            'simulator.overrides={"DISPARITY":{"refractory_us":800.7}}',
+            "simulator.overrides.DISPARITY.refractory_us must be an integer, got 800.7",
+        ),
         ('preprocess.enabled="no"', "preprocess.enabled must be a boolean, got 'no'"),
         ("simulator.tau_m=true", "simulator.tau_m must be a number, got True"),
         ("seed=1.5", "seed must be an integer, got 1.5"),
@@ -792,7 +829,7 @@ def test_readout_csvs_of_an_empty_record(tmp_path):
     empty = np.zeros(0, dtype=np.int64)
     record = SpikeRecord(empty, empty, empty.astype(np.int8), 0, 0, 0, {})
     cli.write_spike_csv(record, str(tmp_path / "spikes.csv"))
-    cli._write_rates_csv(record, topo, 50_000, 3, str(tmp_path / "rates.csv"))
+    cli._write_rates_csv(cli._population_rates(record, topo, 50_000, 3), topo, str(tmp_path / "rates.csv"))
     cli._write_disparity_hist_csv(record, topo, 50_000, 3, str(tmp_path / "hist.csv"))
     cli._write_mean_rates_csv(record, topo, str(tmp_path / "mean.csv"))
     assert (tmp_path / "spikes.csv").read_text() == "t_us,neuron_id,population\n"
@@ -815,7 +852,7 @@ def test_readout_floats_in_exponent_form(tmp_path):
     window_us = 10**11  # one spike in a window of 1e5 s is 1e-05 Hz
     ids = np.array([5], dtype=np.int64)
     record = SpikeRecord(np.array([3], dtype=np.int64), ids, topo.pop_code[ids], window_us, 0, 0, {})
-    cli._write_rates_csv(record, topo, window_us, 1, str(tmp_path / "rates.csv"))
+    cli._write_rates_csv(cli._population_rates(record, topo, window_us, 1), topo, str(tmp_path / "rates.csv"))
     cli._write_mean_rates_csv(record, topo, str(tmp_path / "mean.csv"))
     assert (tmp_path / "rates.csv").read_text().splitlines()[1:] == ["0,50000000000.0,COINC_EXC,5,1e-05"]
     assert (tmp_path / "mean.csv").read_text().splitlines()[2] == "COINC_EXC,5,0,0,0,1e-05"

@@ -108,18 +108,49 @@ def test_compiled_loop_equals_python_loop(lib, case):
     assert deliveries == python[2]
 
 
-def test_compiled_loop_equals_python_loop_on_a_busy_network(lib):
-    # enough spikes to grow the kernel's spike buffer and heap several times
+def busy_stream(n: int, duration_us: int) -> StereoEventStream:
+    """``n`` random events in row 4 of a 12x8 retina."""
     rng = np.random.default_rng(3)
-    n = 6000
     events = [
         DvsEvent(int(t), int(x), 4, 1, int(side))
-        for t, x, side in zip(np.sort(rng.integers(0, 300_000, n)), rng.integers(0, 12, n), rng.integers(0, 2, n))
+        for t, x, side in zip(np.sort(rng.integers(0, duration_us, n)), rng.integers(0, 12, n), rng.integers(0, 2, n))
     ]
+    return StereoEventStream.from_events(events, CameraGeometry(12, 8))
+
+
+def test_compiled_loop_equals_python_loop_on_a_busy_network(lib):
+    # enough spikes to grow the kernel's spike buffer and heap several times
     topology = build_topology(12, 8, 5)
-    stream = StereoEventStream.from_events(events, CameraGeometry(12, 8))
-    compiled, python = run_both(lib, topology, stream, LifParams(), MismatchModel(1, 0.2, 0.1))
+    compiled, python = run_both(lib, topology, busy_stream(6000, 300_000), LifParams(), MismatchModel(1, 0.2, 0.1))
     assert len(python[0]) > 10_000
+    assert np.array_equal(compiled[0], python[0])
+    assert np.array_equal(compiled[1], python[1])
+    assert compiled[2] == python[2]
+
+
+@pytest.mark.parametrize(
+    "params,mismatch,all_merge",
+    [
+        pytest.param(LifParams(), MismatchModel(), True, id="mismatch-off"),
+        pytest.param(
+            LifParams(overrides={**LifParams().overrides, Population.COINC_INH: {"threshold": 1.1}}),
+            MismatchModel(), False, id="coinc-inh-override",
+        ),
+        pytest.param(LifParams(), MismatchModel(1, 0.0, 0.1), False, id="threshold-jitter"),
+    ],
+)
+def test_merged_twins_equal_the_python_loop(lib, params, mismatch, all_merge):
+    # the kernel runs a twin pair with equal parameters and input as one
+    # neuron; the Python loop never merges
+    topology = build_topology(12, 8, 5)
+    twins = _Network(topology, params, mismatch).twins
+    exc = topology.population_ids(Population.COINC_EXC)
+    if all_merge:
+        assert np.array_equal(twins, np.stack([exc, exc + len(exc)], axis=1))
+    else:
+        assert len(twins) == 0
+    compiled, python = run_both(lib, topology, busy_stream(1500, 300_000), params, mismatch)
+    assert python[1][np.isin(python[1], exc + len(exc))].size > 1000  # the shadows fire
     assert np.array_equal(compiled[0], python[0])
     assert np.array_equal(compiled[1], python[1])
     assert compiled[2] == python[2]
