@@ -194,15 +194,15 @@ def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray, final_state
     input events, with ``net.twins`` merged. Returns (spike times, spike ids,
     deliveries), or None where only the Python loop reproduces the result
     exactly. A float64 ``final_state`` of 2n + m values receives the final
-    v, s (n values each) and the saturating synapses' values (m)."""
+    v, s (n values each) and the saturating synapses' values (m).
+
+    The synapse tables and the twins of ``net`` are its topology's, whose
+    ``syn_start`` checks them once: ids in range and the CSR monotone; twin
+    pairs disjoint, each shadow after its excitatory neuron, by
+    construction. Here only what varies per run is checked."""
     n, m = len(net.tau_m), len(net.adj_post)
-    if len(net.adj_start) != n + 1 or net.adj_start[0] != 0 or net.adj_start[-1] != m or np.any(np.diff(net.adj_start) < 0):
-        raise ValueError("malformed synapse table")
-    for ids, bound in ((net.adj_post, n), (ev_src, n), (net.twins, n), (net.twin_synapses, m)):
-        if ids.size and (ids.min() < 0 or ids.max() >= bound):
-            raise ValueError("neuron or synapse id out of range")
-    if np.any(np.bincount(net.twins.ravel(), minlength=n) > 1) or np.any(net.twins[:, 0] >= net.twins[:, 1]):
-        raise ValueError("twin pairs must be disjoint, each shadow after its excitatory neuron")
+    if ev_src.size and (ev_src.min() < 0 or ev_src.max() >= n):
+        raise ValueError("input neuron id out of range")
     tau_idx = np.concatenate([net.tau_m_idx, net.tau_s_idx])
     if len(tau_idx) and (tau_idx.min() < 0 or tau_idx.max() >= len(net.taus)):
         raise ValueError("time constant index out of range")

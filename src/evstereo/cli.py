@@ -267,27 +267,80 @@ def _run_one_safe(config_path: str, overrides: list[str], auto_crop: bool) -> in
         return 1
 
 
+def _run_forked(configs: list[str], overrides: list[str], auto_crop: bool, jobs: int) -> int:
+    """Run ``configs`` on up to ``jobs`` forked workers, each taking the
+    next config index from one pipe (4-byte records) until end-of-file; the
+    largest exit code. A worker that dies fails only the config it ran."""
+    sys.stdout.flush()  # else each worker would inherit, and print again, what is buffered
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    pids = []
+    # the forked workers share the parent's heap until they write to it;
+    # frozen, its objects are left out of the workers' garbage collections,
+    # which would otherwise copy every page they visit
+    gc.freeze()
+    try:
+        for _ in range(min(jobs, len(configs))):
+            try:
+                pid = os.fork()
+            except OSError:
+                if not pids:
+                    raise
+                break  # the workers already running take every config
+            if pid == 0:
+                code = 1  # also where an exception escapes _run_one_safe
+                try:
+                    os.close(write_fd)  # else this worker's own copy would hold off end-of-file
+                    worst = 0
+                    while record := os.read(read_fd, 4):
+                        i = int.from_bytes(record, "little")
+                        worst = max(worst, _run_one_safe(configs[i], overrides, auto_crop))
+                    code = worst
+                finally:
+                    try:
+                        sys.stdout.flush()
+                        sys.stderr.flush()
+                    finally:
+                        os._exit(code)  # a worker never returns into the caller
+            pids.append(pid)
+    finally:
+        gc.unfreeze()
+        os.close(read_fd)
+        # written once the workers run, so a batch larger than the pipe's buffer
+        # cannot block; in writes of 512 bytes, which POSIX makes atomic, so no
+        # worker reads part of a record
+        records = b"".join(i.to_bytes(4, "little") for i in range(len(configs)))
+        try:
+            for start in range(0, len(records), 512):
+                os.write(write_fd, records[start:start + 512])
+        except BrokenPipeError:  # no worker is left to read; waitpid reports them
+            pass
+        finally:
+            os.close(write_fd)
+    codes = [0]
+    for pid in pids:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code not in (0, 1, 2):
+            how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            print(f"error (run): worker {pid} {how}", file=sys.stderr)
+            code = 1
+        codes.append(code)
+    return max(codes)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
+    """Run each ``-c`` config; the largest exit code. A single config runs
+    in this process and its errors propagate to ``main``. A batch reports
+    each failing config and goes on with the rest: serially, or with
+    ``--jobs N`` on up to N forked workers (serially where ``os.fork`` does
+    not exist)."""
     configs: list[str] = args.config
     overrides = args.set or []
     if len(configs) == 1:
         return _run_one(configs[0], overrides, args.auto_crop)
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        codes = [_run_one_safe(c, overrides, args.auto_crop) for c in configs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # the forked workers share the parent's heap until they write to it;
-        # frozen, its objects are left out of the workers' garbage
-        # collections, which would otherwise copy every page they visit
-        gc.freeze()
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                codes = list(pool.map(_run_one_safe, configs, [overrides] * len(configs), [args.auto_crop] * len(configs)))
-        finally:
-            gc.unfreeze()
-    return max(codes)
+    if args.jobs > 1 and hasattr(os, "fork"):
+        return _run_forked(configs, overrides, args.auto_crop, args.jobs)
+    return max(_run_one_safe(c, overrides, args.auto_crop) for c in configs)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -384,7 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--auto-crop", action="store_true",
         help="centre the crop on the event centroid of the first second",
     )
-    run.add_argument("--jobs", type=int, default=1, help="run multiple configs concurrently")
+    run.add_argument(
+        "--jobs", type=int, default=1,
+        help="run the configs on up to N forked workers, each taking the next config in turn "
+        "(serially where os.fork does not exist)",
+    )
     sub.add_parser("synth", parents=[common], help="generate stimulus event files + ground truth")
     topo = sub.add_parser("topology", parents=[common], help="build/check/export the network")
     topo.add_argument(
@@ -418,5 +475,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def console_main() -> None:
+    """The ``evstereo`` command (and ``python -m evstereo.cli``): ``main``,
+    then exit with its code. The heap is frozen first, so that the
+    interpreter's exit does not collect it (about 25 ms of every run); each
+    file a command writes is closed by then, and the standard streams are
+    flushed at exit regardless."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -22,7 +22,8 @@ TRACE_CSV_HEADER = "window_i,t_center_us,d_mean,d_min,d_max,n_joints"
 
 
 class GroundTruthFormatError(ValueError):
-    """Malformed marker or trace CSV; the message starts with ``<path>:<line>:``."""
+    """Malformed marker or trace CSV, or calibration JSON; the message starts
+    with ``<path>:<line>:`` (``<path>:`` for the JSON, then the key at fault)."""
 
 
 @dataclass
@@ -230,13 +231,39 @@ def read_marker_csv(path: str) -> list[MarkerTrack3D]:
 
 
 def read_calibration_json(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Calibration file: {"left": 3x4 nested list, "right": 3x4 nested list}."""
+    """Calibration file: {"left": 3x4 nested list, "right": 3x4 nested list}
+    of finite numbers."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # broken JSON or text that is not UTF-8
+            raise GroundTruthFormatError(f"{path}: not a JSON document: {exc}") from None
+    if not isinstance(data, dict):
+        raise GroundTruthFormatError(f"{path}: expected an object with keys 'left' and 'right', got {_clip(data)}")
+    return _projection_matrix(path, data, "left"), _projection_matrix(path, data, "right")
+
+
+def _projection_matrix(path: str, data: dict, key: str) -> np.ndarray:
+    if key not in data:
+        raise GroundTruthFormatError(f"{path}: missing projection matrix '{key}'")
+    rows = data[key]
+    if not (isinstance(rows, list) and len(rows) == 3 and all(isinstance(r, list) and len(r) == 4 for r in rows)):
+        raise GroundTruthFormatError(f"{path}: {key}: projection matrix must be 3 rows of 4 numbers, got {_clip(rows)}")
+    if not all(type(v) in (int, float) for r in rows for v in r):
+        raise GroundTruthFormatError(f"{path}: {key}: projection matrix entries must be numbers, got {_clip(rows)}")
     try:
-        return check_projection_matrix(np.array(data["left"])), check_projection_matrix(np.array(data["right"]))
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing projection matrix {exc}") from None
+        P = np.array(rows, dtype=np.float64)
+        finite = np.isfinite(P).all()
+    except OverflowError:  # an integer beyond float64
+        finite = False
+    if not finite:
+        raise GroundTruthFormatError(f"{path}: {key}: projection matrix entries must be finite, got {_clip(rows)}")
+    return P
+
+
+def _clip(value, limit: int = 80) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
 def write_trace_csv(trace: DisparityTrace, path: str) -> None:
@@ -271,6 +298,10 @@ def read_trace_csv(path: str) -> DisparityTrace:
                 n_joints[i] = int(fields[5])
         except (ValueError, OverflowError) as exc:
             raise GroundTruthFormatError(f"{path}:{i + 2}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(centers))
+    if len(bad):
+        i = int(bad[0])
+        raise GroundTruthFormatError(f"{path}:{i + 2}: t_center_us must be finite, got {lines[i + 1].split(',')[1]!r}")
     window_us = int(round(centers[0] * 2))
     return DisparityTrace(
         window_us=window_us,

@@ -232,42 +232,28 @@ class _Network:
             weights = weights * np.maximum(1.0 + mismatch.weight_sigma * rng_w.standard_normal(len(weights)), 0.0)
         self.adj_weight = weights
         self.adj_sat = topology.syn_saturating
-        self.adj_start = np.searchsorted(topology.syn_pre, np.arange(n + 1))
+        self.adj_start = topology.syn_start
         self.twins, self.twin_synapses = self._merged_twins(topology)
 
     def _merged_twins(self, topology: Topology) -> tuple[np.ndarray, np.ndarray]:
         """The coincidence twins the compiled loop runs as one neuron: rows
         (COINC_EXC id, COINC_INH id), and rows (synapse into the first,
         synapse into the second) pairing their inputs. A pair merges when its
-        parameters are equal bit for bit and its inputs pair up: of the
-        synapses into COINC_EXC and into COINC_INH, each taken in table
-        (delivery) order, the k-th of both must end at the pair and share
-        the pre, a neuron without in-synapses, the weight bits and the
-        saturating flag. Then both twins take the same deliveries at the
-        same instants, and no spike reaches one of them between their spikes
-        at one microsecond."""
+        parameters are equal bit for bit and its inputs pair up: by structure
+        (``Topology.twin_inputs``, once per topology) and in the weight bits
+        of this run. Then both twins take the same deliveries at the same
+        instants, and no spike reaches one of them between their spikes at
+        one microsecond."""
         exc = topology.population_ids(Population.COINC_EXC)
         inh = exc + len(exc)
-        same = (self.refr[exc] == self.refr[inh]) & (self.equal_tau[exc] == self.equal_tau[inh])
+        synapses, pair_of, paired = topology.twin_inputs
+        same = paired & (self.refr[exc] == self.refr[inh]) & (self.equal_tau[exc] == self.equal_tau[inh])
         for values in (self.tau_m, self.tau_s, self.gain, self.theta, self.reset, self.floor, self.coef):
             bits = values.view(np.uint64)
             same &= bits[exc] == bits[inh]
-        post = self.adj_post
-        into_e = np.flatnonzero((post >= exc[0]) & (post <= exc[-1]))
-        into_i = np.flatnonzero((post >= inh[0]) & (post <= inh[-1]))
-        if len(into_e) != len(into_i):
-            return np.zeros((0, 2), np.int64), np.zeros((0, 2), np.int64)
-        pre, weight = topology.syn_pre, self.adj_weight.view(np.uint64)
-        in_degree = np.bincount(post, minlength=topology.n_neurons)
-        match = (
-            (post[into_e] + len(exc) == post[into_i]) & (pre[into_e] == pre[into_i])
-            & (weight[into_e] == weight[into_i]) & (self.adj_sat[into_e] == self.adj_sat[into_i])
-            & (in_degree[pre[into_e]] == 0)
-        )
-        same[post[into_e[~match]] - exc[0]] = False
-        same[post[into_i[~match]] - inh[0]] = False
-        rows = same[post[into_e] - exc[0]]
-        return np.stack([exc[same], inh[same]], axis=1), np.stack([into_e[rows], into_i[rows]], axis=1)
+        weight = self.adj_weight.view(np.uint64)
+        same[pair_of[weight[synapses[:, 0]] != weight[synapses[:, 1]]]] = False
+        return np.stack([exc[same], inh[same]], axis=1), synapses[same[pair_of]]
 
 
 class _Engine:

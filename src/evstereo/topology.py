@@ -232,6 +232,54 @@ class Topology:
         tri = slice(self.offsets[Population.DISPARITY], None)
         return tuple(map(NeuronCoord, self.x_cyc[tri].tolist(), self.y[tri].tolist(), self.d[tri].tolist()))
 
+    @functools.cached_property
+    def syn_start(self) -> np.ndarray:
+        """Where each neuron's efferent synapses start in the tables, which
+        are sorted by pre: those of neuron ``i`` are rows
+        ``syn_start[i]:syn_start[i + 1]``. Built on first use and checked
+        once, with the post ids, for the compiled event loop, which indexes
+        with both unchecked."""
+        start = np.searchsorted(self.syn_pre, np.arange(self.n_neurons + 1))
+        post = self.syn_post
+        if start[0] != 0 or start[-1] != len(post) or np.any(np.diff(start) < 0):
+            raise ValueError("malformed synapse table")
+        if post.size and (post.min() < 0 or post.max() >= self.n_neurons):
+            raise ValueError("synapse post id out of range")
+        start.setflags(write=False)
+        return start
+
+    @functools.cached_property
+    def twin_inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """How the inputs of the coincidence twins (COINC_EXC id ``e`` and
+        COINC_INH id ``e + counts[COINC_EXC]``, pair ``k`` for the ``k``-th
+        COINC_EXC id) pair up by structure alone: ``(synapses, pair_of,
+        paired)``. Row ``j`` of ``synapses`` is (the ``j``-th synapse into
+        COINC_EXC, the ``j``-th into COINC_INH), each in table (delivery)
+        order, and ``pair_of[j]`` the pair its first ends at; the rows are
+        empty where the two counts differ. ``paired[k]`` holds where every
+        row at pair ``k`` ends at both its twins, shares the pre, a neuron
+        without in-synapses, and the saturating flag. Built on first use."""
+        exc = self.population_ids(Population.COINC_EXC)
+        post, pre, sat = self.syn_post, self.syn_pre, self.syn_saturating
+        into_e = np.flatnonzero((post >= exc[0]) & (post <= exc[-1]))
+        into_i = np.flatnonzero((post >= exc[0] + len(exc)) & (post <= exc[-1] + len(exc)))
+        paired = np.zeros(len(exc), dtype=bool)
+        if len(into_e) == len(into_i):
+            in_degree = np.bincount(post, minlength=self.n_neurons)
+            match = (
+                (post[into_e] + len(exc) == post[into_i]) & (pre[into_e] == pre[into_i])
+                & (sat[into_e] == sat[into_i]) & (in_degree[pre[into_e]] == 0)
+            )
+            paired[:] = True
+            paired[post[into_e[~match]] - exc[0]] = False
+            paired[post[into_i[~match]] - exc[0] - len(exc)] = False
+        else:
+            into_e = into_i = into_e[:0]
+        synapses, pair_of = np.stack([into_e, into_i], axis=1), post[into_e] - exc[0]
+        for arr in (synapses, pair_of, paired):
+            arr.setflags(write=False)
+        return synapses, pair_of, paired
+
     def population_of(self, neuron_id: int) -> Population:
         if not 0 <= neuron_id < self.n_neurons:
             raise KeyError(f"unknown neuron id {neuron_id}")

@@ -1,13 +1,18 @@
 import dataclasses
+import io
 import json
 import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evstereo
 from evstereo import _native
 from evstereo.cli import main
 from evstereo.config import (
@@ -393,6 +398,124 @@ def test_run_multiple_configs_aggregates_failures(tmp_path):
     assert (tmp_path / "out" / "metrics.json").exists()
 
 
+def batch_configs(tmp_path, names):
+    """A synthetic config per name, each writing to ``tmp_path / name``; the
+    ``-c`` arguments of a batch of them."""
+    _, cfg = synthetic_config(tmp_path)
+    args = []
+    for k, name in enumerate(names):
+        one = json.loads(json.dumps(cfg))
+        one["input"]["synthetic"]["keyframes"] = [[0, float(k - 1)]]
+        one["output_dir"] = str(tmp_path / name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(one))
+        args += ["-c", str(path)]
+    return args
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="--jobs runs serially without os.fork")
+
+
+@needs_fork
+def test_worker_killed_mid_config_fails_only_that_config(tmp_path, monkeypatch, capfd):
+    from evstereo import cli
+
+    run_one, victim, pid_file = cli._run_one, str(tmp_path / "b.json"), tmp_path / "killed.pid"
+
+    def run_or_die(config_path, overrides, auto_crop):
+        if config_path == victim:
+            pid_file.write_text(str(os.getpid()))
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_one(config_path, overrides, auto_crop)
+
+    monkeypatch.setattr(cli, "_run_one", run_or_die)
+    assert main(["run", *batch_configs(tmp_path, "abc"), "--jobs", "2"]) == 1
+    err = capfd.readouterr().err
+    assert f"error (run): worker {pid_file.read_text()} killed by signal {int(signal.SIGKILL)}" in err, err
+    for name in "ac":
+        assert sorted(f.name for f in (tmp_path / name).iterdir()) == sorted(ARTIFACTS)
+    assert not (tmp_path / "b").exists()
+
+
+@needs_fork
+def test_output_buffered_before_a_batch_prints_once(tmp_path, monkeypatch, capfd):
+    # block-buffered, unlike the capture's own stream: what the parent has
+    # not flushed before it forks, each worker would print again
+    buffered = io.TextIOWrapper(open(os.dup(1), "wb"))
+    monkeypatch.setattr(sys, "stdout", buffered)
+    try:
+        print("printed before the batch")
+        assert main(["run", *batch_configs(tmp_path, "ab"), "--jobs", "2"]) == 0
+    finally:
+        monkeypatch.undo()
+        buffered.close()
+    out = capfd.readouterr().out
+    assert out.count("printed before the batch") == 1
+    assert out.count("sample: dot-fixture") == 2
+
+
+@needs_fork
+def test_more_jobs_than_configs_runs_each_config_once(tmp_path, monkeypatch):
+    from evstereo import cli
+
+    log = tmp_path / "log"
+
+    def record(config_path, overrides, auto_crop):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, f"{os.getpid()} {config_path}\n".encode())
+        os.close(fd)
+        return 0
+
+    monkeypatch.setattr(cli, "_run_one", record)
+    assert main(["run", *batch_configs(tmp_path, "ab"), "--jobs", "8"]) == 0
+    pids, paths = zip(*(line.split(" ", 1) for line in log.read_text().splitlines()))
+    assert sorted(paths) == [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    assert os.getpid() not in map(int, pids) and len(set(pids)) <= 2
+
+
+def test_jobs_without_fork_runs_serially(tmp_path, monkeypatch):
+    from evstereo import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "_run_one", lambda config_path, overrides, auto_crop: ran.append(config_path) or 0)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert main(["run", *batch_configs(tmp_path, "ab"), "--jobs", "2"]) == 0
+    assert ran == [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+
+
+def src_on_path() -> dict:
+    """The environment of a child interpreter that imports this evstereo."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evstereo.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_module_entry_exits_with_the_code_of_main(tmp_path):
+    cmd = [sys.executable, "-m", "evstereo.cli", "run", "-c", str(tmp_path / "missing.json")]
+    proc = subprocess.run(cmd, env=src_on_path(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error (run): ")
+
+
+def test_batch_loads_no_process_pool(tmp_path):
+    code = (
+        "import sys\n"
+        "from evstereo.cli import main\n"
+        "def pools():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing'))\n"
+        "print('imported', pools())\n"
+        "rc = main(sys.argv[1:])\n"
+        "print('ran', rc, pools())\n"
+    )
+    argv = ["run", *batch_configs(tmp_path, "ab"), "--jobs", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=src_on_path(), capture_output=True, text=True, timeout=300
+    )
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0, proc.stderr
+    assert (lines[0], lines[-1]) == ("imported []", "ran 0 []")
+    assert all((tmp_path / name / "metrics.json").exists() for name in "ab")
+
+
 # ------------------------------------------------------------- config unit
 
 def test_apply_overrides_parses_json_values():
@@ -707,8 +830,14 @@ def run_and_trace(tmp_path):
         (lambda rows: rows[:2] + ["1,75000.0,abc,1.0,3.0,1"] + rows[3:], 3, "could not convert string to float: 'abc'"),
         (lambda rows: rows[:2] + ["1,abc,,,,0"] + rows[3:], 3, "could not convert string to float: 'abc'"),
         (lambda rows: rows[:2] + ["1,75000.0,2.0,2.0,2.0,x"] + rows[3:], 3, "invalid literal for int()"),
+        (lambda rows: rows[:1] + ["0,nan,,,,0"] + rows[2:], 2, "t_center_us must be finite, got 'nan'"),
+        (lambda rows: rows[:2] + ["1,inf,,,,0"] + rows[3:], 3, "t_center_us must be finite, got 'inf'"),
+        (lambda rows: rows[:1] + ["0,-inf,,,,0"] + rows[2:], 2, "t_center_us must be finite, got '-inf'"),
     ],
-    ids=["header", "no-rows", "ragged", "d-not-a-number", "centre-not-a-number", "n-joints-not-an-integer"],
+    ids=[
+        "header", "no-rows", "ragged", "d-not-a-number", "centre-not-a-number", "n-joints-not-an-integer",
+        "centre-nan", "centre-inf", "centre-minus-inf",
+    ],
 )
 def test_eval_malformed_trace_exit_2_with_line(tmp_path, capsys, edit, line, message):
     path, spikes, trace = run_and_trace(tmp_path)
@@ -744,6 +873,59 @@ def test_run_marker_csv_bad_header_exit_2(tmp_path, capsys):
     path = file_config(tmp_path, left, right, markers, calib)
     assert main(["run", "-c", str(path)]) == 2
     assert f"config error (run): {markers}:1: expected header" in capsys.readouterr().err
+
+
+IDENTITY = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        pytest.param('{"left": ', "not a JSON document: ", id="broken-json"),
+        pytest.param("[1,2]", "expected an object with keys 'left' and 'right', got [1, 2]", id="not-an-object"),
+        pytest.param(json.dumps({"left": IDENTITY}), "missing projection matrix 'right'", id="missing-right"),
+        pytest.param(json.dumps({"right": IDENTITY}), "missing projection matrix 'left'", id="missing-left"),
+        pytest.param(
+            json.dumps({"left": "abc", "right": IDENTITY}),
+            'left: projection matrix must be 3 rows of 4 numbers, got "abc"', id="not-a-matrix",
+        ),
+        pytest.param(
+            json.dumps({"left": IDENTITY, "right": [[1, 0, 0, "a"], [0, 1, 0, 0], [0, 0, 1, 0]]}),
+            "right: projection matrix entries must be numbers", id="non-numeric",
+        ),
+        pytest.param(
+            json.dumps({"left": IDENTITY, "right": [[1, 0, 0, True], [0, 1, 0, 0], [0, 0, 1, 0]]}),
+            "right: projection matrix entries must be numbers", id="boolean",
+        ),
+        pytest.param(
+            json.dumps({"left": [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0]], "right": IDENTITY}),
+            "left: projection matrix must be 3 rows of 4 numbers", id="ragged",
+        ),
+        pytest.param(
+            json.dumps({"left": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "right": IDENTITY}),
+            "left: projection matrix must be 3 rows of 4 numbers", id="wrong-shape",
+        ),
+        pytest.param(
+            '{"left": [[1, 0, 0, NaN], [0, 1, 0, 0], [0, 0, 1, 0]], "right": %s}' % IDENTITY,
+            "left: projection matrix entries must be finite", id="nan",
+        ),
+        pytest.param(
+            '{"left": %s, "right": [[1, 0, 0, 1e400], [0, 1, 0, 0], [0, 0, 1, 0]]}' % IDENTITY,
+            "right: projection matrix entries must be finite", id="overflowing-float",
+        ),
+        pytest.param(
+            '{"left": %s, "right": [[1, 0, 0, 1%s], [0, 1, 0, 0], [0, 0, 1, 0]]}' % (IDENTITY, "0" * 400),
+            "right: projection matrix entries must be finite", id="overflowing-integer",
+        ),
+    ],
+)
+def test_run_malformed_calibration_exit_2_naming_the_key(tmp_path, capsys, text, message):
+    left, right, markers, calib = write_file_fixture(tmp_path)
+    calib.write_text(text)
+    path = file_config(tmp_path, left, right, markers, calib)
+    assert main(["run", "-c", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error (run): {calib}: {message}" in err, err
 
 
 # ---------------------------------------------------- readout artifact content
