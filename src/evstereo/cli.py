@@ -55,7 +55,6 @@ from .simulator import (
 )
 from .synth import gen_stimulus
 from .topology import (
-    HardwareLimits,
     Population,
     Topology,
     WeightParams,
@@ -223,7 +222,6 @@ def _run_one(config_path: str, overrides: list[str], auto_crop: bool) -> int:
         for name in ("d_mean", "d_min", "d_max"):
             setattr(trace, name, np.concatenate([getattr(trace, name), np.full(pad, np.nan)]))
         trace.n_joints = np.concatenate([trace.n_joints, np.zeros(pad, dtype=np.int64)])
-        trace.per_joint = np.hstack([trace.per_joint, np.full((trace.per_joint.shape[0], pad), np.nan)])
 
     rates = _population_rates(record, topology, cfg.analysis.window_us, n_windows)
     report = build_report(
@@ -364,16 +362,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_topology(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.set or [])
-    limits = HardwareLimits()
     if args.hardware_budget:
-        best = largest_feasible_d_max(cfg.topology.retina_width, cfg.topology.retina_height, limits, cfg.topology.weights)
+        best = largest_feasible_d_max(cfg.topology.retina_width, cfg.topology.retina_height, cfg.topology.weights)
         if best is None:
             print("no disparity band fits the hardware budget")
             return 1
         print(f"largest feasible d_max under hardware limits: {best}")
         cfg.topology.d_max = best
     topology = _build_topology(cfg)
-    report = check_hardware_constraints(topology, limits)
+    report = check_hardware_constraints(topology)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     topology.write_json(os.path.join(out, "topology.json"))

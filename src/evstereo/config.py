@@ -9,7 +9,7 @@ import os
 from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Any
 
-from .events import CameraGeometry
+from .events import DAVIS_GEOMETRY, CameraGeometry, read_text
 from .metrics import PCD_GLOBAL, PCD_PER_WINDOW_MEAN, EnergyCoefficients
 from .preprocess import PreprocessConfig, Rect
 from .simulator import LifParams, MismatchModel, NeuronParams
@@ -62,7 +62,7 @@ class RunConfig:
     input: InputConfig = field(default_factory=InputConfig)
     preprocess_enabled: bool = True
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
-    full_geometry: CameraGeometry = field(default_factory=lambda: CameraGeometry(346, 260))
+    full_geometry: CameraGeometry = DAVIS_GEOMETRY
     topology: TopologyConfig = field(default_factory=TopologyConfig)
     simulator: LifParams = field(default_factory=LifParams)
     mismatch: MismatchModel | None = None
@@ -103,16 +103,17 @@ class RunConfig:
                 raise ConfigError(
                     "file input requires input.markers and input.calibration for ground truth"
                 )
-            try:
-                self.preprocess.validate(self.full_geometry)
-            except ValueError as exc:
-                raise ConfigError(f"preprocess: {exc}") from None
-            cw, ch = self.preprocess.crop_size
-            if (cw, ch) != (self.topology.retina_width, self.topology.retina_height):
-                raise ConfigError(
-                    f"preprocess crop size {cw}x{ch} must equal the retina "
-                    f"{self.topology.retina_width}x{self.topology.retina_height}"
-                )
+            if self.preprocess_enabled:  # else the run checks the input's geometry against the retina
+                try:
+                    self.preprocess.validate(self.full_geometry)
+                except ValueError as exc:
+                    raise ConfigError(f"preprocess: {exc}") from None
+                cw, ch = self.preprocess.crop_size
+                if (cw, ch) != (self.topology.retina_width, self.topology.retina_height):
+                    raise ConfigError(
+                        f"preprocess crop size {cw}x{ch} must equal the retina "
+                        f"{self.topology.retina_width}x{self.topology.retina_height}"
+                    )
         if self.analysis.window_us <= 0:
             raise ConfigError("analysis.window_us must be > 0")
         if self.analysis.eps_d < 0:
@@ -391,7 +392,7 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
         keys = path.split(".")
         try:
             value: Any = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # also an integer too long to convert
             value = raw
         node = data
         for k in keys[:-1]:
@@ -405,11 +406,11 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
 def load_config(path: str, overrides: list[str] | None = None) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    text = read_text(path, ConfigError)
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # also an integer too long to convert
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if overrides:
         data = apply_overrides(data, overrides)
     return config_from_dict(data)

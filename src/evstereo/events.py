@@ -44,7 +44,8 @@ class CameraGeometry:
         return 0 <= x < self.width and 0 <= y < self.height
 
 
-#: Full-resolution geometry of the DAVIS cameras used for the recordings.
+#: Full-resolution geometry of the DAVIS cameras used for the recordings, the
+#: default of ``preprocess.full_geometry``.
 DAVIS_GEOMETRY = CameraGeometry(346, 260)
 
 
@@ -213,14 +214,23 @@ def parse_event_file(path: str, geometry: CameraGeometry, side: int | None = Non
         data = fh.read()
     stream = _parse_plain_event_bytes(data, geometry, side)
     if stream is None:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # the line holding the bad byte, with line ends as splitlines() sees them
-            lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
-            raise EventFormatError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-        stream = _parse_event_lines(path, text, geometry, side)
+        stream = _parse_event_lines(path, read_text(path, EventFormatError, data), geometry, side)
     return stream
+
+
+def read_text(path: str, error: type[ValueError], data: bytes | None = None) -> str:
+    """The text of the UTF-8 file ``path`` (``data``: its bytes, if read
+    already). A byte that is not UTF-8 raises ``error`` with
+    ``<path>:<line>: not UTF-8 text: ...``, its line counted as
+    ``str.splitlines`` counts lines."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise error(f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 _PLAIN_HEADERS = ((EVENT_CSV_HEADER.encode() + b"\n", True), (b"t_us,x,y,p\n", False))

@@ -10,11 +10,12 @@ Ground truth keeps sub-pixel precision end to end; only events are integer.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .events import CameraGeometry, write_csv
+from .events import CameraGeometry, read_text, write_csv
 from .simulator import window_centers_us, window_count
 
 MARKER_CSV_HEADER = "t_us,joint,X_mm,Y_mm,Z_mm"
@@ -63,8 +64,6 @@ class DisparityTrace:
     d_min: np.ndarray
     d_max: np.ndarray
     n_joints: np.ndarray
-    per_joint: np.ndarray  # (n_joints, n_windows), NaN where invisible
-    joints: tuple[str, ...]
 
     @property
     def n_windows(self) -> int:
@@ -191,8 +190,6 @@ def disparity_trajectory(
         d_min=d_min,
         d_max=d_max,
         n_joints=n_vis.astype(np.int64),
-        per_joint=per_joint,
-        joints=joints,
     )
 
 
@@ -200,10 +197,11 @@ def disparity_trajectory(
 
 
 def read_marker_csv(path: str) -> list[MarkerTrack3D]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, GroundTruthFormatError).splitlines()
     if not lines or lines[0] != MARKER_CSV_HEADER:
         raise GroundTruthFormatError(f"{path}:1: expected header '{MARKER_CSV_HEADER}'")
+    if len(lines) == 1:
+        raise GroundTruthFormatError(f"{path}:1: no marker rows after the header")
     samples: dict[str, list[tuple[int, float, float, float]]] = {}
     for i, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
@@ -215,6 +213,9 @@ def read_marker_csv(path: str) -> list[MarkerTrack3D]:
             raise GroundTruthFormatError(f"{path}:{i}: {exc}") from None
         if not -(2**63) <= sample[0] < 2**63:
             raise GroundTruthFormatError(f"{path}:{i}: timestamp {fields[0]} exceeds the 64-bit range")
+        for name, value, text in zip(("X_mm", "Y_mm", "Z_mm"), sample[1:], fields[2:]):
+            if not math.isfinite(value):
+                raise GroundTruthFormatError(f"{path}:{i}: {name} must be finite, got {text!r}")
         samples.setdefault(fields[1], []).append(sample)
     tracks = []
     for joint, rows in samples.items():
@@ -232,12 +233,12 @@ def read_marker_csv(path: str) -> list[MarkerTrack3D]:
 
 def read_calibration_json(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Calibration file: {"left": 3x4 nested list, "right": 3x4 nested list}
-    of finite numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # broken JSON or text that is not UTF-8
-            raise GroundTruthFormatError(f"{path}: not a JSON document: {exc}") from None
+    of finite numbers, in UTF-8."""
+    text = read_text(path, GroundTruthFormatError)
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise GroundTruthFormatError(f"{path}: not a JSON document: {exc}") from None
     if not isinstance(data, dict):
         raise GroundTruthFormatError(f"{path}: expected an object with keys 'left' and 'right', got {_clip(data)}")
     return _projection_matrix(path, data, "left"), _projection_matrix(path, data, "right")
@@ -275,8 +276,7 @@ def write_trace_csv(trace: DisparityTrace, path: str) -> None:
 
 
 def read_trace_csv(path: str) -> DisparityTrace:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, GroundTruthFormatError).splitlines()
     if not lines or lines[0] != TRACE_CSV_HEADER:
         raise GroundTruthFormatError(f"{path}:1: expected header '{TRACE_CSV_HEADER}'")
     n = len(lines) - 1
@@ -309,6 +309,4 @@ def read_trace_csv(path: str) -> DisparityTrace:
         d_min=d_min,
         d_max=d_max,
         n_joints=n_joints,
-        per_joint=d_mean.reshape(1, -1).copy(),
-        joints=("aggregate",),
     )

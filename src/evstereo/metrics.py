@@ -26,7 +26,6 @@ class CoMTrace:
     """Firing-rate weighted mean encoded disparity per window; NaN where the
     window carries no spikes."""
 
-    population: str  # "C" or "D"
     window_us: int
     values: np.ndarray
 
@@ -37,9 +36,6 @@ class CoMTrace:
 
 @dataclass
 class SpikeLabelCounts:
-    population: str
-    window_us: int
-    eps_d: float
     td: np.ndarray  # int64 per window
     fd: np.ndarray
 
@@ -62,7 +58,7 @@ class EnergyCoefficients:
     e_delivery_pj: float = 120.0
 
 
-def center_of_mass(rates: RateMatrix, d_values: np.ndarray, population: str) -> CoMTrace:
+def center_of_mass(rates: RateMatrix, d_values: np.ndarray) -> CoMTrace:
     """com[t_i] = sum_n r_n[t_i] d_n / sum_n r_n[t_i], undefined at 0/0."""
     d_values = np.asarray(d_values, dtype=np.float64)
     if len(d_values) != rates.rates_hz.shape[0]:
@@ -71,7 +67,7 @@ def center_of_mass(rates: RateMatrix, d_values: np.ndarray, population: str) -> 
     values = np.full(rates.n_windows, np.nan)
     nz = totals > 0
     values[nz] = (d_values @ rates.rates_hz[:, nz]) / totals[nz]
-    return CoMTrace(population=population, window_us=rates.window_us, values=values)
+    return CoMTrace(window_us=rates.window_us, values=values)
 
 
 def rmse(com: CoMTrace, trace: DisparityTrace) -> float:
@@ -93,7 +89,6 @@ def label_spikes(
     trace: DisparityTrace,
     eps_d: float,
     populations: tuple[Population, ...],
-    label: str,
 ) -> SpikeLabelCounts:
     """Label each spike TD iff its neuron's encoded disparity lies in the
     closed band [d_min - eps, d_max + eps] of its window; spikes in windows
@@ -105,17 +100,16 @@ def label_spikes(
     fd = np.zeros(n_windows, dtype=np.int64)
     mask = record.for_population(*populations)
     if mask.any():
-        ids = record.neuron_ids[mask]
-        d_n = topology.disparity_of_ids(ids).astype(np.float64)
+        d_n = topology.disparity_of_ids(record.neuron_ids[mask]).astype(np.float64)
         wi = record.times[mask] // trace.window_us
         ok = (wi >= 0) & (wi < n_windows)
-        ids, d_n, wi = ids[ok], d_n[ok], wi[ok]
+        d_n, wi = d_n[ok], wi[ok]
         covered = trace.defined[wi]
         wi, d_n = wi[covered], d_n[covered]
         is_td = (d_n >= trace.d_min[wi] - eps_d) & (d_n <= trace.d_max[wi] + eps_d)
         np.add.at(td, wi[is_td], 1)
         np.add.at(fd, wi[~is_td], 1)
-    return SpikeLabelCounts(population=label, window_us=trace.window_us, eps_d=eps_d, td=td, fd=fd)
+    return SpikeLabelCounts(td=td, fd=fd)
 
 
 def pcd(counts: SpikeLabelCounts, mode: str = PCD_GLOBAL) -> float:
@@ -224,7 +218,7 @@ def build_report(
 
     rates_d = rates[Population.DISPARITY]
     d_vals_d = topology.disparity_of_ids(rates_d.neuron_ids)
-    com_d = center_of_mass(rates_d, d_vals_d, "D")
+    com_d = center_of_mass(rates_d, d_vals_d)
 
     rates_ce, rates_ci = rates[Population.COINC_EXC], rates[Population.COINC_INH]
     rates_c = RateMatrix(
@@ -233,12 +227,10 @@ def build_report(
         rates_hz=np.vstack([rates_ce.rates_hz, rates_ci.rates_hz]),
     )
     d_vals_c = topology.disparity_of_ids(rates_c.neuron_ids)
-    com_c = center_of_mass(rates_c, d_vals_c, "C")
+    com_c = center_of_mass(rates_c, d_vals_c)
 
-    labels_d = label_spikes(record, topology, trace, eps_d, (Population.DISPARITY,), "D")
-    labels_c = label_spikes(
-        record, topology, trace, eps_d, (Population.COINC_EXC, Population.COINC_INH), "C"
-    )
+    labels_d = label_spikes(record, topology, trace, eps_d, (Population.DISPARITY,))
+    labels_c = label_spikes(record, topology, trace, eps_d, (Population.COINC_EXC, Population.COINC_INH))
 
     def safe_pcd(counts):
         try:

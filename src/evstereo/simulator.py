@@ -38,7 +38,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .events import StereoEventStream, write_csv
+from .events import StereoEventStream, read_text, write_csv
 from .topology import Population, Topology
 
 SPIKE_CSV_HEADER = "t_us,neuron_id,population"
@@ -145,10 +145,15 @@ class SpikeRecord:
     duration_us: int
     input_events: int
     deliveries: int
-    counts: dict[Population, int]
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @property
+    def counts(self) -> dict[Population, int]:
+        """Spikes of each coincidence and disparity population, in that order."""
+        per_pop = np.bincount(self.populations, minlength=len(Population))
+        return {p: int(per_pop[p]) for p in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)}
 
     def for_population(self, *populations: Population) -> np.ndarray:
         """Boolean mask selecting spikes of the given populations."""
@@ -193,10 +198,10 @@ class _Network:
 
     def __init__(self, topology: Topology, params: LifParams, mismatch: MismatchModel | None):
         pop_params = [params.for_population(p) for p in Population]
-        code = topology.pop_code
+        sizes = [topology.counts[p] for p in Population]  # the populations are contiguous id ranges
 
         def per_neuron(values, dtype=np.float64) -> np.ndarray:
-            return np.array(values, dtype=dtype)[code]
+            return np.repeat(np.array(values, dtype=dtype), sizes)
 
         self.tau_m = per_neuron([pp.tau_m for pp in pop_params])
         self.tau_s = per_neuron([pp.tau_s for pp in pop_params])
@@ -468,20 +473,16 @@ def simulate(
         result = _Engine(net).run(stream.t.tolist(), ev_src.tolist())
     times, ids, deliveries = result
 
-    pops = topology.pop_code[ids]
-    per_pop = np.bincount(pops, minlength=len(Population))
-    counts = {p: int(per_pop[p]) for p in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)}
     dur = stream.duration if duration_us is None else duration_us
     if len(times):
         dur = max(dur, int(times.max()))
     return SpikeRecord(
         times=times,
         neuron_ids=ids,
-        populations=pops,
+        populations=topology.pop_code[ids],
         duration_us=dur,
         input_events=len(stream),
         deliveries=deliveries,
-        counts=counts,
     )
 
 
@@ -537,8 +538,7 @@ def read_spike_csv(path: str, topology: Topology, duration_us: int | None = None
     """Load a spike CSV back into a SpikeRecord, checking every row against
     the topology. Input-event and delivery counters are not stored in the
     CSV and read back as zero."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path, SpikeFormatError).splitlines()
     if not lines or lines[0] != SPIKE_CSV_HEADER:
         raise SpikeFormatError(f"{path}:1: expected header '{SPIKE_CSV_HEADER}'")
     rows = lines[1:]
@@ -568,9 +568,4 @@ def read_spike_csv(path: str, topology: Topology, duration_us: int | None = None
     check(topology.pop_code[ids] != pops, "neuron id does not belong to the named population")
 
     dur = duration_us if duration_us is not None else (int(times.max()) if n else 0)
-    per_pop = np.bincount(pops, minlength=len(Population))
-    counts = {p: int(per_pop[p]) for p in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)}
-    return SpikeRecord(
-        times=times, neuron_ids=ids, populations=pops, duration_us=dur,
-        input_events=0, deliveries=0, counts=counts,
-    )
+    return SpikeRecord(times=times, neuron_ids=ids, populations=pops, duration_us=dur, input_events=0, deliveries=0)

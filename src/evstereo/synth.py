@@ -194,8 +194,6 @@ def gen_stimulus(
         d_min=d_centers.copy(),
         d_max=d_centers.copy(),
         n_joints=np.ones(n_windows, dtype=np.int64),
-        per_joint=d_centers.reshape(1, -1).copy(),
-        joints=("target",),
     )
     return stream, trace
 

@@ -77,21 +77,6 @@ class NeuronCoord:
 
 
 @dataclass(frozen=True)
-class Synapse:
-    pre: int
-    post: int
-    sign: int  # EXC / INH
-    weight: float
-    kind: int  # FEEDFORWARD / RECURRENT
-
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError("synapse weight must be > 0")
-        if self.pre == self.post:
-            raise ValueError("self-connections are not allowed")
-
-
-@dataclass(frozen=True)
 class WeightParams:
     """Synaptic weights in units of the firing threshold.
 
@@ -112,20 +97,11 @@ class WeightParams:
                 raise ValueError(f"{name} must be > 0")
 
 
-@dataclass(frozen=True)
-class HardwareLimits:
-    """Per-neuron fan-in and neuron-count budget of the target processor:
-    64 fan-in entries per neuron, 256 neurons per core, 4 cores per chip,
-    3 chips on the board."""
-
-    max_fan_in: float = 64
-    neurons_per_core: float = 256
-    cores_per_chip: float = 4
-    chips: float = 3
-
-    @property
-    def neuron_budget(self) -> float:
-        return self.chips * self.cores_per_chip * self.neurons_per_core
+#: Per-neuron fan-in and neuron-count budget of the target processor: 64
+#: fan-in entries per neuron, 256 neurons per core, 4 cores per chip, 3 chips
+#: on the board.
+MAX_FAN_IN = 64
+NEURON_BUDGET = 3 * 4 * 256
 
 
 @dataclass
@@ -133,10 +109,10 @@ class ConstraintReport:
     fan_in_ok: bool
     budget_ok: bool
     max_fan_in_found: int
-    fan_in_limit: float
+    fan_in_limit: int
     violating_neurons: list[int]
     neuron_count: int
-    neuron_budget: float
+    neuron_budget: int
 
     @property
     def passed(self) -> bool:
@@ -409,16 +385,6 @@ class Topology:
     def n_synapses(self) -> int:
         return len(self.syn_pre)
 
-    def synapses(self):
-        for i in range(self.n_synapses):
-            yield Synapse(
-                pre=int(self.syn_pre[i]),
-                post=int(self.syn_post[i]),
-                sign=int(self.syn_sign[i]),
-                weight=float(self.syn_weight[i]),
-                kind=int(self.syn_kind[i]),
-            )
-
     def fan_in_counts(self) -> np.ndarray:
         return np.bincount(self.syn_post, minlength=self.n_neurons)
 
@@ -500,36 +466,31 @@ def build_topology(
     return Topology(retina_width, retina_height, d_max, weights, polarity_mode, continuity_radius)
 
 
-def check_hardware_constraints(topology: Topology, limits: HardwareLimits | None = None) -> ConstraintReport:
+def check_hardware_constraints(topology: Topology) -> ConstraintReport:
     """Count afferents per neuron and total (coincidence + disparity) neurons
-    against the hardware limits. Advisory only: the simulator runs either way.
-    Retina cells are camera pixels and do not consume neuron budget."""
-    limits = limits or HardwareLimits()
+    against ``MAX_FAN_IN`` and ``NEURON_BUDGET``. Advisory only: the simulator
+    runs either way. Retina cells are camera pixels and do not consume neuron
+    budget."""
     fan_in = topology.fan_in_counts()
-    over = np.flatnonzero(fan_in > limits.max_fan_in)
+    over = np.flatnonzero(fan_in > MAX_FAN_IN)
     n_on_chip = sum(
         topology.counts[p] for p in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)
     )
     return ConstraintReport(
         fan_in_ok=len(over) == 0,
-        budget_ok=n_on_chip <= limits.neuron_budget,
+        budget_ok=n_on_chip <= NEURON_BUDGET,
         max_fan_in_found=int(fan_in.max()) if len(fan_in) else 0,
-        fan_in_limit=limits.max_fan_in,
+        fan_in_limit=MAX_FAN_IN,
         violating_neurons=[int(i) for i in over],
         neuron_count=int(n_on_chip),
-        neuron_budget=limits.neuron_budget,
+        neuron_budget=NEURON_BUDGET,
     )
 
 
-def largest_feasible_d_max(
-    retina_width: int,
-    retina_height: int,
-    limits: HardwareLimits | None = None,
-    weights: WeightParams | None = None,
-) -> int | None:
+def largest_feasible_d_max(retina_width: int, retina_height: int, weights: WeightParams | None = None) -> int | None:
     """Largest d_max whose build passes the hardware constraints, or None."""
     for d_max in range(retina_width - 1, -1, -1):
         topo = build_topology(retina_width, retina_height, d_max, weights)
-        if check_hardware_constraints(topo, limits).passed:
+        if check_hardware_constraints(topo).passed:
             return d_max
     return None

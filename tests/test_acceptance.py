@@ -262,19 +262,19 @@ def test_a6_determinism(tmp_path):
 def test_a7_metric_fixtures_exact():
     # CoM fixtures
     rates, d = rate_matrix({2.0: 1.0, 4.0: 3.0})
-    assert center_of_mass(rates, d, "D").values[0] == 3.5
+    assert center_of_mass(rates, d).values[0] == 3.5
     rates1, d1 = rate_matrix({-3.0: 4.0})
-    assert center_of_mass(rates1, d1, "D").values[0] == -3.0
+    assert center_of_mass(rates1, d1).values[0] == -3.0
     rates0, d0 = rate_matrix({0.0: 0.0})
-    assert np.isnan(center_of_mass(rates0, d0, "D").values[0])
+    assert np.isnan(center_of_mass(rates0, d0).values[0])
 
     # RMSE fixtures
     trace5 = flat_trace(2.0, n=5)
-    assert rmse(CoMTrace("D", WINDOW_US, trace5.d_mean.copy()), trace5) == 0.0
-    assert rmse(CoMTrace("D", WINDOW_US, trace5.d_mean + 1.0), trace5) == 1.0
+    assert rmse(CoMTrace(WINDOW_US, trace5.d_mean.copy()), trace5) == 0.0
+    assert rmse(CoMTrace(WINDOW_US, trace5.d_mean + 1.0), trace5) == 1.0
     gt = flat_trace(0.0, n=5)
     gt.d_mean[:] = [0.0, 2.0, 5.0, 5.0, 4.0]
-    com = CoMTrace("D", WINDOW_US, np.array([1.0, 2.0, 3.0, np.nan, 5.0]))
+    com = CoMTrace(WINDOW_US, np.array([1.0, 2.0, 3.0, np.nan, 5.0]))
     assert abs(rmse(com, gt) - np.sqrt(1.5)) <= 1e-12
 
     # TD/FD labelling fixtures on a real topology
@@ -288,16 +288,16 @@ def test_a7_metric_fixtures_exact():
 
     band = flat_trace(2.0, d_min=1.0, d_max=3.0)
     rec = spike_record([(100, d_id(2)), (200, d_id(4)), (300, d_id(5))], topo, WINDOW_US - 1)
-    counts = label_spikes(rec, topo, band, 1.0, (Population.DISPARITY,), "D")
+    counts = label_spikes(rec, topo, band, 1.0, (Population.DISPARITY,))
     assert (counts.total_td, counts.total_fd) == (2, 1)  # d=4 inclusive, d=5 out
 
     # PCD fixtures (exact rationals)
-    c = SpikeLabelCounts("D", WINDOW_US, 1.0, np.array([3, 0]), np.array([1, 4]))
+    c = SpikeLabelCounts(np.array([3, 0]), np.array([1, 4]))
     assert pcd(c, "global") == 3 / 8
     assert pcd(c, "per-window-mean") == 0.375
-    allt = SpikeLabelCounts("D", WINDOW_US, 1.0, np.array([5]), np.array([0]))
+    allt = SpikeLabelCounts(np.array([5]), np.array([0]))
     assert pcd(allt) == 1.0
-    half = SpikeLabelCounts("D", WINDOW_US, 1.0, np.array([2, 3]), np.array([2, 3]))
+    half = SpikeLabelCounts(np.array([2, 3]), np.array([2, 3]))
     assert pcd(half, "global") == 0.5 and pcd(half, "per-window-mean") == 0.5
     passline("A7", "CoM/RMSE/PCD/TD-FD fixtures reproduced exactly (<=1e-12 where irrational)")
 
@@ -310,7 +310,7 @@ def test_a8_topology_rules_and_bijection():
     checked = 0
     for (w, h, d_max) in [(1, 1, 0), (2, 1, 1), (2, 2, 1), (3, 2, 2), (4, 4, 3), (4, 3, 2)]:
         topo = build_topology(w, h, d_max)
-        built = {(s.pre, s.post, s.sign, s.kind) for s in topo.synapses()}
+        built = set(zip(topo.syn_pre.tolist(), topo.syn_post.tolist(), topo.syn_sign.tolist(), topo.syn_kind.tolist()))
         assert built == rule_oracle(topo), (w, h, d_max)
         checked += 1
         # coordinate bijection over every valid pair

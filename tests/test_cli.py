@@ -284,6 +284,39 @@ def test_run_file_inputs_epoch_rebased(tmp_path):
     assert b.rmse_d == pytest.approx(a.rmse_d, abs=1e-12)
 
 
+def test_run_file_inputs_without_preprocessing(tmp_path, capsys):
+    """With ``preprocess.enabled=false`` a 16x16 recording feeds the 16x16
+    retina as it is: the default downscale factor (8), which would leave no
+    room for the 16x16 crop, is not checked. A recording whose geometry is
+    not the retina's still exits 2."""
+    pulses = [(t, x, t // 2000 % 2) for t in range(0, 400_000, 2000) for x in (5, 6)]  # disparity 2 in row 8
+    left, right = tmp_path / "left.csv", tmp_path / "right.csv"
+    left.write_text("t_us,x,y,p\n" + "".join(f"{t},{x},8,{p}\n" for t, x, p in pulses))
+    right.write_text("t_us,x,y,p\n" + "".join(f"{t + 100},{x + 2},8,{p}\n" for t, x, p in pulses))
+    markers = tmp_path / "markers.csv"
+    rows = [f"{t},torso,5.5,8.5,1.0" for t in range(0, 500_000, 100_000)]
+    markers.write_text("\n".join(["t_us,joint,X_mm,Y_mm,Z_mm", *rows]) + "\n")
+    calib = tmp_path / "calib.json"
+    calib.write_text(json.dumps({"left": IDENTITY, "right": [[1, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]]}))
+    inputs = {"left_events": left, "right_events": right, "markers": markers, "calibration": calib}
+    cfg = {
+        "output_dir": str(tmp_path / "out"),
+        "input": {key: str(path) for key, path in inputs.items()},
+        "preprocess": {"enabled": False, "full_geometry": [16, 16]},
+        "topology": {"d_max": 5},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "-c", str(path)]) == 0
+    report = MetricsReport.read_json(str(tmp_path / "out" / "metrics.json"))
+    assert set(report.gt_mean) - {None} == {2.0}
+    assert report.pcd_d is not None and report.pcd_d >= 0.9
+
+    capsys.readouterr()
+    assert main(["run", "-c", str(path), "--set", "topology.retina_width=12"]) == 2
+    assert "does not match the retina" in capsys.readouterr().err
+
+
 def test_run_without_a_compiler_writes_the_same_artifacts(tmp_path, monkeypatch):
     # the numpy parser and background filter and the Python event loop give
     # the compiled kernels' artifacts byte for byte
@@ -712,6 +745,17 @@ def test_config_that_is_not_an_object_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error (run): config must be an object, got [1]")
 
 
+def test_config_integer_too_long_to_convert_exit_2(tmp_path, capsys):
+    digits = "1" + "0" * 5000
+    path = tmp_path / "c.json"
+    path.write_text('{"seed": %s}' % digits)
+    assert main(["run", "-c", str(path)]) == 2
+    assert f"config error (run): {path}: invalid JSON: Exceeds the limit" in capsys.readouterr().err
+    path.write_text("{}")
+    assert main(["run", "-c", str(path), "--set", f"seed={digits}"]) == 2
+    assert "config error (run): seed must be an integer, got '1000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "override,key",
     [
@@ -856,6 +900,10 @@ def test_eval_malformed_trace_exit_2_with_line(tmp_path, capsys, edit, line, mes
         ("5,torso,75.5,abc,1.0", "could not convert string to float: 'abc'"),
         ("5,torso,75.5,51.5", "expected 5 fields, got 4"),
         ("99999999999999999999,torso,1,2,3", "timestamp 99999999999999999999 exceeds the 64-bit range"),
+        ("5,torso,nan,51.5,1.0", "X_mm must be finite, got 'nan'"),
+        ("5,torso,75.5,inf,1.0", "Y_mm must be finite, got 'inf'"),
+        ("5,torso,75.5,51.5,-inf", "Z_mm must be finite, got '-inf'"),
+        ("5,torso,1e400,51.5,1.0", "X_mm must be finite, got '1e400'"),
     ],
 )
 def test_run_malformed_marker_csv_exit_2_with_line(tmp_path, capsys, row, message):
@@ -873,6 +921,36 @@ def test_run_marker_csv_bad_header_exit_2(tmp_path, capsys):
     path = file_config(tmp_path, left, right, markers, calib)
     assert main(["run", "-c", str(path)]) == 2
     assert f"config error (run): {markers}:1: expected header" in capsys.readouterr().err
+
+
+def test_run_header_only_marker_csv_exit_2(tmp_path, capsys):
+    left, right, markers, calib = write_file_fixture(tmp_path)
+    markers.write_text("t_us,joint,X_mm,Y_mm,Z_mm\n")
+    path = file_config(tmp_path, left, right, markers, calib)
+    assert main(["run", "-c", str(path)]) == 2
+    assert f"config error (run): {markers}:1: no marker rows after the header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["config", "markers", "calibration", "trace", "spikes"])
+def test_non_utf8_input_exit_2_with_line(tmp_path, capsys, which):
+    """Every text input names the line of its first byte that is not UTF-8."""
+    if which in ("trace", "spikes"):
+        config, spikes, trace = run_and_trace(tmp_path)
+        bad = trace if which == "trace" else spikes
+        argv = ["eval", "-c", str(config), "--spikes", str(spikes), "--trace", str(trace)]
+    else:
+        left, right, markers, calib = write_file_fixture(tmp_path)
+        config = file_config(tmp_path, left, right, markers, calib)
+        bad = {"config": config, "markers": markers, "calibration": calib}[which]
+        argv = ["run", "-c", str(config)]
+    if bad.suffix == ".json":
+        bad.write_text(json.dumps(json.loads(bad.read_text()), indent=1))  # one value a line
+    rows = bad.read_bytes().splitlines()
+    bad.write_bytes(b"\n".join(rows[:2] + [b"\xff"] + rows[2:]) + b"\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error ({argv[0]}): {bad}:3: not UTF-8 text: invalid start byte at byte " in err, err
 
 
 IDENTITY = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
@@ -994,7 +1072,7 @@ def test_disparity_hist_drops_windows_past_the_horizon(tmp_path):
     disp = int(topo.population_ids(Population.DISPARITY)[-1])
     times = np.array([5, 15, 15, 25, 40], dtype=np.int64)
     ids = np.array([disp, exc, disp, exc, exc], dtype=np.int64)
-    record = SpikeRecord(times, ids, topo.pop_code[ids], 40, 0, 0, {})
+    record = SpikeRecord(times, ids, topo.pop_code[ids], 40, 0, 0)
     cli._write_disparity_hist_csv(record, topo, 10, 2, str(tmp_path / "h.csv"))
     d_exc, d_disp = topo.d[exc], topo.d[disp]
     assert (tmp_path / "h.csv").read_text() == (
@@ -1009,7 +1087,7 @@ def test_readout_csvs_of_an_empty_record(tmp_path):
 
     topo = build_topology(2, 1, 1)
     empty = np.zeros(0, dtype=np.int64)
-    record = SpikeRecord(empty, empty, empty.astype(np.int8), 0, 0, 0, {})
+    record = SpikeRecord(empty, empty, empty.astype(np.int8), 0, 0, 0)
     cli.write_spike_csv(record, str(tmp_path / "spikes.csv"))
     cli._write_rates_csv(cli._population_rates(record, topo, 50_000, 3), topo, str(tmp_path / "rates.csv"))
     cli._write_disparity_hist_csv(record, topo, 50_000, 3, str(tmp_path / "hist.csv"))
@@ -1033,7 +1111,7 @@ def test_readout_floats_in_exponent_form(tmp_path):
     topo = build_topology(2, 1, 1)
     window_us = 10**11  # one spike in a window of 1e5 s is 1e-05 Hz
     ids = np.array([5], dtype=np.int64)
-    record = SpikeRecord(np.array([3], dtype=np.int64), ids, topo.pop_code[ids], window_us, 0, 0, {})
+    record = SpikeRecord(np.array([3], dtype=np.int64), ids, topo.pop_code[ids], window_us, 0, 0)
     cli._write_rates_csv(cli._population_rates(record, topo, window_us, 1), topo, str(tmp_path / "rates.csv"))
     cli._write_mean_rates_csv(record, topo, str(tmp_path / "mean.csv"))
     assert (tmp_path / "rates.csv").read_text().splitlines()[1:] == ["0,50000000000.0,COINC_EXC,5,1e-05"]

@@ -40,8 +40,6 @@ def flat_trace(d_mean, d_min=None, d_max=None, n=1):
         d_min=np.full(n, float(d_min if d_min is not None else d_mean[0])),
         d_max=np.full(n, float(d_max if d_max is not None else d_mean[0])),
         n_joints=np.ones(n, dtype=np.int64),
-        per_joint=d_mean.reshape(1, -1),
-        joints=("target",),
     )
 
 
@@ -51,13 +49,8 @@ def spike_record(spikes, topology, duration):
     times = np.array([s[0] for s in spikes], dtype=np.int64)
     ids = np.array([s[1] for s in spikes], dtype=np.int64)
     pops = np.array([int(topology.population_of(int(i))) for i in ids], dtype=np.int8)
-    counts = {
-        p: int(np.sum(pops == int(p)))
-        for p in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)
-    }
     return SpikeRecord(
-        times=times, neuron_ids=ids, populations=pops, duration_us=duration,
-        input_events=0, deliveries=0, counts=counts,
+        times=times, neuron_ids=ids, populations=pops, duration_us=duration, input_events=0, deliveries=0,
     )
 
 
@@ -65,18 +58,18 @@ def spike_record(spikes, topology, duration):
 
 def test_com_weighted_mean_exact():
     rates, d = rate_matrix({2.0: 1.0, 4.0: 3.0})
-    com = center_of_mass(rates, d, "D")
+    com = center_of_mass(rates, d)
     assert com.values[0] == (2 * 1 + 4 * 3) / 4  # 3.5 exactly
 
 
 def test_com_single_active_neuron():
     rates, d = rate_matrix({-3.0: 5.0, 1.0: 0.0})
-    assert center_of_mass(rates, d, "D").values[0] == -3.0
+    assert center_of_mass(rates, d).values[0] == -3.0
 
 
 def test_com_zero_window_undefined():
     rates, d = rate_matrix({0.0: 0.0, 1.0: 0.0})
-    com = center_of_mass(rates, d, "D")
+    com = center_of_mass(rates, d)
     assert np.isnan(com.values[0])
     assert not com.defined[0]
 
@@ -91,9 +84,9 @@ def test_com_scale_invariance_and_hull(pairs, scale):
     for d, r in pairs:
         by_d[float(d)] = by_d.get(float(d), 0.0) + r
     rates, d = rate_matrix(by_d)
-    com = center_of_mass(rates, d, "D")
+    com = center_of_mass(rates, d)
     scaled = RateMatrix(rates.window_us, rates.neuron_ids, rates.rates_hz * scale)
-    com2 = center_of_mass(scaled, d, "D")
+    com2 = center_of_mass(scaled, d)
     if com.defined[0]:
         active = d[rates.rates_hz[:, 0] > 0]
         assert active.min() - 1e-9 <= com.values[0] <= active.max() + 1e-9
@@ -106,13 +99,13 @@ def test_com_scale_invariance_and_hull(pairs, scale):
 
 def test_rmse_zero_when_identical():
     trace = flat_trace(2.0, n=5)
-    com = CoMTrace("D", DT, trace.d_mean.copy())
+    com = CoMTrace(DT, trace.d_mean.copy())
     assert rmse(com, trace) == 0.0
 
 
 def test_rmse_constant_offset_is_one():
     trace = flat_trace(2.0, n=8)
-    com = CoMTrace("D", DT, trace.d_mean + 1.0)
+    com = CoMTrace(DT, trace.d_mean + 1.0)
     assert rmse(com, trace) == 1.0
 
 
@@ -125,28 +118,25 @@ def test_rmse_hand_computed_fixture():
         d_min=np.zeros(5),
         d_max=np.zeros(5),
         n_joints=np.ones(5, dtype=np.int64),
-        per_joint=np.zeros((1, 5)),
-        joints=("t",),
     )
-    com = CoMTrace("D", DT, np.array([1.0, 2.0, 3.0, np.nan, 5.0]))
+    com = CoMTrace(DT, np.array([1.0, 2.0, 3.0, np.nan, 5.0]))
     assert rmse(com, gt) == pytest.approx(np.sqrt(1.5), abs=1e-12)
 
 
 def test_rmse_is_symmetric():
-    a = CoMTrace("D", DT, np.array([1.0, 2.0, np.nan, 4.0]))
+    a = CoMTrace(DT, np.array([1.0, 2.0, np.nan, 4.0]))
     b_trace = flat_trace(3.0, n=4)
-    b_as_com = CoMTrace("D", DT, b_trace.d_mean.copy())
+    b_as_com = CoMTrace(DT, b_trace.d_mean.copy())
     a_as_trace = DisparityTrace(
         window_us=DT, d_mean=a.values, d_min=a.values, d_max=a.values,
         n_joints=(~np.isnan(a.values)).astype(np.int64),
-        per_joint=a.values.reshape(1, -1), joints=("t",),
     )
     assert rmse(a, b_trace) == pytest.approx(rmse(b_as_com, a_as_trace), abs=1e-15)
 
 
 def test_rmse_errors_without_joint_window():
     trace = flat_trace(1.0, n=3)
-    com = CoMTrace("D", DT, np.full(3, np.nan))
+    com = CoMTrace(DT, np.full(3, np.nan))
     with pytest.raises(ValueError, match="no window"):
         rmse(com, trace)
 
@@ -171,7 +161,7 @@ def test_label_all_td_inside_band(small_topology):
     nid = d_neuron(small_topology, 2)
     record = spike_record([(1000 * k, nid) for k in range(1, 6)], small_topology, DT - 1)
     trace = flat_trace(2.0, d_min=1.0, d_max=3.0)
-    counts = label_spikes(record, small_topology, trace, 1.0, (Population.DISPARITY,), "D")
+    counts = label_spikes(record, small_topology, trace, 1.0, (Population.DISPARITY,))
     assert counts.total_td == 5 and counts.total_fd == 0
 
 
@@ -180,8 +170,8 @@ def test_label_boundaries_closed_interval(small_topology):
     trace = flat_trace(2.0, d_min=1.0, d_max=3.0)
     rec4 = spike_record([(100, d_neuron(small_topology, 4))], small_topology, DT - 1)
     rec5 = spike_record([(100, d_neuron(small_topology, 5))], small_topology, DT - 1)
-    c4 = label_spikes(rec4, small_topology, trace, 1.0, (Population.DISPARITY,), "D")
-    c5 = label_spikes(rec5, small_topology, trace, 1.0, (Population.DISPARITY,), "D")
+    c4 = label_spikes(rec4, small_topology, trace, 1.0, (Population.DISPARITY,))
+    c5 = label_spikes(rec5, small_topology, trace, 1.0, (Population.DISPARITY,))
     assert (c4.total_td, c4.total_fd) == (1, 0)
     assert (c5.total_td, c5.total_fd) == (0, 1)
 
@@ -192,7 +182,7 @@ def test_label_skips_uncovered_windows(small_topology):
     trace.d_mean[1] = np.nan
     trace.n_joints[1] = 0
     record = spike_record([(10, nid), (DT + 10, nid)], small_topology, 2 * DT - 1)
-    counts = label_spikes(record, small_topology, trace, 1.0, (Population.DISPARITY,), "D")
+    counts = label_spikes(record, small_topology, trace, 1.0, (Population.DISPARITY,))
     assert counts.total_td + counts.total_fd == 1
 
 
@@ -202,7 +192,7 @@ def test_label_partition_property(small_topology):
     spikes = [(int(rng.integers(0, 5 * DT)), int(rng.choice(ids))) for _ in range(500)]
     record = spike_record(spikes, small_topology, 5 * DT - 1)
     trace = flat_trace(1.0, d_min=0.0, d_max=2.0, n=5)
-    counts = label_spikes(record, small_topology, trace, 1.0, (Population.DISPARITY,), "D")
+    counts = label_spikes(record, small_topology, trace, 1.0, (Population.DISPARITY,))
     assert counts.total_td + counts.total_fd == len(spikes)
     assert np.all(counts.td + counts.fd == 100 * np.bincount(record.times // DT, minlength=5) / 100)
 
@@ -212,7 +202,7 @@ def test_label_partition_property(small_topology):
 def make_counts(per_window):
     td = np.array([w[0] for w in per_window], dtype=np.int64)
     fd = np.array([w[1] for w in per_window], dtype=np.int64)
-    return SpikeLabelCounts("D", DT, 1.0, td, fd)
+    return SpikeLabelCounts(td, fd)
 
 
 def test_pcd_all_td():
@@ -253,7 +243,6 @@ def zero_record(duration=1_000_000):
         duration_us=duration,
         input_events=0,
         deliveries=0,
-        counts={},
     )
 
 

@@ -8,6 +8,7 @@ from evstereo.events import LEFT, ON, RIGHT, CameraGeometry, DvsEvent, StereoEve
 from evstereo.simulator import (
     LifParams,
     MismatchModel,
+    SpikeRecord,
     _Network,
     instantaneous_rates,
     read_spike_csv,
@@ -141,6 +142,21 @@ def test_spike_record_sorted_and_counts_consistent():
     assert sum(per_neuron.values()) == len(record)
 
 
+def test_spike_counts_follow_the_populations():
+    """``counts`` is read from ``populations``, in the order metrics.json
+    lists it, and keyed by Population."""
+    ci, d = Population.COINC_INH, Population.DISPARITY
+    record = SpikeRecord(
+        times=np.arange(5, dtype=np.int64), neuron_ids=np.zeros(5, dtype=np.int64),
+        populations=np.array([d, ci, d, ci, ci], dtype=np.int8), duration_us=5, input_events=0, deliveries=0,
+    )
+    assert list(record.counts.items()) == [(Population.COINC_EXC, 0), (ci, 3), (d, 2)]
+    record.populations = record.populations[:1]
+    assert list(record.counts.values()) == [0, 0, 1]
+    record.populations = np.zeros(0, dtype=np.int8)
+    assert list(record.counts.values()) == [0, 0, 0]
+
+
 def test_determinism_bit_identical():
     topo = build_topology(16, 16, 5)
     stream = probe_pair_stream(d=2, n_pairs=20, spacing=30_000)
@@ -222,8 +238,6 @@ def test_engine_matches_reference_equal_tau():
 def test_rates_five_spikes_in_window():
     topo = build_topology(4, 2, 1)
     did = int(topo.population_ids(Population.DISPARITY)[0])
-    from evstereo.simulator import SpikeRecord
-
     record = SpikeRecord(
         times=np.array([1000, 2000, 3000, 4000, 5000], dtype=np.int64),
         neuron_ids=np.full(5, did, dtype=np.int64),
@@ -231,7 +245,6 @@ def test_rates_five_spikes_in_window():
         duration_us=49_999,
         input_events=0,
         deliveries=0,
-        counts={Population.DISPARITY: 5},
     )
     rates = instantaneous_rates(record, 50_000, Population.DISPARITY, topo)
     assert rates.n_windows == 1
