@@ -142,6 +142,18 @@ def _ptr(a: np.ndarray, ctype):
     return a.ctypes.data_as(ctypes.POINTER(ctype))
 
 
+def _accepted(status: int, what: str) -> bool:
+    """False where the kernel declined (only the Python or numpy reference
+    reproduces the result); raises on any failure."""
+    if status == EV_NOMEM:
+        raise MemoryError(f"{what}: allocation failed")
+    if status == EV_PYTHON:
+        return False
+    if status != EV_OK:
+        raise RuntimeError(f"{what}: unknown status {status}")
+    return True
+
+
 def parse_events(lib: ctypes.CDLL, data: bytes, start: int, side: int | None, x_end: int, y_end: int):
     """The columns (t, x, y, p, side) of the rows of a plain event file,
     ``data[start:]`` after its header, or None where the kernel declines
@@ -158,10 +170,10 @@ def parse_events(lib: ctypes.CDLL, data: bytes, start: int, side: int | None, x_
         _ptr(t, ctypes.c_int64), _ptr(x, ctypes.c_int32), _ptr(y, ctypes.c_int32),
         _ptr(p, ctypes.c_int8), _ptr(s, ctypes.c_int8), ctypes.byref(n),
     )
-    if status == EV_PYTHON:
+    if not _accepted(status, "compiled parser"):
         return None
-    if status != EV_OK or n.value != cap:
-        raise RuntimeError(f"compiled parser: status {status}, {n.value} of {cap} rows")
+    if n.value != cap:
+        raise RuntimeError(f"compiled parser: {n.value} of {cap} rows")
     return t, x, y, p, s
 
 
@@ -180,13 +192,7 @@ def background(lib: ctypes.CDLL, stream, window_us: int, radius: int, include_sa
         stream.geometry.width, stream.geometry.height, radius, bool(include_same_pixel), window_us,
         _ptr(keep, ctypes.c_uint8),
     )
-    if status == EV_NOMEM:
-        raise MemoryError("compiled background filter: allocation failed")
-    if status == EV_PYTHON:
-        return None
-    if status != EV_OK:
-        raise RuntimeError(f"compiled background filter: unknown status {status}")
-    return keep.view(bool)
+    return keep.view(bool) if _accepted(status, "compiled background filter") else None
 
 
 def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray, final_state: np.ndarray | None = None):
@@ -248,12 +254,8 @@ def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray, final_state
         None if final_state is None else _ptr(final_state, f64),
     )
     try:
-        if status == EV_NOMEM:
-            raise MemoryError("compiled event loop: allocation failed")
-        if status == EV_PYTHON:
+        if not _accepted(status, "compiled event loop"):
             return None
-        if status != EV_OK:
-            raise RuntimeError(f"compiled event loop: unknown status {status}")
         count = n_spikes.value
         if count == 0:
             return np.zeros(0, np.int64), np.zeros(0, np.int64), deliveries.value
@@ -284,10 +286,8 @@ def synth(lib: ctypes.CDLL, rng: np.random.Generator, lattice_us: int, d: list[i
             p_emit, sigma, duration_us, ctypes.byref(events), ctypes.byref(n),
         )
     try:
-        if status == EV_NOMEM:
-            raise MemoryError("compiled stimulus: allocation failed")
-        if status != EV_OK:
-            raise RuntimeError(f"compiled stimulus: unknown status {status}")
+        if not _accepted(status, "compiled stimulus"):
+            return None
         if n.value == 0:
             return np.zeros((0, 5), np.int64)
         return np.ctypeslib.as_array(events, shape=(n.value, 5)).copy()
@@ -315,12 +315,8 @@ def format_rows(lib: ctypes.CDLL, columns: list[tuple[np.ndarray, list[str] | No
         b"".join(e for names in encoded for e in names), ctypes.byref(out), ctypes.byref(out_len),
     )
     try:
-        if status == EV_NOMEM:
-            raise MemoryError("compiled CSV rows: allocation failed")
-        if status == EV_PYTHON:
+        if not _accepted(status, "compiled CSV rows"):
             return None
-        if status != EV_OK:
-            raise RuntimeError(f"compiled CSV rows: unknown status {status}")
         return ctypes.string_at(out, out_len.value) if out_len.value else b""
     finally:
         lib.evstereo_free(out)

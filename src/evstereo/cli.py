@@ -15,6 +15,7 @@ import functools
 import gc
 import os
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .simulator import (
     instantaneous_rates,
     read_spike_csv,
     simulate,
-    window_centers_us,
+    window_center_labels,
     window_count,
     write_spike_csv,
 )
@@ -97,23 +98,19 @@ def _load_file_stream(cfg: RunConfig) -> StereoEventStream:
     return merge_streams(left, right)
 
 
-def _file_ground_truth(cfg: RunConfig, n_windows: int, origin: tuple[int, int], t_offset: int):
+def _marker_tracks(cfg: RunConfig, origin: tuple[int, int], t_offset: int):
+    """The projected marker tracks of the left and the right view, in the
+    network's frame."""
     tracks3d = read_marker_csv(cfg.input.markers)
     if t_offset:
         for tr in tracks3d:
             tr.t = tr.t - t_offset  # markers share the recording clock
-    p_left, p_right = read_calibration_json(cfg.input.calibration)
     factor = cfg.preprocess.downscale_factor if cfg.preprocess_enabled else 1
     size = (cfg.topology.retina_width, cfg.topology.retina_height)
-    left2d = [
-        to_downscaled_coords(tr, factor, origin, size)
-        for tr in project_markers(tracks3d, p_left, cfg.full_geometry)
+    return [
+        [to_downscaled_coords(tr, factor, origin, size) for tr in project_markers(tracks3d, p, cfg.full_geometry)]
+        for p in read_calibration_json(cfg.input.calibration)
     ]
-    right2d = [
-        to_downscaled_coords(tr, factor, origin, size)
-        for tr in project_markers(tracks3d, p_right, cfg.full_geometry)
-    ]
-    return disparity_trajectory(left2d, right2d, cfg.analysis.window_us, n_windows)
 
 
 def _population_rates(
@@ -132,7 +129,7 @@ def _write_rates_csv(rates: dict[Population, RateMatrix], topology: Topology, pa
     ids = np.concatenate([r.neuron_ids for r in matrices])
     hz = np.vstack([r.rates_hz for r in matrices])
     row, window = np.nonzero(hz)
-    centers = list(map("{:.1f}".format, window_centers_us(hz.shape[1], matrices[0].window_us).tolist()))
+    centers = window_center_labels(hz.shape[1], matrices[0].window_us)
     population = (POPULATION_CODE_NAMES, topology.pop_code[ids[row]])
     columns = [window, (centers, window), population, ids[row], hz[row, window]]
     write_csv(path, "window_i,t_center_us,population,neuron_id,rate_hz", columns)
@@ -192,7 +189,6 @@ def _run_one(config_path: str, overrides: list[str], auto_crop: bool) -> int:
         stream, trace = gen_stimulus(
             cfg.input.synthetic, cfg.topology.geometry, duration, cfg.analysis.window_us
         )
-        n_windows = trace.n_windows
     else:
         raw = _load_file_stream(cfg)
         # recordings normalize to start at t = 0; the marker clock shifts too
@@ -211,17 +207,19 @@ def _run_one(config_path: str, overrides: list[str], auto_crop: bool) -> int:
                 "enable preprocessing or fix the crop"
             )
         duration = stream.duration
-        n_windows = window_count(duration, cfg.analysis.window_us)
-        trace = _file_ground_truth(cfg, n_windows, origin, t_offset)
+        tracks = _marker_tracks(cfg, origin, t_offset)
 
     topology = _build_topology(cfg)
     record = simulate(topology, stream, cfg.simulator, cfg.mismatch, duration_us=duration)
-    n_windows = max(n_windows, window_count(record.duration_us, cfg.analysis.window_us))
-    if n_windows > trace.n_windows:
+    # the windows run to the last spike, which may come after the last event
+    n_windows = window_count(record.duration_us, cfg.analysis.window_us)
+    if cfg.input.is_synthetic:  # the stimulus has no disparity after it ends
         pad = n_windows - trace.n_windows
         for name in ("d_mean", "d_min", "d_max"):
             setattr(trace, name, np.concatenate([getattr(trace, name), np.full(pad, np.nan)]))
         trace.n_joints = np.concatenate([trace.n_joints, np.zeros(pad, dtype=np.int64)])
+    else:
+        trace = disparity_trajectory(*tracks, cfg.analysis.window_us, n_windows)
 
     rates = _population_rates(record, topology, cfg.analysis.window_us, n_windows)
     report = build_report(
@@ -295,11 +293,7 @@ def _run_forked(configs: list[str], overrides: list[str], auto_crop: bool, jobs:
                         worst = max(worst, _run_one_safe(configs[i], overrides, auto_crop))
                     code = worst
                 finally:
-                    try:
-                        sys.stdout.flush()
-                        sys.stderr.flush()
-                    finally:
-                        os._exit(code)  # a worker never returns into the caller
+                    _exit(code)  # a worker never returns into the caller
             pids.append(pid)
     finally:
         gc.unfreeze()
@@ -472,15 +466,22 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def console_main() -> None:
+def _exit(code: int) -> NoReturn:
+    """End the process with ``code`` at once: flush both standard streams,
+    then ``os._exit``, which skips the interpreter's teardown (a garbage
+    collection over the whole heap). Every file a command writes is closed
+    by then."""
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def console_main() -> NoReturn:
     """The ``evstereo`` command (and ``python -m evstereo.cli``): ``main``,
-    then exit with its code. The heap is frozen first, so that the
-    interpreter's exit does not collect it (about 25 ms of every run); each
-    file a command writes is closed by then, and the standard streams are
-    flushed at exit regardless."""
-    code = main()
-    gc.freeze()
-    sys.exit(code)
+    then ``_exit`` with its code."""
+    _exit(main())
 
 
 if __name__ == "__main__":

@@ -57,9 +57,6 @@ class DvsEvent:
     polarity: int  # ON=1 / OFF=0
     side: int  # LEFT=0 / RIGHT=1
 
-    def sort_key(self) -> tuple[int, int, int, int, int]:
-        return (self.t, self.side, self.y, self.x, self.polarity)
-
 
 class StereoEventStream:
     """Time-ordered stereo event stream backed by read-only numpy columns.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import CameraGeometry, read_text, write_csv
-from .simulator import window_centers_us, window_count
+from .simulator import window_center_labels, window_centers_us, window_count
 
 MARKER_CSV_HEADER = "t_us,joint,X_mm,Y_mm,Z_mm"
 TRACE_CSV_HEADER = "window_i,t_center_us,d_mean,d_min,d_max,n_joints"
@@ -269,7 +269,7 @@ def _clip(value, limit: int = 80) -> str:
 
 def write_trace_csv(trace: DisparityTrace, path: str) -> None:
     """One row per window; the d cells are empty where no joint is visible."""
-    centers = list(map("{:.1f}".format, window_centers_us(trace.n_windows, trace.window_us).tolist()))
+    centers = window_center_labels(trace.n_windows, trace.window_us)
     d = (np.where(trace.n_joints > 0, v, np.nan) for v in (trace.d_mean, trace.d_min, trace.d_max))
     window = np.arange(trace.n_windows)
     write_csv(path, TRACE_CSV_HEADER, [window, (centers, window), *d, trace.n_joints])

@@ -12,7 +12,7 @@ import numpy as np
 
 from .events import atomic_write, write_csv
 from .groundtruth import DisparityTrace
-from .simulator import RateMatrix, SpikeRecord, instantaneous_rates, window_centers_us
+from .simulator import RateMatrix, SpikeRecord, instantaneous_rates, window_center_labels
 from .topology import Population, Topology
 
 COM_CSV_HEADER = "window_i,t_center_us,com_c,com_d,d_mean,d_min,d_max"
@@ -170,20 +170,8 @@ class MetricsReport:
     energy_uw: float | None
     config: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsReport":
-        return cls(**data)
-
     def write_json(self, path: str) -> None:
-        atomic_write(path, json.dumps(self.to_dict(), indent=1) + "\n")
-
-    @classmethod
-    def read_json(cls, path: str) -> "MetricsReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        atomic_write(path, json.dumps(self.__dict__, indent=1) + "\n")
 
 
 def _nan_to_none(values: np.ndarray) -> list:
@@ -277,7 +265,7 @@ def build_report(
 
 def write_com_csv(report: MetricsReport, path: str) -> None:
     """One row per window; an undefined CoM or ground truth is an empty cell."""
-    centers = list(map("{:.1f}".format, window_centers_us(report.n_windows, report.window_us).tolist()))
+    centers = window_center_labels(report.n_windows, report.window_us)
     values = np.array([report.com_c, report.com_d, report.gt_mean, report.gt_min, report.gt_max], dtype=np.float64)
     window = np.arange(report.n_windows)
     write_csv(path, COM_CSV_HEADER, [window, (centers, window), *values])

@@ -189,6 +189,11 @@ def window_centers_us(n_windows: int, window_us: int) -> np.ndarray:
     return np.arange(n_windows, dtype=np.float64) * window_us + window_us / 2
 
 
+def window_center_labels(n_windows: int, window_us: int) -> list[str]:
+    """The ``t_center_us`` cells of the CSV artifacts, one per window."""
+    return list(map("{:.1f}".format, window_centers_us(n_windows, window_us).tolist()))
+
+
 # ---------------------------------------------------------------- engine
 
 

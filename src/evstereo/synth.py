@@ -1,5 +1,4 @@
-"""Synthetic stereo stimuli with exact known disparity, plus a brute-force
-binocular matching oracle for property-testing the network.
+"""Synthetic stereo stimuli with exact known disparity.
 
 Generation runs on a 1 ms lattice: at each step every active pixel of the
 shape draws one Bernoulli emission (probability rate/1000), producing a LEFT
@@ -68,31 +67,32 @@ class DisparityProfile:
         ds = [k[1] for k in self.keyframes]
         return float(np.interp(t_us, ts, ds))
 
+    @property
+    def rows(self) -> range:
+        return range(self.y, self.y + (self.height if self.shape != DOT else 1))
 
-@dataclass(frozen=True)
-class OracleMatch:
-    left_index: int
-    right_index: int
-    dt_us: int  # t_right - t_left
-    disparity: int  # x_right - x_left
-    y: int
+
+def _cloud_columns(profile: DisparityProfile, geometry: CameraGeometry) -> range:
+    """The left-view columns a CLOUD dot may take: those that keep
+    x + round(d(t)) in frame everywhere (piecewise-linear d attains its
+    extremes at keyframes)."""
+    ds = [int(round(d)) for _, d in profile.keyframes]
+    cols = range(max(0, -min(ds)), geometry.width - max(0, max(ds)))
+    if len(cols) < profile.dots_per_row:
+        raise ValueError(
+            f"only {len(cols)} columns stay in frame for this disparity course, need {profile.dots_per_row}"
+        )
+    return cols
 
 
 def validate_profile_bounds(profile: DisparityProfile, geometry: CameraGeometry, duration_us: int) -> None:
     """Reject profiles whose shape would leave the frame at any lattice step,
     before any event is generated."""
-    rows = range(profile.y, profile.y + (profile.height if profile.shape != DOT else 1))
+    rows = profile.rows
     if any(y < 0 or y >= geometry.height for y in rows):
         raise ValueError(f"shape rows {list(rows)} outside geometry height {geometry.height}")
     if profile.shape == CLOUD:
-        ds = [int(round(d)) for _, d in profile.keyframes]
-        lo = max(0, -min(ds))
-        hi = geometry.width - 1 - max(0, max(ds))
-        if hi - lo + 1 < profile.dots_per_row:
-            raise ValueError(
-                f"only {max(hi - lo + 1, 0)} columns stay in frame for this disparity "
-                f"course, need {profile.dots_per_row}"
-            )
+        _cloud_columns(profile, geometry)
         return
     for t in range(0, duration_us, LATTICE_US):
         d = int(round(profile.d_at(t)))
@@ -101,24 +101,6 @@ def validate_profile_bounds(profile: DisparityProfile, geometry: CameraGeometry,
             raise ValueError(
                 f"shape leaves the frame at t={t}us (x={x}, d={d}, width={geometry.width})"
             )
-
-
-def _left_columns(profile: DisparityProfile, geometry: CameraGeometry, rng: np.random.Generator) -> list[int]:
-    if profile.shape == CLOUD:
-        # sample only columns that keep x + round(d(t)) in frame everywhere;
-        # piecewise-linear d attains its extremes at keyframes
-        ds = [int(round(d)) for _, d in profile.keyframes]
-        lo = max(0, -min(ds))
-        hi = geometry.width - 1 - max(0, max(ds))
-        valid = hi - lo + 1
-        if valid < profile.dots_per_row:
-            raise ValueError(
-                f"only {valid} columns stay in frame for this disparity course, "
-                f"need {profile.dots_per_row}"
-            )
-        cols = sorted(rng.choice(valid, size=profile.dots_per_row, replace=False).tolist())
-        return [int(c) + lo for c in cols]
-    return [profile.x]
 
 
 def _emit(rng: np.random.Generator, steps: range, d: list[int], rows: list[int], cols: list[int],
@@ -171,8 +153,12 @@ def gen_stimulus(
         raise ValueError("duration must be > 0")
     validate_profile_bounds(profile, geometry, duration_us)
     rng = np.random.default_rng(profile.seed)
-    rows = list(range(profile.y, profile.y + (profile.height if profile.shape != DOT else 1)))
-    cols = _left_columns(profile, geometry, rng)
+    rows = list(profile.rows)
+    if profile.shape == CLOUD:
+        valid = _cloud_columns(profile, geometry)
+        cols = [valid[c] for c in sorted(rng.choice(len(valid), size=profile.dots_per_row, replace=False).tolist())]
+    else:
+        cols = [profile.x]
     steps = range(0, duration_us, LATTICE_US)
 
     p_emit = min(profile.rate_hz * LATTICE_US * 1e-6, 1.0)
@@ -196,68 +182,3 @@ def gen_stimulus(
         n_joints=np.ones(n_windows, dtype=np.int64),
     )
     return stream, trace
-
-
-def oracle_matches(
-    stream: StereoEventStream,
-    window_us: int,
-    analysis_window_us: int,
-    n_windows: int | None = None,
-) -> tuple[list[OracleMatch], np.ndarray, int]:
-    """Exhaustively enumerate binocular matches: every (LEFT, RIGHT) event
-    pair with equal y and |dt| <= window is a match.
-
-    Returns (matches, histogram, d_offset): histogram[window, d + d_offset]
-    counts matches binned by the midpoint of the pair's timestamps.
-    """
-    if window_us <= 0:
-        raise ValueError("window must be > 0")
-    if n_windows is None:
-        n_windows = window_count(stream.duration, analysis_window_us)
-    w = stream.geometry.width
-    d_offset = w - 1
-    hist = np.zeros((n_windows, 2 * w - 1), dtype=np.int64)
-    matches: list[OracleMatch] = []
-
-    left_idx = np.flatnonzero(stream.side == LEFT)
-    right_idx = np.flatnonzero(stream.side == RIGHT)
-    by_row_left: dict[int, np.ndarray] = {}
-    by_row_right: dict[int, np.ndarray] = {}
-    for y in np.unique(stream.y):
-        by_row_left[int(y)] = left_idx[stream.y[left_idx] == y]
-        by_row_right[int(y)] = right_idx[stream.y[right_idx] == y]
-
-    for y, lids in by_row_left.items():
-        rids = by_row_right.get(y)
-        if rids is None or len(rids) == 0:
-            continue
-        rt = stream.t[rids]
-        lo_ptr = 0
-        hi_ptr = 0
-        for li in lids:
-            tl = int(stream.t[li])
-            while lo_ptr < len(rids) and rt[lo_ptr] < tl - window_us:
-                lo_ptr += 1
-            if hi_ptr < lo_ptr:
-                hi_ptr = lo_ptr
-            while hi_ptr < len(rids) and rt[hi_ptr] <= tl + window_us:
-                hi_ptr += 1
-            for k in range(lo_ptr, hi_ptr):
-                ri = int(rids[k])
-                dt = int(stream.t[ri]) - tl
-                disp = int(stream.x[ri]) - int(stream.x[li])
-                matches.append(OracleMatch(int(li), ri, dt, disp, int(y)))
-                wi = ((tl + int(stream.t[ri])) // 2) // analysis_window_us
-                if 0 <= wi < n_windows:
-                    hist[wi, disp + d_offset] += 1
-    return matches, hist, d_offset
-
-
-def oracle_disparity_estimate(hist: np.ndarray, d_offset: int) -> np.ndarray:
-    """Count-weighted mean disparity per analysis window; NaN when empty."""
-    d_values = np.arange(hist.shape[1], dtype=np.float64) - d_offset
-    totals = hist.sum(axis=1)
-    out = np.full(hist.shape[0], np.nan)
-    nz = totals > 0
-    out[nz] = (hist[nz] @ d_values) / totals[nz]
-    return out

@@ -5,18 +5,25 @@ semantics by independent means (kernel superposition and 1-microsecond
 stepping respectively); they deliberately share no code with the event-driven
 engine so they can serve as oracles for it.
 
+`oracle_matches` enumerates every binocular match of a stream by brute
+force, the reference for the coincidence detectors.
+
 `without_kernel` runs the numpy and Python references that stand in for the
 compiled kernels on hosts without a compiler.
 """
 
 import contextlib
+import json
 import math
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
 
 from evstereo import _native
-from evstereo.simulator import LifParams
+from evstereo.events import LEFT, RIGHT, DvsEvent, StereoEventStream
+from evstereo.metrics import MetricsReport
+from evstereo.simulator import LifParams, window_count
 from evstereo.topology import Population, Topology
 
 
@@ -25,6 +32,17 @@ def without_kernel():
     """Inside the block, callers of ``_native.kernel`` see no compiled library."""
     with mock.patch.object(_native, "kernel", lambda: None):
         yield
+
+
+def event_sort_key(e: DvsEvent) -> tuple[int, int, int, int, int]:
+    """The canonical order of a ``StereoEventStream``, event by event."""
+    return (e.t, e.side, e.y, e.x, e.polarity)
+
+
+def read_report(path: str) -> MetricsReport:
+    """The ``MetricsReport`` of a written ``metrics.json``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return MetricsReport(**json.load(fh))
 
 
 def kernel_gain(tau_m: float, tau_s: float) -> float:
@@ -135,3 +153,77 @@ def reference_simulate(topology: Topology, stream, params: LifParams, horizon_us
         v = np.where(t + 1 <= refr_until, reset, np.maximum(v_next, floor))
         s = s * ds
     return spikes
+
+
+@dataclass(frozen=True)
+class OracleMatch:
+    left_index: int
+    right_index: int
+    dt_us: int  # t_right - t_left
+    disparity: int  # x_right - x_left
+    y: int
+
+
+def oracle_matches(
+    stream: StereoEventStream,
+    window_us: int,
+    analysis_window_us: int,
+    n_windows: int | None = None,
+) -> tuple[list[OracleMatch], np.ndarray, int]:
+    """Exhaustively enumerate binocular matches: every (LEFT, RIGHT) event
+    pair with equal y and |dt| <= window is a match.
+
+    Returns (matches, histogram, d_offset): histogram[window, d + d_offset]
+    counts matches binned by the midpoint of the pair's timestamps.
+    """
+    if window_us <= 0:
+        raise ValueError("window must be > 0")
+    if n_windows is None:
+        n_windows = window_count(stream.duration, analysis_window_us)
+    w = stream.geometry.width
+    d_offset = w - 1
+    hist = np.zeros((n_windows, 2 * w - 1), dtype=np.int64)
+    matches: list[OracleMatch] = []
+
+    left_idx = np.flatnonzero(stream.side == LEFT)
+    right_idx = np.flatnonzero(stream.side == RIGHT)
+    by_row_left: dict[int, np.ndarray] = {}
+    by_row_right: dict[int, np.ndarray] = {}
+    for y in np.unique(stream.y):
+        by_row_left[int(y)] = left_idx[stream.y[left_idx] == y]
+        by_row_right[int(y)] = right_idx[stream.y[right_idx] == y]
+
+    for y, lids in by_row_left.items():
+        rids = by_row_right.get(y)
+        if rids is None or len(rids) == 0:
+            continue
+        rt = stream.t[rids]
+        lo_ptr = 0
+        hi_ptr = 0
+        for li in lids:
+            tl = int(stream.t[li])
+            while lo_ptr < len(rids) and rt[lo_ptr] < tl - window_us:
+                lo_ptr += 1
+            if hi_ptr < lo_ptr:
+                hi_ptr = lo_ptr
+            while hi_ptr < len(rids) and rt[hi_ptr] <= tl + window_us:
+                hi_ptr += 1
+            for k in range(lo_ptr, hi_ptr):
+                ri = int(rids[k])
+                dt = int(stream.t[ri]) - tl
+                disp = int(stream.x[ri]) - int(stream.x[li])
+                matches.append(OracleMatch(int(li), ri, dt, disp, int(y)))
+                wi = ((tl + int(stream.t[ri])) // 2) // analysis_window_us
+                if 0 <= wi < n_windows:
+                    hist[wi, disp + d_offset] += 1
+    return matches, hist, d_offset
+
+
+def oracle_disparity_estimate(hist: np.ndarray, d_offset: int) -> np.ndarray:
+    """Count-weighted mean disparity per analysis window; NaN when empty."""
+    d_values = np.arange(hist.shape[1], dtype=np.float64) - d_offset
+    totals = hist.sum(axis=1)
+    out = np.full(hist.shape[0], np.nan)
+    nz = totals > 0
+    out[nz] = (hist[nz] @ d_values) / totals[nz]
+    return out

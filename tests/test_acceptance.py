@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import epsp_kernel
+from conftest import epsp_kernel, event_sort_key, oracle_matches
 from evstereo.cli import main as cli_main
 from evstereo.events import LEFT, ON, RIGHT, CameraGeometry, DvsEvent, StereoEventStream
 from evstereo.groundtruth import DisparityTrace
@@ -32,7 +32,7 @@ from evstereo.preprocess import (
     Rect,
 )
 from evstereo.simulator import LifParams, RateMatrix, instantaneous_rates, simulate
-from evstereo.synth import DisparityProfile, gen_stimulus, oracle_matches
+from evstereo.synth import DisparityProfile, gen_stimulus
 from evstereo.topology import NeuronCoord, Population, build_topology
 from test_metrics import flat_trace, rate_matrix, spike_record
 from test_preprocess import background_oracle, random_stream
@@ -401,7 +401,7 @@ def test_a10_preprocessing_oracles_exact():
         if e.x // 5 < geom.width // 5 and e.y // 5 < geom.height // 5
     ]
     # pixel merging re-derives the canonical tie-break within a timestamp
-    assert list(ds) == sorted(oracle_ds, key=DvsEvent.sort_key)
+    assert list(ds) == sorted(oracle_ds, key=event_sort_key)
 
     cr = crop(s, (5, 2), (16, 16))
     oracle_cr = [

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import read_report
+
 import evstereo
 from evstereo import _native
 from evstereo.cli import main
@@ -24,7 +26,6 @@ from evstereo.config import (
     config_to_dict,
     load_config,
 )
-from evstereo.metrics import MetricsReport
 
 
 def synthetic_config(tmp_path, **extra):
@@ -70,7 +71,7 @@ def test_run_synthetic_produces_all_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
     for name in ARTIFACTS:
         assert (out / name).exists(), name
-    report = MetricsReport.read_json(str(out / "metrics.json"))
+    report = read_report(str(out / "metrics.json"))
     assert report.pcd_d is not None and report.pcd_d >= 0.95
     assert report.sample_label == "dot-fixture"
     printed = capsys.readouterr().out
@@ -107,7 +108,7 @@ def test_set_override_changes_run(tmp_path):
     path, _ = synthetic_config(tmp_path)
     out2 = tmp_path / "out2"
     assert main(["run", "-c", str(path), "--set", f"output_dir={out2}", "--set", "analysis.eps_d=2"]) == 0
-    report = MetricsReport.read_json(str(out2 / "metrics.json"))
+    report = read_report(str(out2 / "metrics.json"))
     assert report.eps_d == 2.0
     assert report.config["analysis"]["eps_d"] == 2.0
 
@@ -115,7 +116,7 @@ def test_set_override_changes_run(tmp_path):
 def test_config_echo_reproduces_run(tmp_path):
     path, _ = synthetic_config(tmp_path)
     assert main(["run", "-c", str(path)]) == 0
-    report = MetricsReport.read_json(str(tmp_path / "out" / "metrics.json"))
+    report = read_report(str(tmp_path / "out" / "metrics.json"))
     echo = tmp_path / "echo.json"
     echoed = dict(report.config)
     echoed["output_dir"] = str(tmp_path / "out_echo")
@@ -180,8 +181,8 @@ def test_eval_on_existing_artifacts(tmp_path, capsys):
         "--set", f"output_dir={eval_out}",
     ])
     assert rc == 0
-    evaluated = MetricsReport.read_json(str(eval_out / "metrics.json"))
-    original = MetricsReport.read_json(str(out / "metrics.json"))
+    evaluated = read_report(str(eval_out / "metrics.json"))
+    original = read_report(str(out / "metrics.json"))
     assert evaluated.pcd_d == original.pcd_d
     assert evaluated.rmse_d == pytest.approx(original.rmse_d, abs=1e-12)
     assert evaluated.energy_uw is None  # counters are not persisted
@@ -255,7 +256,7 @@ def test_run_file_inputs_end_to_end(tmp_path):
     fixture = write_file_fixture(tmp_path)
     path = file_config(tmp_path, *fixture)
     assert main(["run", "-c", str(path)]) == 0
-    report = MetricsReport.read_json(str(tmp_path / "out_file" / "metrics.json"))
+    report = read_report(str(tmp_path / "out_file" / "metrics.json"))
     assert report.pcd_d is not None and report.pcd_d >= 0.9
     assert report.rmse_d is not None and report.rmse_d <= 0.25
     assert report.energy_uw is not None and report.energy_uw > 0
@@ -265,7 +266,7 @@ def test_run_file_inputs_auto_crop(tmp_path):
     fixture = write_file_fixture(tmp_path)
     path = file_config(tmp_path, *fixture, out="out_auto", crop_origin=None)
     assert main(["run", "-c", str(path), "--auto-crop"]) == 0
-    report = MetricsReport.read_json(str(tmp_path / "out_auto" / "metrics.json"))
+    report = read_report(str(tmp_path / "out_auto" / "metrics.json"))
     # ground truth shares the resolved origin, so metrics are origin-invariant
     assert report.pcd_d is not None and report.pcd_d >= 0.9
     assert report.rmse_d is not None and report.rmse_d <= 0.25
@@ -278,8 +279,8 @@ def test_run_file_inputs_epoch_rebased(tmp_path):
     shifted = write_file_fixture(tmp_path, t_offset=777_000)
     path_b = file_config(tmp_path, *shifted, out="out_epoch1")
     assert main(["run", "-c", str(path_b)]) == 0
-    a = MetricsReport.read_json(str(tmp_path / "out_epoch0" / "metrics.json"))
-    b = MetricsReport.read_json(str(tmp_path / "out_epoch1" / "metrics.json"))
+    a = read_report(str(tmp_path / "out_epoch0" / "metrics.json"))
+    b = read_report(str(tmp_path / "out_epoch1" / "metrics.json"))
     assert b.pcd_d == a.pcd_d
     assert b.rmse_d == pytest.approx(a.rmse_d, abs=1e-12)
 
@@ -308,13 +309,46 @@ def test_run_file_inputs_without_preprocessing(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "-c", str(path)]) == 0
-    report = MetricsReport.read_json(str(tmp_path / "out" / "metrics.json"))
+    report = read_report(str(tmp_path / "out" / "metrics.json"))
     assert set(report.gt_mean) - {None} == {2.0}
     assert report.pcd_d is not None and report.pcd_d >= 0.9
 
     capsys.readouterr()
     assert main(["run", "-c", str(path), "--set", "topology.retina_width=12"]) == 2
     assert "does not match the retina" in capsys.readouterr().err
+
+
+def test_file_ground_truth_covers_the_windows_of_spikes_after_the_last_event(tmp_path):
+    """Events end at 398 ms and the markers run to 600 ms: a spike after
+    400 ms opens window 8, whose ground truth comes from the markers."""
+    pulses = [(t, x, t // 2000 % 2) for t in range(0, 400_000, 2000) for x in (5, 6)]  # disparity 2 in row 8
+    left, right = tmp_path / "left.csv", tmp_path / "right.csv"
+    left.write_text("t_us,x,y,p\n" + "".join(f"{t},{x},8,{p}\n" for t, x, p in pulses))
+    right.write_text("t_us,x,y,p\n" + "".join(f"{t},{x + 2},8,{p}\n" for t, x, p in pulses))
+    markers = tmp_path / "markers.csv"
+    rows = [f"{t},torso,5.5,8.5,1.0" for t in range(0, 700_000, 100_000)]
+    markers.write_text("\n".join(["t_us,joint,X_mm,Y_mm,Z_mm", *rows]) + "\n")
+    calib = tmp_path / "calib.json"
+    calib.write_text(json.dumps({"left": IDENTITY, "right": [[1, 0, 0, 2], [0, 1, 0, 0], [0, 0, 1, 0]]}))
+    inputs = {"left_events": left, "right_events": right, "markers": markers, "calibration": calib}
+    cfg = {
+        "output_dir": str(tmp_path / "out"),
+        "input": {key: str(path) for key, path in inputs.items()},
+        "preprocess": {"enabled": False, "full_geometry": [16, 16]},
+        "topology": {"d_max": 5},
+        "analysis": {"window_us": 50_000},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "-c", str(path)]) == 0
+    _, spikes = read_rows(tmp_path / "out" / "spikes.csv")
+    assert max(int(t) for t, _, _ in spikes) >= 400_000
+    report = read_report(str(tmp_path / "out" / "metrics.json"))
+    assert report.n_windows == 9
+    assert report.gt_mean == [2.0] * 9
+    assert report.td_d[8] > 0
+    _, trace = read_rows(tmp_path / "out" / "disparity_trace.csv")
+    assert [row[:3] for row in trace[8:]] == [["8", "425000.0", "2.0"]]
 
 
 def test_run_without_a_compiler_writes_the_same_artifacts(tmp_path, monkeypatch):
@@ -547,6 +581,26 @@ def test_batch_loads_no_process_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (lines[0], lines[-1]) == ("imported []", "ran 0 []")
     assert all((tmp_path / name / "metrics.json").exists() for name in "ab")
+
+
+def test_import_stays_small():
+    code = "import sys\nimport evstereo.cli\nprint(len(sys.modules))\nprint(*sorted(sys.modules))\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=src_on_path(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count, names = proc.stdout.splitlines()
+    assert int(count) <= 232
+    unused = ("subprocess", "hashlib", "numpy.random", "concurrent", "multiprocessing")
+    assert [m for m in names.split() if m in unused or m.startswith(tuple(u + "." for u in unused))] == []
+
+
+@pytest.mark.parametrize("names,jobs", [("a", 1), ("ab", 2)])
+def test_module_entry_prints_each_headline_once_to_a_pipe(tmp_path, names, jobs):
+    # a pipe makes stdout block-buffered, so the exit must flush it
+    cmd = [sys.executable, "-m", "evstereo.cli", "run", *batch_configs(tmp_path, names), "--jobs", str(jobs)]
+    proc = subprocess.run(cmd, env=src_on_path(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("sample: dot-fixture\n") == len(names)
+    assert proc.stdout.count("population |") == len(names)
 
 
 # ------------------------------------------------------------- config unit
@@ -1028,7 +1082,7 @@ def test_readout_csvs_agree_with_spikes(tmp_path):
     out = tmp_path / "out"
     topo = build_topology(8, 4, 3)
     window_us = cfg["analysis"]["window_us"]
-    n_windows = MetricsReport.read_json(str(out / "metrics.json")).n_windows
+    n_windows = read_report(str(out / "metrics.json")).n_windows
     _, spikes = read_rows(out / "spikes.csv")
     spikes = [(int(t), int(n), pop) for t, n, pop in spikes]
     assert spikes and all(t // window_us < n_windows for t, _, _ in spikes)

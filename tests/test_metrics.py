@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import read_report
 from evstereo.groundtruth import DisparityTrace
 from evstereo.metrics import (
     CoMTrace,
     EnergyCoefficients,
-    MetricsReport,
     SpikeLabelCounts,
     build_report,
     center_of_mass,
@@ -76,14 +76,15 @@ def test_com_zero_window_undefined():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.tuples(st.integers(-8, 8), st.floats(0, 500)), min_size=1, max_size=10),
+    st.lists(st.tuples(st.integers(-8, 8), st.integers(0, 10_000)), min_size=1, max_size=10),
     st.floats(0.1, 100.0),
 )
 def test_com_scale_invariance_and_hull(pairs, scale):
+    # rates as a run produces them: a spike count over the window
     by_d = {}
-    for d, r in pairs:
-        by_d[float(d)] = by_d.get(float(d), 0.0) + r
-    rates, d = rate_matrix(by_d)
+    for d, count in pairs:
+        by_d[float(d)] = by_d.get(float(d), 0) + count
+    rates, d = rate_matrix({dv: count / (DT * 1e-6) for dv, count in by_d.items()})
     com = center_of_mass(rates, d)
     scaled = RateMatrix(rates.window_us, rates.neuron_ids, rates.rates_hz * scale)
     com2 = center_of_mass(scaled, d)
@@ -294,7 +295,7 @@ def test_report_roundtrips_serialization(tmp_path, small_topology):
     )
     path = tmp_path / "metrics.json"
     report.write_json(str(path))
-    back = MetricsReport.read_json(str(path))
+    back = read_report(str(path))
     assert back == report
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import without_kernel
+from conftest import OracleMatch, oracle_disparity_estimate, oracle_matches, without_kernel
 from evstereo import _native
 from evstereo.events import LEFT, RIGHT, CameraGeometry, StereoEventStream
 from evstereo.synth import (
@@ -10,11 +10,8 @@ from evstereo.synth import (
     DOT,
     LATTICE_US,
     DisparityProfile,
-    OracleMatch,
     _emit,
     gen_stimulus,
-    oracle_disparity_estimate,
-    oracle_matches,
 )
 
 GEOM = CameraGeometry(16, 16)
