@@ -12,9 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import read_report
-
 import evstereo
+from conftest import read_report
 from evstereo import _native
 from evstereo.cli import main
 from evstereo.config import (
