@@ -162,15 +162,18 @@ def _write_disparity_hist_csv(record: SpikeRecord, topology: Topology, window_us
 
 
 def _print_headline(report) -> None:
-    print(f"sample: {report.sample_label}")
-    print("population |   PCD (eps_d=%g) |   RMSE [px] | est. power [uW]" % report.eps_d)
+    """The summary table in one write, which batch workers on an unbuffered stdout cannot interleave."""
 
     def fmt(v, spec):
         return ("%" + spec) % v if v is not None else "       n/a"
 
     energy = fmt(report.energy_uw, "15.2f")
-    print(f"     D     | {fmt(report.pcd_d, '16.4f')} | {fmt(report.rmse_d, '11.4f')} | {energy}")
-    print(f"     C     | {fmt(report.pcd_c, '16.4f')} | {fmt(report.rmse_c, '11.4f')} |")
+    sys.stdout.write(
+        f"sample: {report.sample_label}\n"
+        + "population |   PCD (eps_d=%g) |   RMSE [px] | est. power [uW]\n" % report.eps_d
+        + f"     D     | {fmt(report.pcd_d, '16.4f')} | {fmt(report.rmse_d, '11.4f')} | {energy}\n"
+        + f"     C     | {fmt(report.pcd_c, '16.4f')} | {fmt(report.rmse_c, '11.4f')} |\n"
+    )
 
 
 # ---------------------------------------------------------------- commands
@@ -219,7 +222,10 @@ def _run_one(config_path: str, overrides: list[str], auto_crop: bool) -> int:
             setattr(trace, name, np.concatenate([getattr(trace, name), np.full(pad, np.nan)]))
         trace.n_joints = np.concatenate([trace.n_joints, np.zeros(pad, dtype=np.int64)])
     else:
-        trace = disparity_trajectory(*tracks, cfg.analysis.window_us, n_windows)
+        try:
+            trace = disparity_trajectory(*tracks, cfg.analysis.window_us, n_windows)
+        except ValueError as exc:  # the markers give no window a disparity
+            raise GroundTruthFormatError(f"{cfg.input.markers}: {exc}") from None
 
     rates = _population_rates(record, topology, cfg.analysis.window_us, n_windows)
     report = build_report(

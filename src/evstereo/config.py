@@ -181,14 +181,13 @@ def _list_of(what: str, item: _Kind, build) -> _Kind:
 
 
 INT = _Kind("an integer", lambda raw: _is_number(raw) and (isinstance(raw, int) or raw.is_integer()), int)
-FLOAT = _Kind("a number", _is_number, float)
+FLOAT = _Kind("a number", lambda raw: _is_number(raw) and math.isfinite(raw), float)  # JSON has no inf or NaN
 INTEGRAL = _Kind(INT.what, INT.accepts, float)  # an integer, stored as a float
-FINITE = _Kind("a finite number", lambda raw: _is_number(raw) and math.isfinite(raw), float)
 BOOL = _Kind("a boolean", lambda raw: isinstance(raw, bool))
 STR = _Kind("a string", lambda raw: isinstance(raw, str))
 INT_PAIR = _fixed_list("a list of 2 integers", (INT, INT), tuple)
 GEOMETRY = _fixed_list("a list of 2 integers", (INT, INT), lambda v: CameraGeometry(*v), lambda v: list(astuple(v)))
-KEYFRAMES = _list_of("a list of [t_us, d] pairs of finite numbers", _fixed_list("", (INT, FINITE), tuple), tuple)
+KEYFRAMES = _list_of("a list of [t_us, d] pairs of finite numbers", _fixed_list("", (INT, FLOAT), tuple), tuple)
 RECTS = _list_of(
     "a list of [x, y, w, h] lists", _fixed_list("", (INT,) * 4, lambda v: Rect(*v), lambda v: list(astuple(v))), list
 )

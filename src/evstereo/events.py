@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
+import operator
 import os
 from dataclasses import dataclass
+from itertools import compress, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -39,9 +42,6 @@ class CameraGeometry:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"geometry must be positive, got {self.width}x{self.height}")
-
-    def contains(self, x: int, y: int) -> bool:
-        return 0 <= x < self.width and 0 <= y < self.height
 
 
 #: Full-resolution geometry of the DAVIS cameras used for the recordings, the
@@ -203,8 +203,8 @@ def parse_event_file(path: str, geometry: CameraGeometry, side: int | None = Non
     Plain files (one of the two headers, ASCII digits, ``L``/``R`` sides and
     ``\\n`` line ends) are parsed by a strict path: one pass of the compiled
     kernel (``_native``), or one ``np.loadtxt`` call where there is no
-    compiler. Whatever that strict path declines goes through the
-    line-by-line scan, which accepts what ``int()`` accepts and reports the
+    compiler. Whatever that strict path declines goes through the line
+    scan, ``CsvRows``, which accepts what ``int()`` accepts and reports the
     first bad line as ``<path>:<line>:``.
     """
     with open(path, "rb") as fh:
@@ -230,29 +230,26 @@ def read_text(path: str, error: type[ValueError], data: bytes | None = None) -> 
         raise error(f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-_PLAIN_HEADERS = ((EVENT_CSV_HEADER.encode() + b"\n", True), (b"t_us,x,y,p\n", False))
+_HEADERS = {EVENT_CSV_HEADER: True, "t_us,x,y,p": False}  # whether a file of this header has a side column
 _INT32_MAX = 2**31 - 1
-_INT64_MAX = 2**63 - 1
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _parse_plain_event_bytes(data: bytes, geometry: CameraGeometry, side: int | None) -> StereoEventStream | None:
     """The stream of a plain event file, or ``None`` when the file is not
     plain or not valid; the line scan then decides. Accepts only files the
     line scan accepts too, with an equal result."""
-    for header, has_side in _PLAIN_HEADERS:
-        if data.startswith(header):
-            break
-    else:
-        return None
-    if not has_side and side not in (LEFT, RIGHT):
+    end = data.find(b"\n")
+    has_side = _HEADERS.get(data[:end].decode("latin-1")) if end >= 0 else None
+    if has_side is None or not has_side and side not in (LEFT, RIGHT):
         return None
     x_end, y_end = min(geometry.width, _INT32_MAX + 1), min(geometry.height, _INT32_MAX + 1)
     from . import _native  # deferred, so that importing the package compiles and loads nothing
 
     lib = _native.kernel()
     if lib is None:
-        return _parse_plain_numpy(data[len(header):], has_side, side, x_end, y_end, geometry)
-    cols = _native.parse_events(lib, data, len(header), None if has_side else side, x_end, y_end)
+        return _parse_plain_numpy(data[end + 1:], has_side, side, x_end, y_end, geometry)
+    cols = _native.parse_events(lib, data, end + 1, None if has_side else side, x_end, y_end)
     return None if cols is None else StereoEventStream(*cols, geometry)
 
 
@@ -287,56 +284,121 @@ def _parse_plain_numpy(
 
 
 def _parse_event_lines(path: str, text: str, geometry: CameraGeometry, side: int | None) -> StereoEventStream:
-    """Line-by-line parse that raises ``EventFormatError`` at the first bad line."""
+    """The line scan: ``CsvRows`` with the rules of the event format."""
     lines = text.splitlines()
     if not lines:
         raise EventFormatError(f"{path}:1: empty file, expected header '{EVENT_CSV_HEADER}'")
-    header = lines[0].strip()
-    if header == EVENT_CSV_HEADER:
-        has_side = True
-    elif header == "t_us,x,y,p":
-        has_side = False
-        if side is None:
-            raise EventFormatError(f"{path}:1: file has no side column and no side was specified")
-    else:
-        raise EventFormatError(f"{path}:1: unrecognized header {header!r}")
+    has_side = _HEADERS.get(lines[0].strip())
+    if has_side is None:
+        raise EventFormatError(f"{path}:1: unrecognized header {lines[0].strip()!r}")
+    if not has_side and side is None:
+        raise EventFormatError(f"{path}:1: file has no side column and no side was specified")
 
-    n = len(lines) - 1
-    t = np.empty(n, dtype=np.int64)
-    x = np.empty(n, dtype=np.int32)
-    y = np.empty(n, dtype=np.int32)
-    p = np.empty(n, dtype=np.int8)
-    s = np.empty(n, dtype=np.int8)
-    expected_fields = 5 if has_side else 4
-    for i, line in enumerate(lines[1:]):
-        lineno = i + 2
-        fields = line.split(",")
-        if len(fields) != expected_fields:
-            raise EventFormatError(f"{path}:{lineno}: expected {expected_fields} fields, got {len(fields)}")
-        try:
-            ti, xi, yi, pi = (int(f) for f in fields[:4])
-        except ValueError as exc:
-            raise EventFormatError(f"{path}:{lineno}: {exc}") from None
-        if pi not in (OFF, ON):
-            raise EventFormatError(f"{path}:{lineno}: polarity must be 0 or 1, got {fields[3]!r}")
-        if has_side:
-            code = SIDE_CODES.get(fields[4].strip())
-            if code is None:
-                raise EventFormatError(f"{path}:{lineno}: side must be L or R, got {fields[4]!r}")
-            s[i] = code
-        else:
-            s[i] = side
-        if ti < 0:
-            raise EventFormatError(f"{path}:{lineno}: negative timestamp {fields[0]}")
-        if ti > _INT64_MAX:
-            raise EventFormatError(f"{path}:{lineno}: timestamp {fields[0]} exceeds the 64-bit range")
-        if not (geometry.contains(xi, yi) and xi <= _INT32_MAX and yi <= _INT32_MAX):
-            raise EventFormatError(
-                f"{path}:{lineno}: coordinate ({fields[1]},{fields[2]}) outside "
-                f"{geometry.width}x{geometry.height}"
-            )
-        t[i], x[i], y[i], p[i] = ti, xi, yi, pi
+    rows = CsvRows(path, lines, EventFormatError)
+    t = rows.ints(0, "timestamp")
+    x, y, p = rows.ints(1), rows.ints(2), rows.ints(3)  # beyond 64 bits: outside the frame, not 0/1
+    rows.check((p != OFF) & (p != ON), lambda i: f"polarity must be 0 or 1, got {rows.column(3)[i]!r}")
+    if has_side:
+        s = np.fromiter(map(SIDE_CODES.get, map(str.strip, rows.column(4)), repeat(-1)), dtype=np.int8, count=rows.n)
+        rows.check(s < 0, lambda i: f"side must be L or R, got {rows.column(4)[i]!r}")
+    else:
+        s = np.full(rows.n, side, dtype=np.int8)
+    rows.check(t < 0, lambda i: f"negative timestamp {rows.column(0)[i]}")
+    x_end, y_end = min(geometry.width, _INT32_MAX + 1), min(geometry.height, _INT32_MAX + 1)
+    rows.check(
+        (x < 0) | (x >= x_end) | (y < 0) | (y >= y_end),
+        lambda i: f"coordinate ({rows.column(1)[i]},{rows.column(2)[i]}) outside {geometry.width}x{geometry.height}",
+    )
+    rows.finish()
     return StereoEventStream(t, x, y, p, s, geometry)
+
+
+class CsvRows:
+    """The rows after the header of CSV ``lines``, each with the header's
+    number of fields: the row reader of every CSV input. ``finish`` raises ``error``
+    with ``<path>:<line>:`` and the message of the first check that the
+    first bad line fails, so no row after it matters: rows after one of the
+    wrong width are dropped, and a column is read up to its first bad cell,
+    which holds a placeholder like the cells after it."""
+
+    def __init__(self, path: str, lines: list[str], error: type[ValueError]) -> None:
+        self.path, self.n_fields, self.error = path, lines[0].count(",") + 1, error
+        self._fault: tuple[int, str] | None = None  # the first bad row yet, with its message
+        commas = np.fromiter(map(operator.methodcaller("count", ","), lines[1:]), dtype=np.int64, count=len(lines) - 1)
+        self.check(commas != self.n_fields - 1, lambda i: f"expected {self.n_fields} fields, got {commas[i] + 1}")
+        self.n = len(commas) if self._fault is None else self._fault[0]
+        self._cells = ",".join(lines[1:self.n + 1]).split(",") if self.n else []
+
+    def column(self, j: int) -> list[str]:
+        return self._cells[j::self.n_fields]
+
+    def check(self, bad: np.ndarray, message) -> None:
+        """Flag the rows where ``bad`` holds; ``message(i)`` describes row ``i``."""
+        if bad.any():
+            i = int(np.argmax(bad))
+            if self._fault is None or i < self._fault[0]:
+                self._fault = (i, message(i))
+
+    def finish(self) -> None:
+        if self._fault is not None:
+            raise self.error(f"{self.path}:{self._fault[0] + 2}: {self._fault[1]}")
+
+    def ints(self, j: int, name: str | None = None, where: np.ndarray | None = None) -> np.ndarray:
+        """Column ``j`` as ``int()`` reads it (0 outside ``where``); beyond 64
+        bits it fails, or without a ``name`` saturates for the format to reject."""
+
+        def parse(cell: str) -> int:
+            value = int(cell)
+            if name is not None and not _INT64_MIN <= value <= _INT64_MAX:
+                raise ValueError(f"{name} {cell} exceeds the 64-bit range")
+            return min(max(value, _INT64_MIN), _INT64_MAX)
+
+        return self._read(j, np.int64, parse, where, 0)
+
+    def floats(self, j: int, name: str, where: np.ndarray | None = None) -> np.ndarray:
+        """Column ``j`` as ``float()`` reads it (NaN outside ``where``); a value
+        that is not finite fails."""
+
+        def parse(cell: str) -> float:
+            value = float(cell)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {cell!r}")
+            return value
+
+        return self._read(j, np.float64, parse, where, np.nan)
+
+    def _read(self, j: int, dtype, parse, where: np.ndarray | None, fill) -> np.ndarray:
+        """One array conversion, which numpy makes with ``int()`` or ``float()``
+        on each cell; if it fails, cell by cell up to the first bad one."""
+        cells = self.column(j) if where is None else list(compress(self.column(j), where))
+        try:
+            values = np.array(cells, dtype=dtype)
+            if not np.isfinite(values).all():
+                raise ValueError
+        except (ValueError, OverflowError):
+            values = np.full(len(cells), fill, dtype=dtype)
+            for k, cell in enumerate(cells):
+                try:
+                    values[k] = parse(cell)
+                except ValueError as exc:
+                    row = k if where is None else int(np.flatnonzero(where)[k])
+                    self.check(np.arange(self.n) == row, lambda i: str(exc))
+                    break
+        if where is None:
+            return values
+        out = np.full(self.n, fill, dtype=dtype)
+        out[where] = values
+        return out
+
+
+def read_csv(path: str, header: str, error: type[ValueError], what: str | None = None) -> CsvRows:
+    """The rows of CSV file ``path`` after ``header``; at least one if ``what`` names them."""
+    lines = read_text(path, error).splitlines()
+    if not lines or lines[0] != header:
+        raise error(f"{path}:1: expected header '{header}'")
+    if what is not None and len(lines) == 1:
+        raise error(f"{path}:1: no {what} rows after the header")
+    return CsvRows(path, lines, error)
 
 
 def write_event_file(stream: StereoEventStream, path: str) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import CameraGeometry, read_text, write_csv
+from .events import CameraGeometry, read_csv, read_text, write_csv
 from .simulator import window_center_labels, window_centers_us, window_count
 
 MARKER_CSV_HEADER = "t_us,joint,X_mm,Y_mm,Z_mm"
@@ -197,38 +197,16 @@ def disparity_trajectory(
 
 
 def read_marker_csv(path: str) -> list[MarkerTrack3D]:
-    lines = read_text(path, GroundTruthFormatError).splitlines()
-    if not lines or lines[0] != MARKER_CSV_HEADER:
-        raise GroundTruthFormatError(f"{path}:1: expected header '{MARKER_CSV_HEADER}'")
-    if len(lines) == 1:
-        raise GroundTruthFormatError(f"{path}:1: no marker rows after the header")
-    samples: dict[str, list[tuple[int, float, float, float]]] = {}
-    for i, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise GroundTruthFormatError(f"{path}:{i}: expected 5 fields, got {len(fields)}")
-        try:
-            sample = (int(fields[0]), float(fields[2]), float(fields[3]), float(fields[4]))
-        except ValueError as exc:
-            raise GroundTruthFormatError(f"{path}:{i}: {exc}") from None
-        if not -(2**63) <= sample[0] < 2**63:
-            raise GroundTruthFormatError(f"{path}:{i}: timestamp {fields[0]} exceeds the 64-bit range")
-        for name, value, text in zip(("X_mm", "Y_mm", "Z_mm"), sample[1:], fields[2:]):
-            if not math.isfinite(value):
-                raise GroundTruthFormatError(f"{path}:{i}: {name} must be finite, got {text!r}")
-        samples.setdefault(fields[1], []).append(sample)
-    tracks = []
-    for joint, rows in samples.items():
-        rows.sort(key=lambda r: r[0])
-        tracks.append(
-            MarkerTrack3D(
-                joint=joint,
-                t=np.array([r[0] for r in rows], dtype=np.int64),
-                xyz=np.array([[r[1], r[2], r[3]] for r in rows], dtype=np.float64),
-            )
-        )
-    tracks.sort(key=lambda tr: tr.joint)
-    return tracks
+    """One track per joint, by name; its samples by time, in file order at equal times."""
+    rows = read_csv(path, MARKER_CSV_HEADER, GroundTruthFormatError, "marker")
+    t = rows.ints(0, "timestamp")
+    xyz = np.column_stack([rows.floats(j, name) for j, name in ((2, "X_mm"), (3, "Y_mm"), (4, "Z_mm"))])
+    rows.finish()
+    joints = rows.column(1)
+    samples: dict[str, list[int]] = {}
+    for i in np.argsort(t, kind="stable").tolist():
+        samples.setdefault(joints[i], []).append(i)
+    return [MarkerTrack3D(joint=joint, t=t[samples[joint]], xyz=xyz[samples[joint]]) for joint in sorted(samples)]
 
 
 def read_calibration_json(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -276,37 +254,21 @@ def write_trace_csv(trace: DisparityTrace, path: str) -> None:
 
 
 def read_trace_csv(path: str) -> DisparityTrace:
-    lines = read_text(path, GroundTruthFormatError).splitlines()
-    if not lines or lines[0] != TRACE_CSV_HEADER:
-        raise GroundTruthFormatError(f"{path}:1: expected header '{TRACE_CSV_HEADER}'")
-    n = len(lines) - 1
-    if n == 0:
-        raise GroundTruthFormatError(f"{path}:1: no trace rows after the header")
-    d_mean = np.full(n, np.nan)
-    d_min = np.full(n, np.nan)
-    d_max = np.full(n, np.nan)
-    n_joints = np.zeros(n, dtype=np.int64)
-    centers = np.zeros(n)
-    for i, line in enumerate(lines[1:]):
-        fields = line.split(",")
-        if len(fields) != 6:
-            raise GroundTruthFormatError(f"{path}:{i + 2}: expected 6 fields, got {len(fields)}")
-        try:
-            centers[i] = float(fields[1])
-            if fields[2]:
-                d_mean[i], d_min[i], d_max[i] = map(float, fields[2:5])
-                n_joints[i] = int(fields[5])
-        except (ValueError, OverflowError) as exc:
-            raise GroundTruthFormatError(f"{path}:{i + 2}: {exc}") from None
-    bad = np.flatnonzero(~np.isfinite(centers))
-    if len(bad):
-        i = int(bad[0])
-        raise GroundTruthFormatError(f"{path}:{i + 2}: t_center_us must be finite, got {lines[i + 1].split(',')[1]!r}")
-    window_us = int(round(centers[0] * 2))
-    return DisparityTrace(
-        window_us=window_us,
-        d_mean=d_mean,
-        d_min=d_min,
-        d_max=d_max,
-        n_joints=n_joints,
+    """``window_i`` runs 0, 1, 2, ... with each window's centre; a row with an
+    empty ``d_mean`` has no ground truth, and its later cells are not read."""
+    rows = read_csv(path, TRACE_CSV_HEADER, GroundTruthFormatError, "trace")
+    window = rows.ints(0, "window_i")
+    centers = rows.floats(1, "t_center_us")
+    known = np.array([cell != "" for cell in rows.column(2)], dtype=bool)
+    d_mean, d_min, d_max = (rows.floats(j, name, known) for j, name in ((2, "d_mean"), (3, "d_min"), (4, "d_max")))
+    n_joints = rows.ints(5, "n_joints", known)
+    rows.check(window != np.arange(rows.n), lambda i: f"window_i must be {i}, got {rows.column(0)[i]!r}")
+    twice = float(centers[0]) * 2 if rows.n else 0.0
+    window_us = max(1, round(twice)) if math.isfinite(twice) else 1
+    rows.check(
+        centers != window_centers_us(rows.n, window_us),
+        lambda i: f"t_center_us must be {window_center_labels(i + 1, window_us)[i]}, the centre of window {i} "
+        f"of {window_us}us, got {rows.column(1)[i]!r}",
     )
+    rows.finish()
+    return DisparityTrace(window_us=window_us, d_mean=d_mean, d_min=d_min, d_max=d_max, n_joints=n_joints)

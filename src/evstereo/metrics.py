@@ -171,7 +171,7 @@ class MetricsReport:
     config: dict = field(default_factory=dict)
 
     def write_json(self, path: str) -> None:
-        atomic_write(path, json.dumps(self.__dict__, indent=1) + "\n")
+        atomic_write(path, json.dumps(self.__dict__, indent=1, allow_nan=False) + "\n")
 
 
 def _nan_to_none(values: np.ndarray) -> list:

@@ -31,14 +31,13 @@ also the reference the tests compare the compiled loop against.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import repeat
 
 import numpy as np
 
-from .events import StereoEventStream, read_text, write_csv
+from .events import StereoEventStream, read_csv, write_csv
 from .topology import Population, Topology
 
 SPIKE_CSV_HEADER = "t_us,neuron_id,population"
@@ -532,45 +531,25 @@ class SpikeFormatError(ValueError):
     """Malformed spike CSV; the message starts with ``<path>:<line>:``."""
 
 
-def _is_int64(text: str) -> bool:
-    try:
-        return -(2**63) <= int(text) < 2**63
-    except ValueError:
-        return False
-
-
 def read_spike_csv(path: str, topology: Topology, duration_us: int | None = None) -> SpikeRecord:
     """Load a spike CSV back into a SpikeRecord, checking every row against
     the topology. Input-event and delivery counters are not stored in the
     CSV and read back as zero."""
-    lines = read_text(path, SpikeFormatError).splitlines()
-    if not lines or lines[0] != SPIKE_CSV_HEADER:
-        raise SpikeFormatError(f"{path}:1: expected header '{SPIKE_CSV_HEADER}'")
-    rows = lines[1:]
-    n = len(rows)
+    rows = read_csv(path, SPIKE_CSV_HEADER, SpikeFormatError)
 
-    def check(bad: np.ndarray, what: str) -> None:
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise SpikeFormatError(f"{path}:{i + 2}: {what}: {rows[i]!r}")
+    def row(what: str):
+        return lambda i: f"{what}: {','.join(rows.column(j)[i] for j in range(3))!r}"
 
-    def int_column(column: list[str], name: str) -> np.ndarray:
-        try:
-            return np.array(column, dtype=np.int64)
-        except (ValueError, OverflowError):
-            check(np.array([not _is_int64(v) for v in column]), f"{name} must be a 64-bit integer")
-            raise
+    times = rows.ints(0, "t_us")
+    ids = rows.ints(1, "neuron_id")
+    pops = np.fromiter(map(POPULATION_NAME_CODES.get, rows.column(2), repeat(-1)), dtype=np.int8, count=rows.n)
+    rows.check(pops < 0, row(f"population must be one of {', '.join(POPULATION_NAME_CODES)}"))
+    rows.check(times < 0, row("negative spike time"))
+    outside = (ids < 0) | (ids >= topology.n_neurons)
+    rows.check(outside, row(f"neuron id outside 0..{topology.n_neurons - 1}"))
+    mismatch = topology.pop_code[np.where(outside, 0, ids)] != pops
+    rows.check(mismatch, row("neuron id does not belong to the named population"))
+    rows.finish()
 
-    commas = np.fromiter(map(operator.methodcaller("count", ","), rows), dtype=np.int64, count=n)
-    check(commas != 2, "expected 3 fields")
-    fields = ",".join(rows).split(",") if n else []
-    times = int_column(fields[0::3], "t_us")
-    ids = int_column(fields[1::3], "neuron_id")
-    pops = np.fromiter(map(POPULATION_NAME_CODES.get, fields[2::3], repeat(-1)), dtype=np.int8, count=n)
-    check(pops < 0, f"population must be one of {', '.join(POPULATION_NAME_CODES)}")
-    check(times < 0, "negative spike time")
-    check((ids < 0) | (ids >= topology.n_neurons), f"neuron id outside 0..{topology.n_neurons - 1}")
-    check(topology.pop_code[ids] != pops, "neuron id does not belong to the named population")
-
-    dur = duration_us if duration_us is not None else (int(times.max()) if n else 0)
+    dur = duration_us if duration_us is not None else (int(times.max()) if rows.n else 0)
     return SpikeRecord(times=times, neuron_ids=ids, populations=pops, duration_us=dur, input_events=0, deliveries=0)

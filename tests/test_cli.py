@@ -193,6 +193,16 @@ def test_eval_missing_spikes_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_metrics_json_refuses_a_number_json_does_not_have(tmp_path):
+    path, _ = synthetic_config(tmp_path)
+    assert main(["run", "-c", str(path)]) == 0
+    report = read_report(str(tmp_path / "out" / "metrics.json"))
+    report.rmse_d = float("inf")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report.write_json(str(tmp_path / "metrics.json"))
+    assert not (tmp_path / "metrics.json").exists()
+
+
 # ------------------------------------------------------------- file inputs
 
 def write_file_fixture(tmp_path, t_offset=0):
@@ -644,9 +654,9 @@ def test_load_config_missing_file():
     [
         ("10,70", "expected 3 fields"),
         ("10,70,DISPARITY,1", "expected 3 fields"),
-        ("1.5,70,DISPARITY", "t_us must be a 64-bit integer"),
-        ("10,x,DISPARITY", "neuron_id must be a 64-bit integer"),
-        ("10,99999999999999999999,DISPARITY", "neuron_id must be a 64-bit integer"),
+        ("1.5,70,DISPARITY", "invalid literal for int() with base 10: '1.5'"),
+        ("10,x,DISPARITY", "invalid literal for int() with base 10: 'x'"),
+        ("10,99999999999999999999,DISPARITY", "neuron_id 99999999999999999999 exceeds the 64-bit range"),
         ("10,70,BOGUS", "population must be one of"),
         ("-10,70,DISPARITY", "negative spike time"),
         ("10,999999,DISPARITY", "neuron id outside"),
@@ -732,7 +742,7 @@ def test_invalid_topology_does_not_abort_batch(tmp_path, capfd):
                 "preprocess.background_window_us must be an integer or null, got 'abc'",
             ),
             ("preprocess.hot_pixel_factor=abc", "preprocess.hot_pixel_factor must be a number or null, got 'abc'"),
-            ("preprocess.hot_pixel_factor=NaN", "preprocess: "),
+            ("preprocess.hot_pixel_factor=NaN", "preprocess.hot_pixel_factor must be a number or null, got nan"),
         ]
     ],
 )
@@ -860,6 +870,9 @@ def test_config_integer_too_long_to_convert_exit_2(tmp_path, capsys):
             "input.synthetic.keyframes=[[0,NaN]]",
             "input.synthetic.keyframes must be a list of [t_us, d] pairs of finite numbers, got [[0, nan]]",
         ),
+        ("analysis.eps_d=Infinity", "analysis.eps_d must be a number, got inf"),
+        ("energy.e_spike_pj=NaN", "energy.e_spike_pj must be a number, got nan"),
+        ("topology.weights.w_rc=1e400", "topology.weights.w_rc must be a number, got inf"),
     ],
 )
 def test_invalid_config_value_exit_2_names_key(tmp_path, capsys, override, key):
@@ -930,10 +943,17 @@ def run_and_trace(tmp_path):
         (lambda rows: rows[:1] + ["0,nan,,,,0"] + rows[2:], 2, "t_center_us must be finite, got 'nan'"),
         (lambda rows: rows[:2] + ["1,inf,,,,0"] + rows[3:], 3, "t_center_us must be finite, got 'inf'"),
         (lambda rows: rows[:1] + ["0,-inf,,,,0"] + rows[2:], 2, "t_center_us must be finite, got '-inf'"),
+        (lambda rows: rows[:2] + rows[3:], 3, "window_i must be 1, got '2'"),
+        (lambda rows: rows[:2] + ["1,75000.0,inf,inf,inf,1"] + rows[3:], 3, "d_mean must be finite, got 'inf'"),
+        (
+            lambda rows: rows[:5] + ["4,225001.0,,,,0"] + rows[6:],
+            6,
+            "t_center_us must be 225000.0, the centre of window 4 of 50000us, got '225001.0'",
+        ),
     ],
     ids=[
         "header", "no-rows", "ragged", "d-not-a-number", "centre-not-a-number", "n-joints-not-an-integer",
-        "centre-nan", "centre-inf", "centre-minus-inf",
+        "centre-nan", "centre-inf", "centre-minus-inf", "row-deleted", "d-inf", "centre-off-its-window",
     ],
 )
 def test_eval_malformed_trace_exit_2_with_line(tmp_path, capsys, edit, line, message):
