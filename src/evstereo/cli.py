@@ -19,11 +19,11 @@ from typing import NoReturn
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, config_to_dict, load_config
+from .config import RunConfig, config_to_dict, load_config
 from .events import (
     LEFT,
     RIGHT,
-    EventFormatError,
+    InputError,
     StereoEventStream,
     merge_streams,
     parse_event_file,
@@ -31,7 +31,6 @@ from .events import (
     write_event_file,
 )
 from .groundtruth import (
-    GroundTruthFormatError,
     disparity_trajectory,
     project_markers,
     read_calibration_json,
@@ -45,7 +44,6 @@ from .preprocess import preprocess_pipeline_resolved
 from .simulator import (
     POPULATION_CODE_NAMES,
     RateMatrix,
-    SpikeFormatError,
     SpikeRecord,
     instantaneous_rates,
     read_spike_csv,
@@ -65,16 +63,12 @@ from .topology import (
 )
 
 
-# a bad config or a malformed input file: exit code 2, with the message
-INPUT_ERRORS = (ConfigError, EventFormatError, GroundTruthFormatError, SpikeFormatError)
-
-
 def _build_topology(cfg: RunConfig) -> Topology:
     t = cfg.topology
     try:
         return _topology(t.retina_width, t.retina_height, t.d_max, t.weights, t.polarity_mode, t.continuity_radius)
     except ValueError as exc:
-        raise ConfigError(f"topology: {exc}") from None
+        raise InputError(f"topology: {exc}") from None
 
 
 @functools.lru_cache(maxsize=1)
@@ -205,7 +199,7 @@ def _run_one(config_path: str, overrides: list[str], auto_crop: bool) -> int:
         else:
             stream, origin = raw, (0, 0)
         if stream.geometry != cfg.topology.geometry:
-            raise ConfigError(
+            raise InputError(
                 f"input geometry {stream.geometry} does not match the retina; "
                 "enable preprocessing or fix the crop"
             )
@@ -225,7 +219,7 @@ def _run_one(config_path: str, overrides: list[str], auto_crop: bool) -> int:
         try:
             trace = disparity_trajectory(*tracks, cfg.analysis.window_us, n_windows)
         except ValueError as exc:  # the markers give no window a disparity
-            raise GroundTruthFormatError(f"{cfg.input.markers}: {exc}") from None
+            raise InputError(f"{cfg.input.markers}: {exc}") from None
 
     rates = _population_rates(record, topology, cfg.analysis.window_us, n_windows)
     report = build_report(
@@ -255,18 +249,25 @@ def _run_one(config_path: str, overrides: list[str], auto_crop: bool) -> int:
     return 0
 
 
+def _exit_code(exc: Exception, where: str) -> int:
+    """The exit code of a command that raised ``exc`` at ``where``: 2 for an
+    ``InputError``, else 1. Its stderr line is one write, which the workers
+    of a batch cannot interleave."""
+    if isinstance(exc, InputError):
+        code, line = 2, f"config error ({where}): {exc}"
+    elif isinstance(exc, (ValueError, OSError)):
+        code, line = 1, f"error ({where}): {exc}"
+    else:
+        code, line = 1, f"error ({where}): {type(exc).__name__}: {exc}"
+    sys.stderr.write(line + "\n")
+    return code
+
+
 def _run_one_safe(config_path: str, overrides: list[str], auto_crop: bool) -> int:
     try:
         return _run_one(config_path, overrides, auto_crop)
-    except INPUT_ERRORS as exc:
-        print(f"config error (run {config_path}): {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error (run {config_path}): {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # one failing config must not abort its siblings
-        print(f"error (run {config_path}): {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _exit_code(exc, f"run {config_path}")
 
 
 def _run_forked(configs: list[str], overrides: list[str], auto_crop: bool, jobs: int) -> int:
@@ -320,8 +321,7 @@ def _run_forked(configs: list[str], overrides: list[str], auto_crop: bool, jobs:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if code not in (0, 1, 2):
             how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            print(f"error (run): worker {pid} {how}", file=sys.stderr)
-            code = 1
+            code = _exit_code(ChildProcessError(f"worker {pid} {how}"), "run")
         codes.append(code)
     return max(codes)
 
@@ -344,7 +344,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.set or [])
     if not cfg.input.is_synthetic:
-        raise ConfigError("synth requires an input.synthetic profile")
+        raise InputError("synth requires an input.synthetic profile")
     cfg.validate_for_run()
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
@@ -384,12 +384,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.set or [])
     topology = _build_topology(cfg)
     if not os.path.exists(args.spikes):
-        raise ConfigError(f"spike file not found: {args.spikes}")
+        raise InputError(f"spike file not found: {args.spikes}")
     if not os.path.exists(args.trace):
-        raise ConfigError(f"trace file not found: {args.trace}")
+        raise InputError(f"trace file not found: {args.trace}")
     trace = read_trace_csv(args.trace)
     if trace.window_us != cfg.analysis.window_us:
-        raise ConfigError(
+        raise InputError(
             f"trace window {trace.window_us}us does not match analysis.window_us={cfg.analysis.window_us}"
         )
     duration = trace.n_windows * trace.window_us - 1
@@ -464,12 +464,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except INPUT_ERRORS as exc:
-        print(f"config error ({args.command}): {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error ({args.command}): {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, OSError) as exc:  # any other exception is a fault of the program
+        return _exit_code(exc, args.command)
 
 
 def _exit(code: int) -> NoReturn:

@@ -9,16 +9,12 @@ import os
 from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Any
 
-from .events import DAVIS_GEOMETRY, CameraGeometry, read_text
+from .events import DAVIS_GEOMETRY, CameraGeometry, InputError, read_text
 from .metrics import PCD_GLOBAL, PCD_PER_WINDOW_MEAN, EnergyCoefficients
 from .preprocess import PreprocessConfig, Rect
 from .simulator import LifParams, MismatchModel, NeuronParams
 from .synth import DisparityProfile, validate_profile_bounds
 from .topology import Population, WeightParams
-
-
-class ConfigError(ValueError):
-    """Invalid configuration or missing input; maps to exit code 2."""
 
 
 @dataclass
@@ -75,18 +71,20 @@ class RunConfig:
     # ------------------------------------------------------------ validation
 
     def validate_for_run(self) -> None:
+        """The checks of a run's inputs: its files, the stimulus bounds, the
+        preprocessing geometry and the crop against the retina."""
         inp = self.input
         if inp.is_synthetic:
             if inp.duration_us is None or inp.duration_us <= 0:
-                raise ConfigError("synthetic input requires a positive input.duration_us")
+                raise InputError("synthetic input requires a positive input.duration_us")
             try:
                 validate_profile_bounds(inp.synthetic, self.topology.geometry, inp.duration_us)
             except ValueError as exc:
-                raise ConfigError(f"input.synthetic: {exc}") from None
+                raise InputError(f"input.synthetic: {exc}") from None
         else:
             has_pair = inp.left_events is not None and inp.right_events is not None
             if not has_pair and inp.events is None:
-                raise ConfigError(
+                raise InputError(
                     "input requires either a synthetic profile, a merged events file, "
                     "or both left_events and right_events"
                 )
@@ -98,34 +96,22 @@ class RunConfig:
                 ("input.calibration", inp.calibration),
             ):
                 if path is not None and not os.path.exists(path):
-                    raise ConfigError(f"{label}: file not found: {path}")
+                    raise InputError(f"{label}: file not found: {path}")
             if inp.markers is None or inp.calibration is None:
-                raise ConfigError(
+                raise InputError(
                     "file input requires input.markers and input.calibration for ground truth"
                 )
             if self.preprocess_enabled:  # else the run checks the input's geometry against the retina
                 try:
                     self.preprocess.validate(self.full_geometry)
                 except ValueError as exc:
-                    raise ConfigError(f"preprocess: {exc}") from None
+                    raise InputError(f"preprocess: {exc}") from None
                 cw, ch = self.preprocess.crop_size
                 if (cw, ch) != (self.topology.retina_width, self.topology.retina_height):
-                    raise ConfigError(
+                    raise InputError(
                         f"preprocess crop size {cw}x{ch} must equal the retina "
                         f"{self.topology.retina_width}x{self.topology.retina_height}"
                     )
-        if self.analysis.window_us <= 0:
-            raise ConfigError("analysis.window_us must be > 0")
-        if self.analysis.eps_d < 0:
-            raise ConfigError("analysis.eps_d must be >= 0")
-        if self.analysis.pcd_mode not in (PCD_GLOBAL, PCD_PER_WINDOW_MEAN):
-            raise ConfigError(f"unknown analysis.pcd_mode {self.analysis.pcd_mode!r}")
-        try:
-            self.topology.weights.validate()
-            for pop in Population:
-                self.simulator.for_population(pop)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------- the table
@@ -141,11 +127,11 @@ class _Kind:
 
     def parse(self, raw, key: str):
         if not self.accepts(raw):
-            raise ConfigError(f"{key} must be {self.what}, got {raw!r}")
+            raise InputError(f"{key} must be {self.what}, got {raw!r}")
         try:
             return self.build(raw)
         except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"{key}: {exc}") from None
+            raise InputError(f"{key}: {exc}") from None
 
 
 def _is_number(raw) -> bool:
@@ -325,10 +311,10 @@ for _row in TABLE:
 def _object(raw, key: str, known) -> dict:
     """``raw``, checked to be a JSON object with only ``known`` keys."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{key} must be an object, got {raw!r}")
+        raise InputError(f"{key} must be an object, got {raw!r}")
     unknown = set(raw) - set(known)
     if unknown:
-        raise ConfigError(f"{key}: unknown keys {sorted(unknown)}")
+        raise InputError(f"{key}: unknown keys {sorted(unknown)}")
     return raw
 
 
@@ -353,14 +339,34 @@ def _parse_section(key: str, raw, kwargs: dict) -> None:
             try:
                 value = row.kind.cls(**kwargs.pop(row.kind.cls))
             except ValueError as exc:
-                raise ConfigError(f"{row.key}: {exc}") from None
+                raise InputError(f"{row.key}: {exc}") from None
         kwargs[row.owner][row.field] = value
 
 
 def config_from_dict(data: dict) -> RunConfig:
+    """The config of ``data``. Beyond each key's JSON kind, it checks the
+    values that every command reads; each message starts with the key at
+    fault (a ``simulator`` message names the population)."""
     kwargs = {RunConfig: {}}
     _parse_section("", data, kwargs)
-    return RunConfig(**kwargs[RunConfig])
+    cfg = RunConfig(**kwargs[RunConfig])
+    a = cfg.analysis
+    if a.window_us <= 0:
+        raise InputError(f"analysis.window_us must be > 0, got {a.window_us}")
+    if a.eps_d < 0:
+        raise InputError(f"analysis.eps_d must be >= 0, got {a.eps_d!r}")
+    if a.pcd_mode not in (PCD_GLOBAL, PCD_PER_WINDOW_MEAN):
+        raise InputError(f"analysis.pcd_mode must be {PCD_GLOBAL!r} or {PCD_PER_WINDOW_MEAN!r}, got {a.pcd_mode!r}")
+    try:
+        cfg.topology.weights.validate()
+    except ValueError as exc:  # its message starts with the weight's name
+        raise InputError(f"topology.weights.{exc}") from None
+    for pop in Population:
+        try:
+            cfg.simulator.for_population(pop)
+        except ValueError as exc:
+            raise InputError(f"simulator ({pop.name} parameters): {exc}") from None
+    return cfg
 
 
 def _dump_section(key: str, objects: dict) -> dict:
@@ -386,7 +392,7 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
     parse as JSON with bare-string fallback."""
     for item in overrides:
         if "=" not in item:
-            raise ConfigError(f"override must look like section.key=value, got {item!r}")
+            raise InputError(f"override must look like section.key=value, got {item!r}")
         path, raw = item.split("=", 1)
         keys = path.split(".")
         try:
@@ -397,19 +403,19 @@ def apply_overrides(data: dict, overrides: list[str]) -> dict:
         for k in keys[:-1]:
             node = node.setdefault(k, {})
             if not isinstance(node, dict):
-                raise ConfigError(f"override path {path!r} crosses a non-object value")
+                raise InputError(f"override path {path!r} crosses a non-object value")
         node[keys[-1]] = value
     return data
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> RunConfig:
     if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    text = read_text(path, ConfigError)
+        raise InputError(f"config file not found: {path}")
+    text = read_text(path)
     try:
         data = json.loads(text)
     except ValueError as exc:  # also an integer too long to convert
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        raise InputError(f"{path}: invalid JSON: {exc}") from None
     if overrides:
         data = apply_overrides(data, overrides)
     return config_from_dict(data)

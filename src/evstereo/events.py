@@ -30,8 +30,9 @@ SIDE_CODES = {"L": LEFT, "R": RIGHT}
 EVENT_CSV_HEADER = "t_us,x,y,p,side"
 
 
-class EventFormatError(ValueError):
-    """Malformed event file; message carries the offending line number."""
+class InputError(ValueError):
+    """A bad config or a malformed input file: exit code 2. The message
+    locates the fault: ``<path>:<line>:``, ``<path>:`` or a dotted config key."""
 
 
 @dataclass(frozen=True)
@@ -169,11 +170,10 @@ class StereoEventStream:
         return out
 
     def replace_coords(self, x: np.ndarray, y: np.ndarray, geometry: CameraGeometry) -> "StereoEventStream":
-        """New stream with remapped coordinates (used by downscale/crop).
-
-        The canonical order of surviving events is unchanged by construction:
-        remaps in this pipeline are monotone per (t, side) group.
-        """
+        """New stream with remapped coordinates (used by downscale/crop),
+        sorted again: ``downscale`` can swap two events of one (t, side),
+        as (11, 0) and (0, 1) on a 12x12 frame become (1, 0) and (0, 0)
+        with factor 6."""
         return StereoEventStream(self.t, x, y, self.p, self.side, geometry, _presorted=False)
 
     def sides_present(self) -> set[int]:
@@ -211,13 +211,13 @@ def parse_event_file(path: str, geometry: CameraGeometry, side: int | None = Non
         data = fh.read()
     stream = _parse_plain_event_bytes(data, geometry, side)
     if stream is None:
-        stream = _parse_event_lines(path, read_text(path, EventFormatError, data), geometry, side)
+        stream = _parse_event_lines(path, read_text(path, data), geometry, side)
     return stream
 
 
-def read_text(path: str, error: type[ValueError], data: bytes | None = None) -> str:
+def read_text(path: str, data: bytes | None = None) -> str:
     """The text of the UTF-8 file ``path`` (``data``: its bytes, if read
-    already). A byte that is not UTF-8 raises ``error`` with
+    already). A byte that is not UTF-8 raises ``InputError`` with
     ``<path>:<line>: not UTF-8 text: ...``, its line counted as
     ``str.splitlines`` counts lines."""
     if data is None:
@@ -227,7 +227,7 @@ def read_text(path: str, error: type[ValueError], data: bytes | None = None) -> 
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
-        raise error(f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        raise InputError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 _HEADERS = {EVENT_CSV_HEADER: True, "t_us,x,y,p": False}  # whether a file of this header has a side column
@@ -287,14 +287,14 @@ def _parse_event_lines(path: str, text: str, geometry: CameraGeometry, side: int
     """The line scan: ``CsvRows`` with the rules of the event format."""
     lines = text.splitlines()
     if not lines:
-        raise EventFormatError(f"{path}:1: empty file, expected header '{EVENT_CSV_HEADER}'")
+        raise InputError(f"{path}:1: empty file, expected header '{EVENT_CSV_HEADER}'")
     has_side = _HEADERS.get(lines[0].strip())
     if has_side is None:
-        raise EventFormatError(f"{path}:1: unrecognized header {lines[0].strip()!r}")
+        raise InputError(f"{path}:1: unrecognized header {lines[0].strip()!r}")
     if not has_side and side is None:
-        raise EventFormatError(f"{path}:1: file has no side column and no side was specified")
+        raise InputError(f"{path}:1: file has no side column and no side was specified")
 
-    rows = CsvRows(path, lines, EventFormatError)
+    rows = CsvRows(path, lines)
     t = rows.ints(0, "timestamp")
     x, y, p = rows.ints(1), rows.ints(2), rows.ints(3)  # beyond 64 bits: outside the frame, not 0/1
     rows.check((p != OFF) & (p != ON), lambda i: f"polarity must be 0 or 1, got {rows.column(3)[i]!r}")
@@ -315,14 +315,14 @@ def _parse_event_lines(path: str, text: str, geometry: CameraGeometry, side: int
 
 class CsvRows:
     """The rows after the header of CSV ``lines``, each with the header's
-    number of fields: the row reader of every CSV input. ``finish`` raises ``error``
+    number of fields: the row reader of every CSV input. ``finish`` raises ``InputError``
     with ``<path>:<line>:`` and the message of the first check that the
     first bad line fails, so no row after it matters: rows after one of the
     wrong width are dropped, and a column is read up to its first bad cell,
     which holds a placeholder like the cells after it."""
 
-    def __init__(self, path: str, lines: list[str], error: type[ValueError]) -> None:
-        self.path, self.n_fields, self.error = path, lines[0].count(",") + 1, error
+    def __init__(self, path: str, lines: list[str]) -> None:
+        self.path, self.n_fields = path, lines[0].count(",") + 1
         self._fault: tuple[int, str] | None = None  # the first bad row yet, with its message
         commas = np.fromiter(map(operator.methodcaller("count", ","), lines[1:]), dtype=np.int64, count=len(lines) - 1)
         self.check(commas != self.n_fields - 1, lambda i: f"expected {self.n_fields} fields, got {commas[i] + 1}")
@@ -341,7 +341,7 @@ class CsvRows:
 
     def finish(self) -> None:
         if self._fault is not None:
-            raise self.error(f"{self.path}:{self._fault[0] + 2}: {self._fault[1]}")
+            raise InputError(f"{self.path}:{self._fault[0] + 2}: {self._fault[1]}")
 
     def ints(self, j: int, name: str | None = None, where: np.ndarray | None = None) -> np.ndarray:
         """Column ``j`` as ``int()`` reads it (0 outside ``where``); beyond 64
@@ -391,14 +391,14 @@ class CsvRows:
         return out
 
 
-def read_csv(path: str, header: str, error: type[ValueError], what: str | None = None) -> CsvRows:
+def read_csv(path: str, header: str, what: str | None = None) -> CsvRows:
     """The rows of CSV file ``path`` after ``header``; at least one if ``what`` names them."""
-    lines = read_text(path, error).splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != header:
-        raise error(f"{path}:1: expected header '{header}'")
+        raise InputError(f"{path}:1: expected header '{header}'")
     if what is not None and len(lines) == 1:
-        raise error(f"{path}:1: no {what} rows after the header")
-    return CsvRows(path, lines, error)
+        raise InputError(f"{path}:1: no {what} rows after the header")
+    return CsvRows(path, lines)
 
 
 def write_event_file(stream: StereoEventStream, path: str) -> None:

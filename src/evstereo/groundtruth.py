@@ -15,16 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import CameraGeometry, read_csv, read_text, write_csv
+from .events import CameraGeometry, InputError, read_csv, read_text, write_csv
 from .simulator import window_center_labels, window_centers_us, window_count
 
 MARKER_CSV_HEADER = "t_us,joint,X_mm,Y_mm,Z_mm"
 TRACE_CSV_HEADER = "window_i,t_center_us,d_mean,d_min,d_max,n_joints"
-
-
-class GroundTruthFormatError(ValueError):
-    """Malformed marker or trace CSV, or calibration JSON; the message starts
-    with ``<path>:<line>:`` (``<path>:`` for the JSON, then the key at fault)."""
 
 
 @dataclass
@@ -198,7 +193,7 @@ def disparity_trajectory(
 
 def read_marker_csv(path: str) -> list[MarkerTrack3D]:
     """One track per joint, by name; its samples by time, in file order at equal times."""
-    rows = read_csv(path, MARKER_CSV_HEADER, GroundTruthFormatError, "marker")
+    rows = read_csv(path, MARKER_CSV_HEADER, "marker")
     t = rows.ints(0, "timestamp")
     xyz = np.column_stack([rows.floats(j, name) for j, name in ((2, "X_mm"), (3, "Y_mm"), (4, "Z_mm"))])
     rows.finish()
@@ -212,31 +207,31 @@ def read_marker_csv(path: str) -> list[MarkerTrack3D]:
 def read_calibration_json(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Calibration file: {"left": 3x4 nested list, "right": 3x4 nested list}
     of finite numbers, in UTF-8."""
-    text = read_text(path, GroundTruthFormatError)
+    text = read_text(path)
     try:
         data = json.loads(text)
     except ValueError as exc:
-        raise GroundTruthFormatError(f"{path}: not a JSON document: {exc}") from None
+        raise InputError(f"{path}: not a JSON document: {exc}") from None
     if not isinstance(data, dict):
-        raise GroundTruthFormatError(f"{path}: expected an object with keys 'left' and 'right', got {_clip(data)}")
+        raise InputError(f"{path}: expected an object with keys 'left' and 'right', got {_clip(data)}")
     return _projection_matrix(path, data, "left"), _projection_matrix(path, data, "right")
 
 
 def _projection_matrix(path: str, data: dict, key: str) -> np.ndarray:
     if key not in data:
-        raise GroundTruthFormatError(f"{path}: missing projection matrix '{key}'")
+        raise InputError(f"{path}: missing projection matrix '{key}'")
     rows = data[key]
     if not (isinstance(rows, list) and len(rows) == 3 and all(isinstance(r, list) and len(r) == 4 for r in rows)):
-        raise GroundTruthFormatError(f"{path}: {key}: projection matrix must be 3 rows of 4 numbers, got {_clip(rows)}")
+        raise InputError(f"{path}: {key}: projection matrix must be 3 rows of 4 numbers, got {_clip(rows)}")
     if not all(type(v) in (int, float) for r in rows for v in r):
-        raise GroundTruthFormatError(f"{path}: {key}: projection matrix entries must be numbers, got {_clip(rows)}")
+        raise InputError(f"{path}: {key}: projection matrix entries must be numbers, got {_clip(rows)}")
     try:
         P = np.array(rows, dtype=np.float64)
         finite = np.isfinite(P).all()
     except OverflowError:  # an integer beyond float64
         finite = False
     if not finite:
-        raise GroundTruthFormatError(f"{path}: {key}: projection matrix entries must be finite, got {_clip(rows)}")
+        raise InputError(f"{path}: {key}: projection matrix entries must be finite, got {_clip(rows)}")
     return P
 
 
@@ -256,7 +251,7 @@ def write_trace_csv(trace: DisparityTrace, path: str) -> None:
 def read_trace_csv(path: str) -> DisparityTrace:
     """``window_i`` runs 0, 1, 2, ... with each window's centre; a row with an
     empty ``d_mean`` has no ground truth, and its later cells are not read."""
-    rows = read_csv(path, TRACE_CSV_HEADER, GroundTruthFormatError, "trace")
+    rows = read_csv(path, TRACE_CSV_HEADER, "trace")
     window = rows.ints(0, "window_i")
     centers = rows.floats(1, "t_center_us")
     known = np.array([cell != "" for cell in rows.column(2)], dtype=bool)

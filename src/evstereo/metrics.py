@@ -233,7 +233,7 @@ def build_report(
             return None
 
     energy = None
-    if with_energy:
+    if with_energy and record.duration_us > 0:  # a record of 0 us has no average power
         energy = estimate_energy(record, coefficients or EnergyCoefficients())
 
     return MetricsReport(

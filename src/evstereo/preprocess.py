@@ -2,7 +2,9 @@
 background-activity filtering, uniform downscaling, and cropping.
 
 Every stage is a pure filter+remap over an immutable stream: it never creates
-events, never reorders survivors, and never touches timestamps.
+events and never touches timestamps. ``downscale`` can change the canonical
+order of the events of one (t, side), so a remapped stream is sorted again
+(``StereoEventStream.replace_coords``).
 """
 
 from __future__ import annotations

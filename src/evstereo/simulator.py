@@ -527,15 +527,11 @@ POPULATION_CODE_NAMES = np.array([p.name for p in Population])  # indexed by Pop
 POPULATION_NAME_CODES = {p.name: int(p) for p in Population}
 
 
-class SpikeFormatError(ValueError):
-    """Malformed spike CSV; the message starts with ``<path>:<line>:``."""
-
-
 def read_spike_csv(path: str, topology: Topology, duration_us: int | None = None) -> SpikeRecord:
     """Load a spike CSV back into a SpikeRecord, checking every row against
     the topology. Input-event and delivery counters are not stored in the
     CSV and read back as zero."""
-    rows = read_csv(path, SPIKE_CSV_HEADER, SpikeFormatError)
+    rows = read_csv(path, SPIKE_CSV_HEADER)
 
     def row(what: str):
         return lambda i: f"{what}: {','.join(rows.column(j)[i] for j in range(3))!r}"

@@ -94,7 +94,7 @@ class WeightParams:
     def validate(self) -> None:
         for name in ("w_rc", "w_ce", "w_ci", "w_dd"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
 
 
 #: Per-neuron fan-in and neuron-count budget of the target processor: 64

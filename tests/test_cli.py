@@ -18,13 +18,13 @@ from evstereo import _native
 from evstereo.cli import main
 from evstereo.config import (
     TABLE,
-    ConfigError,
     RunConfig,
     apply_overrides,
     config_from_dict,
     config_to_dict,
     load_config,
 )
+from evstereo.events import InputError
 
 
 def synthetic_config(tmp_path, **extra):
@@ -360,6 +360,35 @@ def test_file_ground_truth_covers_the_windows_of_spikes_after_the_last_event(tmp
     assert [row[:3] for row in trace[8:]] == [["8", "425000.0", "2.0"]]
 
 
+def test_run_whose_events_all_leave_the_crop_writes_every_artifact(tmp_path):
+    """The record lasts 0 us, so it has no average power: ``energy_uw`` is null."""
+    for name, dx in (("left.csv", 0), ("right.csv", 4)):
+        rows = "".join(f"{t},{x + dx},10,1\n" for t in range(0, 200_000, 2000) for x in (10, 11))
+        (tmp_path / name).write_text("t_us,x,y,p\n" + rows)
+    markers = "".join(f"{t},torso,40.0,40.0,1.0\n" for t in range(0, 300_001, 50_000))  # inside the crop
+    (tmp_path / "markers.csv").write_text("t_us,joint,X_mm,Y_mm,Z_mm\n" + markers)
+    p_left = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    p_right = [[1, 0, 0, 4], [0, 1, 0, 0], [0, 0, 1, 0]]
+    (tmp_path / "calib.json").write_text(json.dumps({"left": p_left, "right": p_right}))
+    cfg = {
+        "output_dir": str(tmp_path / "out"),
+        "input": {
+            "left_events": str(tmp_path / "left.csv"),
+            "right_events": str(tmp_path / "right.csv"),
+            "markers": str(tmp_path / "markers.csv"),
+            "calibration": str(tmp_path / "calib.json"),
+        },
+        "preprocess": {"full_geometry": [64, 64], "downscale_factor": 2, "crop_origin": [16, 16]},
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "-c", str(path)]) == 0
+    assert sorted(f.name for f in (tmp_path / "out").iterdir()) == sorted(ARTIFACTS)
+    assert (tmp_path / "out" / "input_events.csv").read_text() == "t_us,x,y,p,side\n"
+    report = read_report(str(tmp_path / "out" / "metrics.json"))
+    assert report.energy_uw is None and report.input_events == 0 and report.gt_mean[0] == 2.0
+
+
 def test_run_without_a_compiler_writes_the_same_artifacts(tmp_path, monkeypatch):
     # the numpy parser and background filter and the Python event loop give
     # the compiled kernels' artifacts byte for byte
@@ -617,14 +646,14 @@ def test_module_entry_prints_each_headline_once_to_a_pipe(tmp_path, names, jobs)
 def test_apply_overrides_parses_json_values():
     data = apply_overrides({}, ["a.b=2", "a.c=[1,2]", "d=text", "e.f=null"])
     assert data == {"a": {"b": 2, "c": [1, 2]}, "d": "text", "e": {"f": None}}
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         apply_overrides({}, ["missing_equals"])
 
 
 def test_unknown_keys_rejected():
-    with pytest.raises(ConfigError, match="unknown"):
+    with pytest.raises(InputError, match="unknown"):
         config_from_dict({"nope": 1})
-    with pytest.raises(ConfigError, match="unknown"):
+    with pytest.raises(InputError, match="unknown"):
         config_from_dict({"topology": {"bogus": 3}})
 
 
@@ -643,7 +672,7 @@ def test_config_round_trip_dict():
 
 
 def test_load_config_missing_file():
-    with pytest.raises(ConfigError, match="not found"):
+    with pytest.raises(InputError, match="not found"):
         load_config("/definitely/not/here.json")
 
 
@@ -680,7 +709,7 @@ def test_eval_malformed_spike_csv_exit_2_with_line(tmp_path, capsys, row, messag
 @pytest.mark.parametrize("keyframes", [5, [[0]], [[0, 1.0, 2.0]], [["a", 1.0]], [[0, None]], [[0, True]], "0,1"])
 def test_malformed_keyframes_are_config_errors(keyframes):
     raw = {"input": {"synthetic": {"shape": "DOT", "keyframes": keyframes}, "duration_us": 1000}}
-    with pytest.raises(ConfigError, match="keyframes"):
+    with pytest.raises(InputError, match="keyframes"):
         config_from_dict(raw)
 
 
@@ -796,6 +825,40 @@ def test_unexpected_error_in_one_config_is_reported_per_config(tmp_path, monkeyp
     assert cli._run_one_safe(str(tmp_path / "c.json"), [], False) == 1
     err = capsys.readouterr().err.strip()
     assert err == f"error (run {tmp_path / 'c.json'}): RuntimeError: boom"
+
+
+def test_each_error_line_is_one_write(tmp_path, monkeypatch):
+    """On an unbuffered stderr, the workers of a batch could interleave the
+    writes of one line."""
+    from evstereo import cli
+
+    class Stderr(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    run_one, faults = cli._run_one, {"value": ValueError("bad value"), "runtime": RuntimeError("boom")}
+
+    def run_or_raise(config_path, overrides, auto_crop):
+        if Path(config_path).stem in faults:
+            raise faults[Path(config_path).stem]
+        return run_one(config_path, overrides, auto_crop)
+
+    monkeypatch.setattr(cli, "_run_one", run_or_raise)
+    stderr = Stderr()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    missing, value, runtime = (str(tmp_path / f"{name}.json") for name in ("missing", "value", "runtime"))
+    assert main(["run", "-c", missing, "-c", value, "-c", runtime]) == 2
+    assert main(["eval", "-c", missing, "--spikes", "s.csv", "--trace", "t.csv"]) == 2
+    assert stderr.getvalue().splitlines() == [
+        f"config error (run {missing}): config file not found: {missing}",
+        f"error (run {value}): bad value",
+        f"error (run {runtime}): RuntimeError: boom",
+        f"config error (eval): config file not found: {missing}",
+    ]
+    assert stderr.writes == 4
 
 
 # ------------------------------------------------------------- config values

@@ -14,7 +14,7 @@ from evstereo.events import (
     RIGHT,
     CameraGeometry,
     DvsEvent,
-    EventFormatError,
+    InputError,
     StereoEventStream,
     _coded_columns,
     _parse_event_lines,
@@ -87,7 +87,7 @@ def test_parse_single_sided_file_with_flag(tmp_path):
     path.write_text("t_us,x,y,p\n0,1,2,1\n4,3,2,0\n")
     stream = parse_event_file(str(path), GEOM, side=LEFT)
     assert stream.sides_present() == {LEFT}
-    with pytest.raises(EventFormatError):
+    with pytest.raises(InputError):
         parse_event_file(str(path), GEOM)
 
 
@@ -105,7 +105,7 @@ def test_parse_single_sided_file_with_flag(tmp_path):
 def test_parse_malformed_line_reports_line_number(tmp_path, row, msg):
     path = tmp_path / "bad.csv"
     path.write_text(f"t_us,x,y,p,side\n0,0,0,1,L\n{row}\n")
-    with pytest.raises(EventFormatError, match=r":3:") as exc:
+    with pytest.raises(InputError, match=r":3:") as exc:
         parse_event_file(str(path), GEOM)
     assert msg in str(exc.value)
 
@@ -121,7 +121,7 @@ def test_parse_malformed_line_reports_line_number(tmp_path, row, msg):
 def test_parse_out_of_range_integer_reports_line_number(tmp_path, row, msg):
     path = tmp_path / "left.csv"
     path.write_text(f"t_us,x,y,p\n0,0,0,1\n{row}\n")
-    with pytest.raises(EventFormatError) as exc:
+    with pytest.raises(InputError) as exc:
         parse_event_file(str(path), GEOM, side=LEFT)
     assert str(exc.value) == f"{path}:3: {msg}"
 
@@ -130,7 +130,7 @@ def test_parse_coordinate_beyond_int32_in_wide_geometry(tmp_path):
     wide = CameraGeometry(2**40, 4)
     path = tmp_path / "left.csv"
     path.write_text(f"t_us,x,y,p\n0,{2**31 - 1},0,1\n0,{2**31},0,1\n")
-    with pytest.raises(EventFormatError, match=r":3: coordinate \(2147483648,0\) outside"):
+    with pytest.raises(InputError, match=r":3: coordinate \(2147483648,0\) outside"):
         parse_event_file(str(path), wide, side=LEFT)
 
 
@@ -148,7 +148,7 @@ def strict_paths():
 
 def parse_both(path, geometry=GEOM, side=None):
     """The stream of each strict path (or None where it declines) and the
-    line scan's stream (or its EventFormatError message)."""
+    line scan's stream (or its InputError message)."""
     data = path.read_bytes()
     fasts = []
     for strict in strict_paths():
@@ -156,7 +156,7 @@ def parse_both(path, geometry=GEOM, side=None):
             fasts.append(_parse_plain_event_bytes(data, geometry, side))
     try:
         slow = _parse_event_lines(str(path), data.decode("utf-8"), geometry, side)
-    except EventFormatError as exc:
+    except InputError as exc:
         slow = str(exc)
     return fasts, slow
 
@@ -171,7 +171,7 @@ def assert_paths_agree(path, expected, geometry=GEOM, side=None, fast_accepts=No
             if isinstance(expected, str):
                 assert fast is None
                 assert slow == f"{path}:{expected}"
-                with pytest.raises(EventFormatError) as exc:
+                with pytest.raises(InputError) as exc:
                     parse_event_file(str(path), geometry, side)
                 assert str(exc.value) == slow
                 continue
@@ -258,7 +258,7 @@ def test_single_sided_edge_inputs_through_both_parse_paths(tmp_path, content, ex
 def test_parse_non_utf8_byte_reports_line_number(tmp_path, content, msg):
     path = tmp_path / "left.csv"
     path.write_bytes(content)
-    with pytest.raises(EventFormatError) as exc:
+    with pytest.raises(InputError) as exc:
         parse_event_file(str(path), GEOM, side=LEFT)
     assert str(exc.value) == f"{path}{msg}"
 

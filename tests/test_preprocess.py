@@ -285,6 +285,14 @@ def test_downscale_block_maps_to_origin():
     assert np.array_equal(out.t, s.t)
 
 
+def test_downscale_sorts_the_events_it_reorders():
+    # by (y, x), (11, 0) precedes (0, 1); with factor 6 they map to (1, 0) and (0, 0)
+    events = [DvsEvent(5, 11, 0, ON, LEFT), DvsEvent(5, 0, 1, ON, LEFT)]
+    s = StereoEventStream.from_events(events, CameraGeometry(12, 12))
+    out = downscale(s, 6)
+    assert list(zip(out.t.tolist(), out.x.tolist(), out.y.tolist())) == [(5, 0, 0), (5, 1, 0)]
+
+
 def test_downscale_drops_remainder_strip():
     s = StereoEventStream.from_events([DvsEvent(0, 345, 259, ON, LEFT)], FULL)
     out = downscale(s, 6)

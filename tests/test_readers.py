@@ -113,6 +113,9 @@ BAD_CONFIG_VALUES = [
     (b'{"energy": {"e_spike_pj": NaN}}', "energy.e_spike_pj"),
     (b'{"topology": {"weights": {"w_rc": 1e400}}}', "topology.weights.w_rc"),
     (b'{"preprocess": {"hot_pixel_factor": -Infinity}}', "preprocess.hot_pixel_factor"),
+    (b'{"analysis": {"eps_d": -1}}', "analysis.eps_d must be >= 0, got -1.0"),
+    (b'{"analysis": {"pcd_mode": "bogus"}}', "analysis.pcd_mode must be 'global' or 'per-window-mean', got 'bogus'"),
+    (b'{"topology": {"weights": {"w_rc": -1}}}', "topology.weights.w_rc must be > 0, got -1.0"),
 ]
 
 
@@ -127,6 +130,16 @@ def test_every_reader_exits_2_naming_its_file_or_key(valid, tmp_path, capsys, wh
     assert command(tmp_path, tmp_path / "out", name) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error ({name}): {key or tmp_path / which}" + ("" if key else ":")), err
+
+
+@pytest.mark.parametrize("name", ["synth", "topology", "eval"])
+@pytest.mark.parametrize("data,key", BAD_CONFIG_VALUES, ids=[key for _, key in BAD_CONFIG_VALUES])
+def test_every_command_refuses_the_bad_config_values(valid, tmp_path, capsys, name, data, key):
+    with_file(valid, tmp_path, "config", data)
+    capsys.readouterr()
+    assert command(tmp_path, tmp_path / "out", name) == 2
+    assert capsys.readouterr().err.startswith(f"config error ({name}): {key}")
+    assert not (tmp_path / "out").exists()
 
 
 def mutate(data, how, at, token):
@@ -155,7 +168,21 @@ def mutate(data, how, at, token):
 def test_mutated_inputs_exit_0_or_2(valid, tmp_path_factory, which, how, at, token):
     tmp = tmp_path_factory.mktemp("mutated")
     name = with_file(valid, tmp, which, mutate((valid / which).read_bytes(), how, at, token))
-    assert command(tmp, tmp / "out", name) in (0, 2)
+    code = command(tmp, tmp / "out", name)
+    assert code in (0, 2)
+    if name == "run" and code == 0:
+        # eval on the run's own spikes and trace, into the same directory, scores them as the run did;
+        # only the counters that a spike CSV does not carry differ
+        out = tmp / "out"
+        com, report = (out / "com.csv").read_bytes(), json.loads((out / "metrics.json").read_text())
+        shutil.copy(out / "spikes.csv", tmp / "spikes")
+        shutil.copy(out / "disparity_trace.csv", tmp / "trace")
+        assert command(tmp, out, "eval") == 0
+        assert (out / "com.csv").read_bytes() == com
+        evaluated = json.loads((out / "metrics.json").read_text())
+        for key in ("input_events", "deliveries", "energy_uw"):
+            del report[key], evaluated[key]
+        assert json.dumps(evaluated) == json.dumps(report)
 
 
 PIECES = list("0123456789+-_ .eE\t") + ["inf", "nan", "Infinity", "9" * 19, "\u0663"]
@@ -193,7 +220,7 @@ def test_column_conversion_equals_int_and_float_cell_by_cell(cells, data):
     where = np.array(data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells))), dtype=bool)
     for convert, read, fill in ((as_int64, CsvRows.ints, 0), (as_finite, CsvRows.floats, np.nan)):
         for mask in (None, where):
-            rows = CsvRows("p", ["v", *cells], ValueError)
+            rows = CsvRows("p", ["v", *cells])
             values = read(rows, 0, "v", mask)
             chosen = [c if mask is None or mask[k] else "0" for k, c in enumerate(cells)]
             want = expected(chosen, convert)
@@ -209,7 +236,7 @@ def test_column_conversion_equals_int_and_float_cell_by_cell(cells, data):
             assert values.dtype == want.dtype and len(values) == len(cells)
             assert values.view(np.int64).tolist() == want.view(np.int64).tolist()  # bit for bit
     # without a name, a value beyond 64 bits saturates and is no fault
-    rows = CsvRows("p", ["v", *cells], ValueError)
+    rows = CsvRows("p", ["v", *cells])
     values = rows.ints(0)
     want = expected(cells, lambda cell: min(max(int(cell), -(2**63)), 2**63 - 1))
     if isinstance(want, list):
