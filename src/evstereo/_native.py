@@ -8,22 +8,23 @@ package's ``__pycache__/``. Where numpy ships its random C library
 (``numpy/random/lib/libnpyrandom.a``), the build links it and defines
 ``evstereo_synth``, which draws from a Generator's own bit generator; without
 it that symbol is absent and ``gen_stimulus`` runs its Python loop. The
-library's file name carries the sha256 of the source, the flags, the machine
-and that archive, so an edited kernel never loads a stale library. Each
-build writes a name unique to its process and renames it into place, so
-concurrent workers building at once are safe. Nothing here is imported
-until a caller needs a kernel. Without a library each caller runs its
-Python or numpy reference, which gives the same result.
+library's file name carries the CRC-32 and Adler-32 of the source, the
+flags, the machine and that archive, so an edited kernel never loads a
+stale library (``zlib`` is loaded at start-up; ``hashlib`` would load
+OpenSSL). Each build writes a name unique to its process and renames it
+into place, so concurrent workers building at once are safe. Nothing here
+is imported until a caller needs a kernel. Without a library each caller
+runs its Python or numpy reference, which gives the same result.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
 import shutil
 import warnings
+import zlib
 
 import numpy as np
 
@@ -98,12 +99,11 @@ def build(cache_dir: str) -> ctypes.CDLL:
     if absent. Raises OSError (or a subclass) if it cannot be built or
     loaded."""
     with open(SOURCE, "rb") as fh:
-        digest = hashlib.sha256(fh.read())
-    digest.update(" ".join(CFLAGS).encode() + os.uname().machine.encode())
+        data = fh.read() + " ".join(CFLAGS).encode() + os.uname().machine.encode()
     if os.path.exists(NPYRANDOM):
         with open(NPYRANDOM, "rb") as fh:
-            digest.update(fh.read())
-    path = os.path.join(cache_dir, f"_engine-{digest.hexdigest()[:16]}.so")
+            data += fh.read()
+    path = os.path.join(cache_dir, f"_engine-{zlib.crc32(data):08x}{zlib.adler32(data):08x}.so")
     if not os.path.exists(path):
         import subprocess  # deferred: only a build needs it
 
@@ -140,6 +140,12 @@ def kernel() -> ctypes.CDLL | None:
 
 def _ptr(a: np.ndarray, ctype):
     return a.ctypes.data_as(ctypes.POINTER(ctype))
+
+
+def _int64s(ptr, count: int) -> np.ndarray:
+    """A read-only copy of the ``count`` int64 values at ``ptr``, made
+    without ``numpy.ctypeslib``, which costs milliseconds to import."""
+    return np.frombuffer(ctypes.string_at(ptr, 8 * count), np.int64)
 
 
 def _accepted(status: int, what: str) -> bool:
@@ -259,9 +265,7 @@ def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray, final_state
         count = n_spikes.value
         if count == 0:
             return np.zeros(0, np.int64), np.zeros(0, np.int64), deliveries.value
-        times = np.ctypeslib.as_array(spike_t, shape=(count,)).copy()
-        ids = np.ctypeslib.as_array(spike_id, shape=(count,)).copy()
-        return times, ids, deliveries.value
+        return _int64s(spike_t, count), _int64s(spike_id, count), deliveries.value
     finally:
         lib.evstereo_free(spike_t)
         lib.evstereo_free(spike_id)
@@ -290,7 +294,7 @@ def synth(lib: ctypes.CDLL, rng: np.random.Generator, lattice_us: int, d: list[i
             return None
         if n.value == 0:
             return np.zeros((0, 5), np.int64)
-        return np.ctypeslib.as_array(events, shape=(n.value, 5)).copy()
+        return _int64s(events, 5 * n.value).reshape(n.value, 5)
     finally:
         lib.evstereo_free(events)
 

@@ -191,9 +191,7 @@ def _run_one(config_path: str, overrides: list[str], auto_crop: bool) -> int:
         # recordings normalize to start at t = 0; the marker clock shifts too
         t_offset = int(raw.t[0]) if len(raw) else 0
         if t_offset:
-            raw = StereoEventStream(
-                raw.t - t_offset, raw.x, raw.y, raw.p, raw.side, raw.geometry, _presorted=True
-            )
+            raw = StereoEventStream._from_canonical(raw.t - t_offset, raw.x, raw.y, raw.p, raw.side, raw.geometry)
         if cfg.preprocess_enabled:
             stream, origin = preprocess_pipeline_resolved(raw, cfg.preprocess)
         else:

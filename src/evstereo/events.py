@@ -4,6 +4,14 @@ Events carry integer microsecond timestamps throughout the pipeline; there is
 no floating-point time anywhere. Streams are immutable after construction
 (backing arrays are marked read-only) and sorted by the canonical key
 (t, side, y, x, polarity) with LEFT ordered before RIGHT at equal t.
+
+``StereoEventStream(...)`` validates and sorts: every parser and every remap
+that can reorder events (``preprocess.downscale``) builds through it. The
+private ``StereoEventStream._from_canonical`` checks nothing; it may only be
+given what keeps a valid stream valid and in order: a subset (``select``), a
+shift back in time by at most the first timestamp, a translation that stays
+inside the new geometry (``preprocess.crop``), and the merge by time of two
+single-sided streams (``merge_streams``).
 """
 
 from __future__ import annotations
@@ -76,7 +84,6 @@ class StereoEventStream:
         p: np.ndarray,
         side: np.ndarray,
         geometry: CameraGeometry,
-        _presorted: bool = False,
     ) -> None:
         t = np.asarray(t, dtype=np.int64)
         x = np.asarray(x, dtype=np.int32)
@@ -94,20 +101,22 @@ class StereoEventStream:
             bad = ~np.isin(p, (OFF, ON)) | ~np.isin(side, (LEFT, RIGHT))
             if bad.any():
                 raise ValueError("polarity must be 0/1 and side must be LEFT/RIGHT")
-            if not _presorted:
-                order = _canonical_order(t, x, y, p, side, geometry)
-                t, x, y, p, side = t[order], x[order], y[order], p[order], side[order]
+            order = _canonical_order(t, x, y, p, side, geometry)
+            t, x, y, p, side = t[order], x[order], y[order], p[order], side[order]
         self._set(t, x, y, p, side, geometry)
+
+    @classmethod
+    def _from_canonical(cls, t, x, y, p, side, geometry: CameraGeometry) -> "StereoEventStream":
+        """A stream of columns that are already valid for ``geometry``, of the
+        constructor's dtypes and in canonical order; nothing is checked."""
+        out = object.__new__(cls)
+        out._set(t, x, y, p, side, geometry)
+        return out
 
     def _set(self, t, x, y, p, side, geometry: CameraGeometry) -> None:
         for col in (t, x, y, p, side):
             col.setflags(write=False)
-        self.t = t
-        self.x = x
-        self.y = y
-        self.p = p
-        self.side = side
-        self.geometry = geometry
+        self.t, self.x, self.y, self.p, self.side, self.geometry = t, x, y, p, side, geometry
         self.duration = int(t[-1]) if len(t) else 0
 
     @classmethod
@@ -126,7 +135,7 @@ class StereoEventStream:
     @classmethod
     def empty(cls, geometry: CameraGeometry) -> "StereoEventStream":
         z = np.zeros(0, dtype=np.int64)
-        return cls(z, z, z, z, z, geometry, _presorted=True)
+        return cls(z, z, z, z, z, geometry)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -165,16 +174,7 @@ class StereoEventStream:
         keep = np.asarray(keep)
         if keep.dtype != bool or keep.shape != (len(self),):
             raise ValueError(f"select needs a boolean mask of {len(self)} values, got {keep.dtype} {keep.shape}")
-        out = object.__new__(StereoEventStream)
-        out._set(self.t[keep], self.x[keep], self.y[keep], self.p[keep], self.side[keep], self.geometry)
-        return out
-
-    def replace_coords(self, x: np.ndarray, y: np.ndarray, geometry: CameraGeometry) -> "StereoEventStream":
-        """New stream with remapped coordinates (used by downscale/crop),
-        sorted again: ``downscale`` can swap two events of one (t, side),
-        as (11, 0) and (0, 1) on a 12x12 frame become (1, 0) and (0, 0)
-        with factor 6."""
-        return StereoEventStream(self.t, x, y, self.p, self.side, geometry, _presorted=False)
+        return self._from_canonical(*(col[keep] for col in (self.t, self.x, self.y, self.p, self.side)), self.geometry)
 
     def sides_present(self) -> set[int]:
         counts = np.bincount(self.side, minlength=2)
@@ -501,7 +501,5 @@ def merge_streams(left: StereoEventStream, right: StereoEventStream) -> StereoEv
     if len(right) and right.sides_present() != {RIGHT}:
         raise ValueError("right stream contains non-RIGHT events")
     order = np.argsort(np.concatenate([left.t, right.t]), kind="stable")
-    out = object.__new__(StereoEventStream)
-    out._set(*(np.concatenate([getattr(left, f), getattr(right, f)])[order] for f in ("t", "x", "y", "p", "side")),
-             left.geometry)
-    return out
+    cols = (np.concatenate([getattr(left, f), getattr(right, f)])[order] for f in ("t", "x", "y", "p", "side"))
+    return StereoEventStream._from_canonical(*cols, left.geometry)

@@ -118,26 +118,25 @@ def to_downscaled_coords(
     return Track2D(joint=track.joint, t=track.t.copy(), uv=uv, valid=track.valid.copy(), visible=visible)
 
 
-def _interp_visible(track: Track2D, t_center: float) -> float | None:
-    """Horizontal position linearly interpolated at t_center, or None when
-    the centre is outside the track or a bracketing sample is not visible."""
-    t = track.t
-    if len(t) == 0 or t_center < t[0] or t_center > t[-1]:
-        return None
-    hi = int(np.searchsorted(t, t_center, side="left"))
-    if hi < len(t) and t[hi] == t_center:
-        lo = hi
-    else:
-        lo = hi - 1
-    if lo < 0:
-        return None
-    hi = min(hi, len(t) - 1)
-    if not (track.visible[lo] and track.visible[hi]):
-        return None
-    if lo == hi or t[hi] == t[lo]:
-        return float(track.uv[lo, 0])
-    frac = (t_center - t[lo]) / (t[hi] - t[lo])
-    return float(track.uv[lo, 0] + frac * (track.uv[hi, 0] - track.uv[lo, 0]))
+def _interp_visible(track: Track2D, t_center: np.ndarray) -> np.ndarray:
+    """Horizontal position linearly interpolated at each of the times
+    ``t_center``; NaN where a centre is outside the track or a bracketing
+    sample is not visible."""
+    t, u = track.t, track.uv[:, 0]
+    out = np.full(len(t_center), np.nan)
+    if len(t) == 0:
+        return out
+    at = np.flatnonzero((t_center >= t[0]) & (t_center <= t[-1]))
+    hi = np.searchsorted(t, t_center[at], side="left")
+    lo = np.where(t[hi] == t_center[at], hi, hi - 1)  # a sample at the centre brackets it alone
+    shown = track.visible[lo] & track.visible[hi]
+    at, lo, hi = at[shown], lo[shown], hi[shown]
+    out[at] = u[lo]
+    step = lo != hi
+    at, lo, hi = at[step], lo[step], hi[step]
+    frac = (t_center[at] - t[lo]) / (t[hi] - t[lo])
+    out[at] = u[lo] + frac * (u[hi] - u[lo])
+    return out
 
 
 def disparity_trajectory(
@@ -159,15 +158,8 @@ def disparity_trajectory(
         )
         n_windows = window_count(horizon, window_us)
     centers = window_centers_us(n_windows, window_us)
-
-    per_joint = np.full((len(joints), n_windows), np.nan)
-    for j, joint in enumerate(joints):
-        lt, rt = lefts[joint], rights[joint]
-        for i, tc in enumerate(centers):
-            ul = _interp_visible(lt, tc)
-            ur = _interp_visible(rt, tc)
-            if ul is not None and ur is not None:
-                per_joint[j, i] = ur - ul
+    # NaN, where a joint is not visible in a view, stays NaN
+    per_joint = np.array([_interp_visible(rights[j], centers) - _interp_visible(lefts[j], centers) for j in joints])
 
     n_vis = np.sum(~np.isnan(per_joint), axis=0)
     if not n_vis.any():
@@ -179,13 +171,7 @@ def disparity_trajectory(
     d_mean[got] = np.nanmean(per_joint[:, got], axis=0)
     d_min[got] = np.nanmin(per_joint[:, got], axis=0)
     d_max[got] = np.nanmax(per_joint[:, got], axis=0)
-    return DisparityTrace(
-        window_us=window_us,
-        d_mean=d_mean,
-        d_min=d_min,
-        d_max=d_max,
-        n_joints=n_vis.astype(np.int64),
-    )
+    return DisparityTrace(window_us=window_us, d_mean=d_mean, d_min=d_min, d_max=d_max, n_joints=n_vis.astype(np.int64))
 
 
 # ---------------------------------------------------------------- file I/O

@@ -2,9 +2,12 @@
 background-activity filtering, uniform downscaling, and cropping.
 
 Every stage is a pure filter+remap over an immutable stream: it never creates
-events and never touches timestamps. ``downscale`` can change the canonical
-order of the events of one (t, side), so a remapped stream is sorted again
-(``StereoEventStream.replace_coords``).
+events and never touches timestamps. A filter keeps the canonical order of
+its input (``StereoEventStream.select``), and so does the translation of
+``crop``. ``downscale`` is the one stage that can change the order of the
+events of one (t, side): (11, 0) and (0, 1) on a 12x12 frame become (1, 0)
+and (0, 0) with factor 6. So it builds its stream through the sorting
+constructor.
 """
 
 from __future__ import annotations
@@ -109,20 +112,24 @@ def mask_regions(stream: StereoEventStream, regions: list[Rect]) -> StereoEventS
     return stream.select(keep)
 
 
+def _pixel_index(side, y, x, geometry: CameraGeometry) -> np.ndarray:
+    """Index ``(side*H + y)*W + x`` of each pixel in the two frames of
+    ``geometry``, LEFT then RIGHT, laid end to end."""
+    return (np.asarray(side, dtype=np.int64) * geometry.height + y) * geometry.width + x
+
+
 def detect_hot_pixels(stream: StereoEventStream, factor: float) -> set[tuple[int, int, int]]:
     """Pixels whose event count exceeds factor x median nonzero per-pixel
     count, statistics taken per camera side. Returns {(x, y, side)}."""
     hot: set[tuple[int, int, int]] = set()
-    w = stream.geometry.width
-    for side in stream.sides_present():
-        m = stream.side == side
-        flat = stream.y[m].astype(np.int64) * w + stream.x[m]
-        counts = np.bincount(flat, minlength=w * stream.geometry.height)
-        nonzero = counts[counts > 0]
+    h, w = stream.geometry.height, stream.geometry.width
+    counts = np.bincount(_pixel_index(stream.side, stream.y, stream.x, stream.geometry), minlength=2 * h * w)
+    for side, side_counts in enumerate(counts.reshape(2, h * w)):
+        nonzero = side_counts[side_counts > 0]
         if len(nonzero) == 0:
             continue
         threshold = factor * float(np.median(nonzero))
-        for idx in np.flatnonzero(counts > threshold):
+        for idx in np.flatnonzero(side_counts > threshold):
             hot.add((int(idx % w), int(idx // w), side))
     return hot
 
@@ -130,15 +137,13 @@ def detect_hot_pixels(stream: StereoEventStream, factor: float) -> set[tuple[int
 def remove_pixels(stream: StereoEventStream, pixels: set[tuple[int, int, int]]) -> StereoEventStream:
     """Drop every event whose ``(x, y, side)`` is in ``pixels``; entries
     outside the geometry match nothing."""
-    if not pixels:
-        return stream
     h, w = stream.geometry.height, stream.geometry.width
+    inside = [(s, y, x) for x, y, s in pixels if 0 <= x < w and 0 <= y < h and s in (LEFT, RIGHT)]
+    if not inside:
+        return stream
     flagged = np.zeros(2 * h * w, dtype=bool)
-    for x, y, s in pixels:
-        if 0 <= x < w and 0 <= y < h and s in (LEFT, RIGHT):
-            flagged[(s * h + y) * w + x] = True
-    pixel = (stream.side.astype(np.int64) * h + stream.y) * w + stream.x
-    return stream.select(~flagged[pixel])
+    flagged[_pixel_index(*np.array(inside, dtype=np.int64).T, stream.geometry)] = True
+    return stream.select(~flagged[_pixel_index(stream.side, stream.y, stream.x, stream.geometry)])
 
 
 #: Largest padded grid ``2 * (W + 2r) * (H + 2r)`` the compiled background
@@ -228,8 +233,7 @@ def downscale(stream: StereoEventStream, factor: int) -> StereoEventStream:
     x = stream.x // factor
     y = stream.y // factor
     keep = (x < geom.width) & (y < geom.height)
-    survivors = stream.select(keep)
-    return survivors.replace_coords(survivors.x // factor, survivors.y // factor, geom)
+    return StereoEventStream(stream.t[keep], x[keep], y[keep], stream.p[keep], stream.side[keep], geom)
 
 
 def crop(stream: StereoEventStream, origin: tuple[int, int], size: tuple[int, int]) -> StereoEventStream:
@@ -240,8 +244,8 @@ def crop(stream: StereoEventStream, origin: tuple[int, int], size: tuple[int, in
     if not rect.inside(stream.geometry):
         raise ValueError(f"crop {origin}+{size} exceeds geometry {stream.geometry}")
     keep = (stream.x >= ox) & (stream.x < ox + w) & (stream.y >= oy) & (stream.y < oy + h)
-    survivors = stream.select(keep)
-    return survivors.replace_coords(survivors.x - ox, survivors.y - oy, CameraGeometry(w, h))
+    cols = (stream.t[keep], stream.x[keep] - ox, stream.y[keep] - oy, stream.p[keep], stream.side[keep])
+    return StereoEventStream._from_canonical(*cols, CameraGeometry(w, h))
 
 
 def auto_crop_origin(downscaled: StereoEventStream, crop_size: tuple[int, int]) -> tuple[int, int]:

@@ -621,6 +621,24 @@ def test_batch_loads_no_process_pool(tmp_path):
     assert all((tmp_path / name / "metrics.json").exists() for name in "ab")
 
 
+def test_file_run_loads_neither_hashlib_nor_ctypeslib(tmp_path):
+    # OpenSSL and numpy.ctypeslib each cost milliseconds to import
+    code = (
+        "import sys\n"
+        "from evstereo.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print('ran', rc, sorted(m for m in sys.modules if m in ('hashlib', '_hashlib', 'numpy.ctypeslib')))\n"
+    )
+    config = file_config(tmp_path, *write_file_fixture(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", "-c", str(config)], env=src_on_path(), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ran 0 []"
+    assert (tmp_path / "out_file" / "metrics.json").exists()
+
+
 def test_import_stays_small():
     code = "import sys\nimport evstereo.cli\nprint(len(sys.modules))\nprint(*sorted(sys.modules))\n"
     proc = subprocess.run([sys.executable, "-c", code], env=src_on_path(), capture_output=True, text=True, timeout=120)

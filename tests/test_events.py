@@ -25,6 +25,7 @@ from evstereo.events import (
     write_csv,
     write_event_file,
 )
+from evstereo.preprocess import crop
 
 GEOM = CameraGeometry(32, 24)
 
@@ -465,6 +466,40 @@ def test_stream_arrays_are_readonly():
     stream = StereoEventStream.from_events([DvsEvent(0, 1, 2, ON, LEFT)], GEOM)
     with pytest.raises(ValueError):
         stream.t[0] = 5
+
+
+CROWDED = CameraGeometry(6, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 10**12),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5), st.integers(0, 4), st.integers(0, 1),
+                       st.integers(0, 1)), max_size=80),
+    st.data(),
+)
+def test_trusted_paths_equal_the_sorting_constructor(t0, rows, data):
+    # few timestamps on a small frame: most events share their time with others of both sides
+    t, x, y, p, side = np.array(rows, dtype=np.int64).reshape(-1, 5).T
+    s = StereoEventStream(t0 + t, x, y, p, side, CROWDED)
+
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(s), max_size=len(s))), dtype=bool)
+    assert s.select(keep) == StereoEventStream(s.t[keep], s.x[keep], s.y[keep], s.p[keep], s.side[keep], CROWDED)
+
+    if len(s):  # the shift of a recording to start at t = 0
+        shifted = StereoEventStream._from_canonical(s.t - s.t[0], s.x, s.y, s.p, s.side, CROWDED)
+        assert shifted == StereoEventStream(s.t - s.t[0], s.x, s.y, s.p, s.side, CROWDED)
+
+    ox, oy = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 4))
+    w, h = data.draw(st.integers(1, 6 - ox)), data.draw(st.integers(1, 5 - oy))
+    inside = (s.x >= ox) & (s.x < ox + w) & (s.y >= oy) & (s.y < oy + h)
+    assert crop(s, (ox, oy), (w, h)) == StereoEventStream(
+        s.t[inside], s.x[inside] - ox, s.y[inside] - oy, s.p[inside], s.side[inside], CameraGeometry(w, h)
+    )
+
+    left, right = s.select(s.side == LEFT), s.select(s.side == RIGHT)
+    cols = [np.concatenate([getattr(left, f), getattr(right, f)]) for f in ("t", "x", "y", "p", "side")]
+    assert merge_streams(left, right) == StereoEventStream(*cols, CROWDED) == s
 
 
 def test_atomic_write_replaces_whole_file_or_leaves_old_one(tmp_path):

@@ -269,8 +269,8 @@ def test_compiled_background_declines_what_it_cannot_index():
     s = random_stream(12, 200)
     cols = dict(t=s.t, x=s.x, y=s.y, p=s.p, side=s.side)
     for name, col in [("t", s.t[::-1]), ("t", s.t - s.t[0] - 1), ("x", s.x + 1), ("y", s.y - 1), ("side", s.side * 2)]:
-        bad = object.__new__(StereoEventStream)  # bypasses validation, as no public constructor does
-        bad._set(**{**cols, name: np.array(col)}, geometry=s.geometry)
+        # bypasses validation, as no public constructor does
+        bad = StereoEventStream._from_canonical(**{**cols, name: np.array(col)}, geometry=s.geometry)
         assert _native.background(lib, bad, 100, 1, False) is None, name
 
 
