@@ -4,7 +4,7 @@ network simulation and evaluation for stereo event-camera streams."""
 __version__ = "0.1.0"
 
 from .events import CameraGeometry, DvsEvent, StereoEventStream
-from .simulator import LifParams, RateMatrix, SpikeRecord, simulate
+from .simulator import LifParams, SpikeRecord, simulate
 from .topology import Population, Topology, WeightParams, build_topology
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "DvsEvent",
     "StereoEventStream",
     "LifParams",
-    "RateMatrix",
     "SpikeRecord",
     "simulate",
     "Population",

@@ -43,7 +43,6 @@ from .metrics import build_report, write_com_csv
 from .preprocess import preprocess_pipeline_resolved
 from .simulator import (
     POPULATION_CODE_NAMES,
-    RateMatrix,
     SpikeRecord,
     instantaneous_rates,
     read_spike_csv,
@@ -65,10 +64,7 @@ from .topology import (
 
 def _build_topology(cfg: RunConfig) -> Topology:
     t = cfg.topology
-    try:
-        return _topology(t.retina_width, t.retina_height, t.d_max, t.weights, t.polarity_mode, t.continuity_radius)
-    except ValueError as exc:
-        raise InputError(f"topology: {exc}") from None
+    return _topology(t.retina_width, t.retina_height, t.d_max, t.weights, t.polarity_mode, t.continuity_radius)
 
 
 @functools.lru_cache(maxsize=1)
@@ -107,25 +103,13 @@ def _marker_tracks(cfg: RunConfig, origin: tuple[int, int], t_offset: int):
     ]
 
 
-def _population_rates(
-    record: SpikeRecord, topology: Topology, window_us: int, n_windows: int
-) -> dict[Population, RateMatrix]:
-    """The rate matrices of the coincidence and disparity populations, which
-    the report and ``rates.csv`` share."""
-    pops = (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)
-    return {pop: instantaneous_rates(record, window_us, pop, topology, n_windows) for pop in pops}
-
-
-def _write_rates_csv(rates: dict[Population, RateMatrix], topology: Topology, path: str) -> None:
+def _write_rates_csv(record: SpikeRecord, topology: Topology, window_us: int, n_windows: int, path: str) -> None:
     """Long-format rate export (nonzero entries only): one row per
     (window, neuron) with activity, by neuron id, then window."""
-    matrices = list(rates.values())
-    ids = np.concatenate([r.neuron_ids for r in matrices])
-    hz = np.vstack([r.rates_hz for r in matrices])
-    row, window = np.nonzero(hz)
-    centers = window_center_labels(hz.shape[1], matrices[0].window_us)
-    population = (POPULATION_CODE_NAMES, topology.pop_code[ids[row]])
-    columns = [window, (centers, window), population, ids[row], hz[row, window]]
+    ids, window, counts = instantaneous_rates(record, window_us, n_windows)
+    centers = window_center_labels(n_windows, window_us)
+    population = (POPULATION_CODE_NAMES, topology.pop_code[ids])
+    columns = [window, (centers, window), population, ids, counts / (window_us * 1e-6)]
     write_csv(path, "window_i,t_center_us,population,neuron_id,rate_hz", columns)
 
 
@@ -173,10 +157,8 @@ def _print_headline(report) -> None:
 # ---------------------------------------------------------------- commands
 
 
-def _run_one(config_path: str, overrides: list[str], auto_crop: bool) -> int:
+def _run_one(config_path: str, overrides: list[str]) -> int:
     cfg = load_config(config_path, overrides)
-    if auto_crop:
-        cfg.preprocess.crop_origin = None
     cfg.validate_for_run()
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
@@ -219,7 +201,6 @@ def _run_one(config_path: str, overrides: list[str], auto_crop: bool) -> int:
         except ValueError as exc:  # the markers give no window a disparity
             raise InputError(f"{cfg.input.markers}: {exc}") from None
 
-    rates = _population_rates(record, topology, cfg.analysis.window_us, n_windows)
     report = build_report(
         record,
         topology,
@@ -230,12 +211,11 @@ def _run_one(config_path: str, overrides: list[str], auto_crop: bool) -> int:
         config=config_to_dict(cfg),
         sample_label=cfg.sample_label,
         pcd_mode=cfg.analysis.pcd_mode,
-        rates=rates,
     )
 
     write_event_file(stream, os.path.join(out, "input_events.csv"))
     write_spike_csv(record, os.path.join(out, "spikes.csv"))
-    _write_rates_csv(rates, topology, os.path.join(out, "rates.csv"))
+    _write_rates_csv(record, topology, cfg.analysis.window_us, n_windows, os.path.join(out, "rates.csv"))
     write_trace_csv(trace, os.path.join(out, "disparity_trace.csv"))
     write_com_csv(report, os.path.join(out, "com.csv"))
     _write_mean_rates_csv(record, topology, os.path.join(out, "mean_rates.csv"))
@@ -261,14 +241,14 @@ def _exit_code(exc: Exception, where: str) -> int:
     return code
 
 
-def _run_one_safe(config_path: str, overrides: list[str], auto_crop: bool) -> int:
+def _run_one_safe(config_path: str, overrides: list[str]) -> int:
     try:
-        return _run_one(config_path, overrides, auto_crop)
+        return _run_one(config_path, overrides)
     except Exception as exc:  # one failing config must not abort its siblings
         return _exit_code(exc, f"run {config_path}")
 
 
-def _run_forked(configs: list[str], overrides: list[str], auto_crop: bool, jobs: int) -> int:
+def _run_forked(configs: list[str], overrides: list[str], jobs: int) -> int:
     """Run ``configs`` on up to ``jobs`` forked workers, each taking the
     next config index from one pipe (4-byte records) until end-of-file; the
     largest exit code. A worker that dies fails only the config it ran."""
@@ -295,7 +275,7 @@ def _run_forked(configs: list[str], overrides: list[str], auto_crop: bool, jobs:
                     worst = 0
                     while record := os.read(read_fd, 4):
                         i = int.from_bytes(record, "little")
-                        worst = max(worst, _run_one_safe(configs[i], overrides, auto_crop))
+                        worst = max(worst, _run_one_safe(configs[i], overrides))
                     code = worst
                 finally:
                     _exit(code)  # a worker never returns into the caller
@@ -333,10 +313,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     configs: list[str] = args.config
     overrides = args.set or []
     if len(configs) == 1:
-        return _run_one(configs[0], overrides, args.auto_crop)
+        return _run_one(configs[0], overrides)
     if args.jobs > 1 and hasattr(os, "fork"):
-        return _run_forked(configs, overrides, args.auto_crop, args.jobs)
-    return max(_run_one_safe(c, overrides, args.auto_crop) for c in configs)
+        return _run_forked(configs, overrides, args.jobs)
+    return max(_run_one_safe(c, overrides) for c in configs)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -428,10 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON config file (repeatable; independent runs)",
     )
     run.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE", help="override a config key")
-    run.add_argument(
-        "--auto-crop", action="store_true",
-        help="centre the crop on the event centroid of the first second",
-    )
     run.add_argument(
         "--jobs", type=int, default=1,
         help="run the configs on up to N forked workers, each taking the next config in turn "

@@ -14,7 +14,7 @@ from .metrics import PCD_GLOBAL, PCD_PER_WINDOW_MEAN, EnergyCoefficients
 from .preprocess import PreprocessConfig, Rect
 from .simulator import LifParams, MismatchModel, NeuronParams
 from .synth import DisparityProfile, validate_profile_bounds
-from .topology import Population, WeightParams
+from .topology import Population, WeightParams, check_topology
 
 
 @dataclass
@@ -343,6 +343,15 @@ def _parse_section(key: str, raw, kwargs: dict) -> None:
         kwargs[row.owner][row.field] = value
 
 
+def _check(prefix: str, check, *args) -> None:
+    """``check(*args)``, whose ValueError message starts with the name of
+    the value at fault, raised again as an InputError naming its key."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise InputError(f"{prefix}{exc}") from None
+
+
 def config_from_dict(data: dict) -> RunConfig:
     """The config of ``data``. Beyond each key's JSON kind, it checks the
     values that every command reads; each message starts with the key at
@@ -357,15 +366,13 @@ def config_from_dict(data: dict) -> RunConfig:
         raise InputError(f"analysis.eps_d must be >= 0, got {a.eps_d!r}")
     if a.pcd_mode not in (PCD_GLOBAL, PCD_PER_WINDOW_MEAN):
         raise InputError(f"analysis.pcd_mode must be {PCD_GLOBAL!r} or {PCD_PER_WINDOW_MEAN!r}, got {a.pcd_mode!r}")
-    try:
-        cfg.topology.weights.validate()
-    except ValueError as exc:  # its message starts with the weight's name
-        raise InputError(f"topology.weights.{exc}") from None
+    t = cfg.topology
+    _check("topology.", check_topology, t.retina_width, t.retina_height, t.d_max, t.polarity_mode, t.continuity_radius)
+    _check("topology.weights.", t.weights.validate)
+    if cfg.mismatch is not None:
+        _check("simulator.mismatch.", cfg.mismatch.validate)
     for pop in Population:
-        try:
-            cfg.simulator.for_population(pop)
-        except ValueError as exc:
-            raise InputError(f"simulator ({pop.name} parameters): {exc}") from None
+        _check(f"simulator ({pop.name} parameters): ", cfg.simulator.for_population, pop)
     return cfg
 
 

@@ -12,40 +12,13 @@ import numpy as np
 
 from .events import atomic_write, write_csv
 from .groundtruth import DisparityTrace
-from .simulator import RateMatrix, SpikeRecord, instantaneous_rates, window_center_labels
+from .simulator import SpikeRecord, instantaneous_rates, window_center_labels
 from .topology import Population, Topology
 
 COM_CSV_HEADER = "window_i,t_center_us,com_c,com_d,d_mean,d_min,d_max"
 
 PCD_GLOBAL = "global"
 PCD_PER_WINDOW_MEAN = "per-window-mean"
-
-
-@dataclass
-class CoMTrace:
-    """Firing-rate weighted mean encoded disparity per window; NaN where the
-    window carries no spikes."""
-
-    window_us: int
-    values: np.ndarray
-
-    @property
-    def defined(self) -> np.ndarray:
-        return ~np.isnan(self.values)
-
-
-@dataclass
-class SpikeLabelCounts:
-    td: np.ndarray  # int64 per window
-    fd: np.ndarray
-
-    @property
-    def total_td(self) -> int:
-        return int(self.td.sum())
-
-    @property
-    def total_fd(self) -> int:
-        return int(self.fd.sum())
 
 
 @dataclass(frozen=True)
@@ -58,76 +31,77 @@ class EnergyCoefficients:
     e_delivery_pj: float = 120.0
 
 
-def center_of_mass(rates: RateMatrix, d_values: np.ndarray) -> CoMTrace:
-    """com[t_i] = sum_n r_n[t_i] d_n / sum_n r_n[t_i], undefined at 0/0."""
-    d_values = np.asarray(d_values, dtype=np.float64)
-    if len(d_values) != rates.rates_hz.shape[0]:
-        raise ValueError("one disparity value per neuron required")
-    totals = rates.rates_hz.sum(axis=0)
-    values = np.full(rates.n_windows, np.nan)
-    nz = totals > 0
-    values[nz] = (d_values @ rates.rates_hz[:, nz]) / totals[nz]
-    return CoMTrace(window_us=rates.window_us, values=values)
+def center_of_mass(weighted: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """com[t_i] = sum_n d_n c_n[t_i] / sum_n c_n[t_i] from the per-window sums
+    of d*count (``weighted``) and of count (``total``); NaN where a window has
+    no spikes. The rates' shared window length cancels, and both sums are
+    exact integers in float64, so each value is the correctly rounded
+    quotient."""
+    values = np.full(len(total), np.nan)
+    nz = total > 0
+    values[nz] = weighted[nz] / total[nz]
+    return values
 
 
-def rmse(com: CoMTrace, trace: DisparityTrace) -> float:
+def rmse(com: np.ndarray, trace: DisparityTrace) -> float:
     """Root mean square error over windows where both the CoM and the ground
     truth are defined."""
-    if com.window_us != trace.window_us:
-        raise ValueError("window length mismatch between CoM and ground truth")
-    n = min(len(com.values), trace.n_windows)
-    both = com.defined[:n] & trace.defined[:n]
+    n = min(len(com), trace.n_windows)
+    both = ~np.isnan(com[:n]) & trace.defined[:n]
     if not both.any():
         raise ValueError("no window has both a CoM and a ground-truth value")
-    err = com.values[:n][both] - trace.d_mean[:n][both]
+    err = com[:n][both] - trace.d_mean[:n][both]
     return float(np.sqrt(np.mean(err * err)))
 
 
+def _rows(table: tuple, topology: Topology, populations: tuple[Population, ...]) -> tuple[np.ndarray, ...]:
+    """The windows, spike counts and encoded disparities of the rows of the
+    count table (``instantaneous_rates``) whose neurons belong to
+    ``populations``."""
+    ids, windows, counts = table
+    rows = np.isin(topology.pop_code[ids], populations)
+    return windows[rows], counts[rows], topology.disparity_of_ids(ids[rows])
+
+
 def label_spikes(
-    record: SpikeRecord,
+    table: tuple,
     topology: Topology,
     trace: DisparityTrace,
     eps_d: float,
     populations: tuple[Population, ...],
-) -> SpikeLabelCounts:
-    """Label each spike TD iff its neuron's encoded disparity lies in the
-    closed band [d_min - eps, d_max + eps] of its window; spikes in windows
-    with no ground truth are excluded from both counts."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The TD and FD spike counts per window of the trace, from the count
+    table over the trace's windows: a spike is TD iff its neuron's encoded
+    disparity lies in the closed band [d_min - eps, d_max + eps] of its
+    window. Spikes in windows with no ground truth are in neither count."""
     if eps_d < 0:
         raise ValueError("eps_d must be >= 0")
     n_windows = trace.n_windows
-    td = np.zeros(n_windows, dtype=np.int64)
-    fd = np.zeros(n_windows, dtype=np.int64)
-    mask = record.for_population(*populations)
-    if mask.any():
-        d_n = topology.disparity_of_ids(record.neuron_ids[mask]).astype(np.float64)
-        wi = record.times[mask] // trace.window_us
-        ok = (wi >= 0) & (wi < n_windows)
-        d_n, wi = d_n[ok], wi[ok]
-        covered = trace.defined[wi]
-        wi, d_n = wi[covered], d_n[covered]
-        is_td = (d_n >= trace.d_min[wi] - eps_d) & (d_n <= trace.d_max[wi] + eps_d)
-        np.add.at(td, wi[is_td], 1)
-        np.add.at(fd, wi[~is_td], 1)
-    return SpikeLabelCounts(td=td, fd=fd)
+    windows, counts, d = _rows(table, topology, populations)
+    labelled = trace.defined[windows]
+    in_band = (d >= trace.d_min[windows] - eps_d) & (d <= trace.d_max[windows] + eps_d)
+    td = np.bincount(windows, counts * (labelled & in_band), n_windows)
+    fd = np.bincount(windows, counts * (labelled & ~in_band), n_windows)
+    return td.astype(np.int64), fd.astype(np.int64)
 
 
-def pcd(counts: SpikeLabelCounts, mode: str = PCD_GLOBAL) -> float:
-    """Percentage of correct disparities.
+def pcd(td: np.ndarray, fd: np.ndarray, mode: str = PCD_GLOBAL) -> float:
+    """Percentage of correct disparities from the TD and FD counts per window.
 
     ``global`` (default): sum TD / sum (TD + FD) over all windows.
     ``per-window-mean``: average of the per-window fraction over windows
     with at least one labelled spike.
     """
-    total = counts.total_td + counts.total_fd
+    total_td = int(td.sum())
+    total = total_td + int(fd.sum())
     if total == 0:
         raise ValueError("no labelled spikes")
     if mode == PCD_GLOBAL:
-        return counts.total_td / total
+        return total_td / total
     if mode == PCD_PER_WINDOW_MEAN:
-        per = counts.td + counts.fd
+        per = td + fd
         nz = per > 0
-        return float(np.mean(counts.td[nz] / per[nz]))
+        return float(np.mean(td[nz] / per[nz]))
     raise ValueError(f"unknown PCD mode {mode!r}")
 
 
@@ -178,6 +152,14 @@ def _nan_to_none(values: np.ndarray) -> list:
     return [None if np.isnan(v) else float(v) for v in values]
 
 
+def _or_none(metric, *args) -> float | None:
+    """``metric(*args)``, or None where there is nothing to score (it raises ValueError)."""
+    try:
+        return metric(*args)
+    except ValueError:
+        return None
+
+
 def build_report(
     record: SpikeRecord,
     topology: Topology,
@@ -189,48 +171,25 @@ def build_report(
     sample_label: str = "run",
     pcd_mode: str = PCD_GLOBAL,
     with_energy: bool = True,
-    rates: dict[Population, RateMatrix] | None = None,
 ) -> MetricsReport:
     """Single report with disparity-population headline metrics, coincidence
-    metrics for diagnosis, label counts, and the energy estimate. ``rates``
-    holds the COINC_EXC, COINC_INH and DISPARITY rate matrices over the
-    trace's windows, if the caller has them already."""
+    metrics for diagnosis, label counts, and the energy estimate, all read
+    from one spike count table over the trace's windows."""
     if trace.window_us != window_us:
         raise ValueError(
             f"analysis window {window_us}us does not match ground truth {trace.window_us}us"
         )
     n_windows = trace.n_windows
-    if rates is None:
-        pops = (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)
-        rates = {pop: instantaneous_rates(record, window_us, pop, topology, n_windows) for pop in pops}
+    table = instantaneous_rates(record, window_us, n_windows)
 
-    rates_d = rates[Population.DISPARITY]
-    d_vals_d = topology.disparity_of_ids(rates_d.neuron_ids)
-    com_d = center_of_mass(rates_d, d_vals_d)
+    def readout(populations):
+        windows, counts, d = _rows(table, topology, populations)
+        com = center_of_mass(np.bincount(windows, d * counts, n_windows), np.bincount(windows, counts, n_windows))
+        td, fd = label_spikes(table, topology, trace, eps_d, populations)
+        return com, td, fd, _or_none(pcd, td, fd, pcd_mode), _or_none(rmse, com, trace)
 
-    rates_ce, rates_ci = rates[Population.COINC_EXC], rates[Population.COINC_INH]
-    rates_c = RateMatrix(
-        window_us=window_us,
-        neuron_ids=np.concatenate([rates_ce.neuron_ids, rates_ci.neuron_ids]),
-        rates_hz=np.vstack([rates_ce.rates_hz, rates_ci.rates_hz]),
-    )
-    d_vals_c = topology.disparity_of_ids(rates_c.neuron_ids)
-    com_c = center_of_mass(rates_c, d_vals_c)
-
-    labels_d = label_spikes(record, topology, trace, eps_d, (Population.DISPARITY,))
-    labels_c = label_spikes(record, topology, trace, eps_d, (Population.COINC_EXC, Population.COINC_INH))
-
-    def safe_pcd(counts):
-        try:
-            return pcd(counts, pcd_mode)
-        except ValueError:
-            return None
-
-    def safe_rmse(com):
-        try:
-            return rmse(com, trace)
-        except ValueError:
-            return None
+    com_d, td_d, fd_d, pcd_d, rmse_d = readout((Population.DISPARITY,))
+    com_c, td_c, fd_c, pcd_c, rmse_c = readout((Population.COINC_EXC, Population.COINC_INH))
 
     energy = None
     if with_energy and record.duration_us > 0:  # a record of 0 us has no average power
@@ -241,20 +200,20 @@ def build_report(
         window_us=window_us,
         eps_d=eps_d,
         n_windows=n_windows,
-        pcd_d=safe_pcd(labels_d),
-        rmse_d=safe_rmse(com_d),
-        pcd_c=safe_pcd(labels_c),
-        rmse_c=safe_rmse(com_c),
+        pcd_d=pcd_d,
+        rmse_d=rmse_d,
+        pcd_c=pcd_c,
+        rmse_c=rmse_c,
         pcd_mode=pcd_mode,
-        com_d=_nan_to_none(com_d.values),
-        com_c=_nan_to_none(com_c.values),
+        com_d=_nan_to_none(com_d),
+        com_c=_nan_to_none(com_c),
         gt_mean=_nan_to_none(trace.d_mean),
         gt_min=_nan_to_none(trace.d_min),
         gt_max=_nan_to_none(trace.d_max),
-        td_d=labels_d.td.tolist(),
-        fd_d=labels_d.fd.tolist(),
-        td_c=labels_c.td.tolist(),
-        fd_c=labels_c.fd.tolist(),
+        td_d=td_d.tolist(),
+        fd_d=fd_d.tolist(),
+        td_c=td_c.tolist(),
+        fd_c=fd_c.tolist(),
         spike_counts={p.name: int(c) for p, c in record.counts.items()},
         input_events=record.input_events,
         deliveries=record.deliveries,

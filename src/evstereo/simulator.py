@@ -135,6 +135,11 @@ class MismatchModel:
     def enabled(self) -> bool:
         return self.weight_sigma > 0 or self.threshold_sigma > 0
 
+    def validate(self) -> None:
+        for name in ("weight_sigma", "threshold_sigma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+
 
 @dataclass
 class SpikeRecord:
@@ -153,27 +158,6 @@ class SpikeRecord:
         """Spikes of each coincidence and disparity population, in that order."""
         per_pop = np.bincount(self.populations, minlength=len(Population))
         return {p: int(per_pop[p]) for p in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY)}
-
-    def for_population(self, *populations: Population) -> np.ndarray:
-        """Boolean mask selecting spikes of the given populations."""
-        mask = np.zeros(len(self.times), dtype=bool)
-        for p in populations:
-            mask |= self.populations == int(p)
-        return mask
-
-
-@dataclass
-class RateMatrix:
-    """Instantaneous firing rates r[n][i] over non-overlapping windows
-    [i*dt, (i+1)*dt), in Hz."""
-
-    window_us: int
-    neuron_ids: np.ndarray
-    rates_hz: np.ndarray  # shape (n_neurons, n_windows)
-
-    @property
-    def n_windows(self) -> int:
-        return self.rates_hz.shape[1]
 
 
 def window_count(duration_us: int, window_us: int) -> int:
@@ -494,26 +478,21 @@ def simulate(
 
 
 def instantaneous_rates(
-    record: SpikeRecord,
-    window_us: int,
-    population: Population,
-    topology: Topology,
-    n_windows: int | None = None,
-) -> RateMatrix:
-    """Windowed spike counts divided by the window length, in Hz."""
+    record: SpikeRecord, window_us: int, n_windows: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The spike count of each (neuron, window) that holds spikes, over the
+    windows [i*dt, (i+1)*dt): int64 columns ``(neuron_ids, windows, counts)``,
+    sorted by neuron id, then window. Windows from ``n_windows`` on are
+    dropped. Every neuron shares the window length, so a rate in Hz is
+    ``counts / (window_us * 1e-6)``. One sort of the key ``id * n_windows +
+    window``, which int64 holds while the neurons times the windows do."""
     if n_windows is None:
         n_windows = window_count(record.duration_us, window_us)
-    ids = topology.population_ids(population)
-    offset = int(ids[0]) if len(ids) else 0
-    rates = np.zeros((len(ids), n_windows), dtype=np.float64)
-    mask = record.for_population(population)
-    if mask.any():
-        rows = record.neuron_ids[mask] - offset
-        cols = record.times[mask] // window_us
-        keep = cols < n_windows  # spikes past the analysis horizon are dropped
-        np.add.at(rates, (rows[keep], cols[keep]), 1.0)
-    rates /= window_us * 1e-6
-    return RateMatrix(window_us=window_us, neuron_ids=ids, rates_hz=rates)
+    windows = record.times // window_us
+    keep = windows < n_windows  # spikes past the analysis horizon are dropped
+    keys, counts = np.unique(record.neuron_ids[keep] * n_windows + windows[keep], return_counts=True)
+    ids, windows = np.divmod(keys, n_windows)
+    return ids, windows, counts
 
 
 # ---------------------------------------------------------------- spike CSV

@@ -62,10 +62,10 @@ class DisparityProfile:
         if self.jitter_sigma_us < 0:
             raise ValueError("jitter_sigma_us must be >= 0")
 
-    def d_at(self, t_us: float) -> float:
-        ts = [k[0] for k in self.keyframes]
-        ds = [k[1] for k in self.keyframes]
-        return float(np.interp(t_us, ts, ds))
+    def d_at(self, t_us):
+        """The disparity at the time ``t_us``, or at each of an array of times."""
+        ts, ds = zip(*self.keyframes)
+        return np.interp(t_us, ts, ds)
 
     @property
     def rows(self) -> range:
@@ -94,13 +94,20 @@ def validate_profile_bounds(profile: DisparityProfile, geometry: CameraGeometry,
     if profile.shape == CLOUD:
         _cloud_columns(profile, geometry)
         return
-    for t in range(0, duration_us, LATTICE_US):
-        d = int(round(profile.d_at(t)))
-        x = profile.x
-        if x < 0 or x >= geometry.width or x + d < 0 or x + d >= geometry.width:
-            raise ValueError(
-                f"shape leaves the frame at t={t}us (x={x}, d={d}, width={geometry.width})"
-            )
+    d = _lattice_disparity(profile, duration_us)
+    x = profile.x
+    outside = (x < 0) | (x >= geometry.width) | (x + d < 0) | (x + d >= geometry.width)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(
+            f"shape leaves the frame at t={k * LATTICE_US}us (x={x}, d={d[k]}, width={geometry.width})"
+        )
+
+
+def _lattice_disparity(profile: DisparityProfile, duration_us: int) -> np.ndarray:
+    """The disparity at each lattice step before ``duration_us``, rounded
+    half to even as ``round`` does."""
+    return np.rint(profile.d_at(np.arange(0, duration_us, LATTICE_US))).astype(np.int64)
 
 
 def _emit(rng: np.random.Generator, steps: range, d: list[int], rows: list[int], cols: list[int],
@@ -163,7 +170,7 @@ def gen_stimulus(
 
     p_emit = min(profile.rate_hz * LATTICE_US * 1e-6, 1.0)
     sigma = profile.jitter_sigma_us
-    d = [int(round(profile.d_at(t))) for t in steps]
+    d = _lattice_disparity(profile, duration_us).tolist()
     from . import _native  # deferred, so that importing the package compiles and loads nothing
 
     lib = _native.kernel()
@@ -173,7 +180,7 @@ def gen_stimulus(
 
     n_windows = window_count(duration_us, window_us)
     centers = window_centers_us(n_windows, window_us)
-    d_centers = np.array([profile.d_at(tc) for tc in centers])
+    d_centers = profile.d_at(centers)
     trace = DisparityTrace(
         window_us=window_us,
         d_mean=d_centers.copy(),

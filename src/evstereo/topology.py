@@ -445,6 +445,23 @@ def _fan_out(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, candidates[rows, cols]
 
 
+def check_topology(
+    retina_width: int, retina_height: int, d_max: int, polarity_mode: str, continuity_radius: int | None
+) -> None:
+    """The checks of ``build_topology``'s arguments, weights aside; each
+    message starts with the argument's name."""
+    if retina_width < 1:
+        raise ValueError(f"retina_width must be >= 1, got {retina_width}")
+    if retina_height < 1:
+        raise ValueError(f"retina_height must be >= 1, got {retina_height}")
+    if not 0 <= d_max <= retina_width - 1:
+        raise ValueError(f"d_max must be in [0, {retina_width - 1}], got {d_max}")
+    if polarity_mode not in (RECTIFIED, SEPARATED):
+        raise ValueError(f"polarity_mode must be {RECTIFIED!r} or {SEPARATED!r}, got {polarity_mode!r}")
+    if continuity_radius is not None and continuity_radius < 0:
+        raise ValueError(f"continuity_radius must be >= 0, got {continuity_radius}")
+
+
 def build_topology(
     retina_width: int,
     retina_height: int,
@@ -453,14 +470,7 @@ def build_topology(
     polarity_mode: str = RECTIFIED,
     continuity_radius: int | None = None,
 ) -> Topology:
-    if retina_width < 1 or retina_height < 1:
-        raise ValueError(f"retina must be at least 1x1, got {retina_width}x{retina_height}")
-    if not 0 <= d_max <= retina_width - 1:
-        raise ValueError(f"d_max must be in [0, {retina_width - 1}], got {d_max}")
-    if polarity_mode not in (RECTIFIED, SEPARATED):
-        raise ValueError(f"polarity_mode must be '{RECTIFIED}' or '{SEPARATED}'")
-    if continuity_radius is not None and continuity_radius < 0:
-        raise ValueError("continuity_radius must be >= 0")
+    check_topology(retina_width, retina_height, d_max, polarity_mode, continuity_radius)
     weights = weights or WeightParams()
     weights.validate()
     return Topology(retina_width, retina_height, d_max, weights, polarity_mode, continuity_radius)

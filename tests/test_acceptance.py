@@ -15,8 +15,6 @@ from evstereo.cli import main as cli_main
 from evstereo.events import LEFT, ON, RIGHT, CameraGeometry, DvsEvent, StereoEventStream
 from evstereo.groundtruth import DisparityTrace
 from evstereo.metrics import (
-    CoMTrace,
-    SpikeLabelCounts,
     build_report,
     center_of_mass,
     label_spikes,
@@ -31,10 +29,10 @@ from evstereo.preprocess import (
     mask_regions,
     Rect,
 )
-from evstereo.simulator import LifParams, RateMatrix, instantaneous_rates, simulate
+from evstereo.simulator import LifParams, instantaneous_rates, simulate
 from evstereo.synth import DisparityProfile, gen_stimulus
 from evstereo.topology import NeuronCoord, Population, build_topology
-from test_metrics import flat_trace, rate_matrix, spike_record
+from test_metrics import flat_trace, spike_record, window_sums
 from test_preprocess import background_oracle, random_stream
 from test_topology import rule_oracle
 
@@ -189,7 +187,7 @@ def test_a4_oracle_soundness_100_fixtures():
             wi = ((int(stream.t[m.left_index]) + int(stream.t[m.right_index])) // 2) // WINDOW_US
             match_bins.add((wi, m.y, m.disparity))
         spike_bins = set()
-        mask = record.for_population(Population.COINC_EXC, Population.COINC_INH)
+        mask = np.isin(record.populations, (Population.COINC_EXC, Population.COINC_INH))
         for t, nid in zip(record.times[mask], record.neuron_ids[mask]):
             _, c, _ = topo.coord_of(int(nid))
             key = (int(t) // WINDOW_US, c.y, c.d)
@@ -261,20 +259,17 @@ def test_a6_determinism(tmp_path):
 
 def test_a7_metric_fixtures_exact():
     # CoM fixtures
-    rates, d = rate_matrix({2.0: 1.0, 4.0: 3.0})
-    assert center_of_mass(rates, d).values[0] == 3.5
-    rates1, d1 = rate_matrix({-3.0: 4.0})
-    assert center_of_mass(rates1, d1).values[0] == -3.0
-    rates0, d0 = rate_matrix({0.0: 0.0})
-    assert np.isnan(center_of_mass(rates0, d0).values[0])
+    assert center_of_mass(*window_sums({2.0: 1, 4.0: 3}))[0] == 3.5
+    assert center_of_mass(*window_sums({-3.0: 4}))[0] == -3.0
+    assert np.isnan(center_of_mass(*window_sums({0.0: 0}))[0])
 
     # RMSE fixtures
     trace5 = flat_trace(2.0, n=5)
-    assert rmse(CoMTrace(WINDOW_US, trace5.d_mean.copy()), trace5) == 0.0
-    assert rmse(CoMTrace(WINDOW_US, trace5.d_mean + 1.0), trace5) == 1.0
+    assert rmse(trace5.d_mean.copy(), trace5) == 0.0
+    assert rmse(trace5.d_mean + 1.0, trace5) == 1.0
     gt = flat_trace(0.0, n=5)
     gt.d_mean[:] = [0.0, 2.0, 5.0, 5.0, 4.0]
-    com = CoMTrace(WINDOW_US, np.array([1.0, 2.0, 3.0, np.nan, 5.0]))
+    com = np.array([1.0, 2.0, 3.0, np.nan, 5.0])
     assert abs(rmse(com, gt) - np.sqrt(1.5)) <= 1e-12
 
     # TD/FD labelling fixtures on a real topology
@@ -288,17 +283,17 @@ def test_a7_metric_fixtures_exact():
 
     band = flat_trace(2.0, d_min=1.0, d_max=3.0)
     rec = spike_record([(100, d_id(2)), (200, d_id(4)), (300, d_id(5))], topo, WINDOW_US - 1)
-    counts = label_spikes(rec, topo, band, 1.0, (Population.DISPARITY,))
-    assert (counts.total_td, counts.total_fd) == (2, 1)  # d=4 inclusive, d=5 out
+    td, fd = label_spikes(instantaneous_rates(rec, WINDOW_US), topo, band, 1.0, (Population.DISPARITY,))
+    assert (td.sum(), fd.sum()) == (2, 1)  # d=4 inclusive, d=5 out
 
     # PCD fixtures (exact rationals)
-    c = SpikeLabelCounts(np.array([3, 0]), np.array([1, 4]))
-    assert pcd(c, "global") == 3 / 8
-    assert pcd(c, "per-window-mean") == 0.375
-    allt = SpikeLabelCounts(np.array([5]), np.array([0]))
-    assert pcd(allt) == 1.0
-    half = SpikeLabelCounts(np.array([2, 3]), np.array([2, 3]))
-    assert pcd(half, "global") == 0.5 and pcd(half, "per-window-mean") == 0.5
+    c = (np.array([3, 0]), np.array([1, 4]))
+    assert pcd(*c, "global") == 3 / 8
+    assert pcd(*c, "per-window-mean") == 0.375
+    allt = (np.array([5]), np.array([0]))
+    assert pcd(*allt) == 1.0
+    half = (np.array([2, 3]), np.array([2, 3]))
+    assert pcd(*half, "global") == 0.5 and pcd(*half, "per-window-mean") == 0.5
     passline("A7", "CoM/RMSE/PCD/TD-FD fixtures reproduced exactly (<=1e-12 where irrational)")
 
 

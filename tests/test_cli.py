@@ -273,8 +273,8 @@ def test_run_file_inputs_end_to_end(tmp_path):
 
 def test_run_file_inputs_auto_crop(tmp_path):
     fixture = write_file_fixture(tmp_path)
-    path = file_config(tmp_path, *fixture, out="out_auto", crop_origin=None)
-    assert main(["run", "-c", str(path), "--auto-crop"]) == 0
+    path = file_config(tmp_path, *fixture, out="out_auto")
+    assert main(["run", "-c", str(path), "--set", "preprocess.crop_origin=null"]) == 0
     report = read_report(str(tmp_path / "out_auto" / "metrics.json"))
     # ground truth shares the resolved origin, so metrics are origin-invariant
     assert report.pcd_d is not None and report.pcd_d >= 0.9
@@ -527,11 +527,11 @@ def test_worker_killed_mid_config_fails_only_that_config(tmp_path, monkeypatch, 
 
     run_one, victim, pid_file = cli._run_one, str(tmp_path / "b.json"), tmp_path / "killed.pid"
 
-    def run_or_die(config_path, overrides, auto_crop):
+    def run_or_die(config_path, overrides):
         if config_path == victim:
             pid_file.write_text(str(os.getpid()))
             os.kill(os.getpid(), signal.SIGKILL)
-        return run_one(config_path, overrides, auto_crop)
+        return run_one(config_path, overrides)
 
     monkeypatch.setattr(cli, "_run_one", run_or_die)
     assert main(["run", *batch_configs(tmp_path, "abc"), "--jobs", "2"]) == 1
@@ -565,7 +565,7 @@ def test_more_jobs_than_configs_runs_each_config_once(tmp_path, monkeypatch):
 
     log = tmp_path / "log"
 
-    def record(config_path, overrides, auto_crop):
+    def record(config_path, overrides):
         fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
         os.write(fd, f"{os.getpid()} {config_path}\n".encode())
         os.close(fd)
@@ -582,7 +582,7 @@ def test_jobs_without_fork_runs_serially(tmp_path, monkeypatch):
     from evstereo import cli
 
     ran = []
-    monkeypatch.setattr(cli, "_run_one", lambda config_path, overrides, auto_crop: ran.append(config_path) or 0)
+    monkeypatch.setattr(cli, "_run_one", lambda config_path, overrides: ran.append(config_path) or 0)
     monkeypatch.delattr(os, "fork", raising=False)
     assert main(["run", *batch_configs(tmp_path, "ab"), "--jobs", "2"]) == 0
     assert ran == [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
@@ -751,9 +751,9 @@ def test_bad_config_does_not_abort_batch(tmp_path, jobs):
     [
         pytest.param(override, message, id=override)
         for override, message in [
-            ("topology.polarity_mode=bogus", "topology: "),
-            ("topology.d_max=16", "topology: "),
-            ("topology.continuity_radius=-1", "topology: "),
+            ("topology.polarity_mode=bogus", "topology.polarity_mode must be 'rectified' or 'separated', got 'bogus'"),
+            ("topology.d_max=16", "topology.d_max must be in [0, 15], got 16"),
+            ("topology.continuity_radius=-1", "topology.continuity_radius must be >= 0, got -1"),
             ("topology.continuity_radius=abc", "topology.continuity_radius must be an integer or null, got 'abc'"),
         ]
     ],
@@ -836,11 +836,11 @@ def test_malformed_event_file_does_not_abort_batch(tmp_path, capfd):
 def test_unexpected_error_in_one_config_is_reported_per_config(tmp_path, monkeypatch, capsys):
     from evstereo import cli
 
-    def explode(config_path, overrides, auto_crop):
+    def explode(config_path, overrides):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "_run_one", explode)
-    assert cli._run_one_safe(str(tmp_path / "c.json"), [], False) == 1
+    assert cli._run_one_safe(str(tmp_path / "c.json"), []) == 1
     err = capsys.readouterr().err.strip()
     assert err == f"error (run {tmp_path / 'c.json'}): RuntimeError: boom"
 
@@ -859,10 +859,10 @@ def test_each_error_line_is_one_write(tmp_path, monkeypatch):
 
     run_one, faults = cli._run_one, {"value": ValueError("bad value"), "runtime": RuntimeError("boom")}
 
-    def run_or_raise(config_path, overrides, auto_crop):
+    def run_or_raise(config_path, overrides):
         if Path(config_path).stem in faults:
             raise faults[Path(config_path).stem]
-        return run_one(config_path, overrides, auto_crop)
+        return run_one(config_path, overrides)
 
     monkeypatch.setattr(cli, "_run_one", run_or_raise)
     stderr = Stderr()
@@ -1243,7 +1243,7 @@ def test_readout_csvs_of_an_empty_record(tmp_path):
     empty = np.zeros(0, dtype=np.int64)
     record = SpikeRecord(empty, empty, empty.astype(np.int8), 0, 0, 0)
     cli.write_spike_csv(record, str(tmp_path / "spikes.csv"))
-    cli._write_rates_csv(cli._population_rates(record, topo, 50_000, 3), topo, str(tmp_path / "rates.csv"))
+    cli._write_rates_csv(record, topo, 50_000, 3, str(tmp_path / "rates.csv"))
     cli._write_disparity_hist_csv(record, topo, 50_000, 3, str(tmp_path / "hist.csv"))
     cli._write_mean_rates_csv(record, topo, str(tmp_path / "mean.csv"))
     assert (tmp_path / "spikes.csv").read_text() == "t_us,neuron_id,population\n"
@@ -1266,7 +1266,7 @@ def test_readout_floats_in_exponent_form(tmp_path):
     window_us = 10**11  # one spike in a window of 1e5 s is 1e-05 Hz
     ids = np.array([5], dtype=np.int64)
     record = SpikeRecord(np.array([3], dtype=np.int64), ids, topo.pop_code[ids], window_us, 0, 0)
-    cli._write_rates_csv(cli._population_rates(record, topo, window_us, 1), topo, str(tmp_path / "rates.csv"))
+    cli._write_rates_csv(record, topo, window_us, 1, str(tmp_path / "rates.csv"))
     cli._write_mean_rates_csv(record, topo, str(tmp_path / "mean.csv"))
     assert (tmp_path / "rates.csv").read_text().splitlines()[1:] == ["0,50000000000.0,COINC_EXC,5,1e-05"]
     assert (tmp_path / "mean.csv").read_text().splitlines()[2] == "COINC_EXC,5,0,0,0,1e-05"

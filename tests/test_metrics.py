@@ -1,3 +1,6 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +9,7 @@ from hypothesis import strategies as st
 from conftest import read_report
 from evstereo.groundtruth import DisparityTrace
 from evstereo.metrics import (
-    CoMTrace,
     EnergyCoefficients,
-    SpikeLabelCounts,
     build_report,
     center_of_mass,
     estimate_energy,
@@ -17,19 +18,18 @@ from evstereo.metrics import (
     rmse,
     write_com_csv,
 )
-from evstereo.simulator import RateMatrix, SpikeRecord
+from evstereo.simulator import SpikeRecord, instantaneous_rates
 from evstereo.topology import Population, build_topology
 
 DT = 50_000
 
 
-def rate_matrix(rates_by_d, n_windows=1):
-    """RateMatrix over synthetic neurons with given d values."""
-    d = np.array(sorted(rates_by_d), dtype=np.float64)
-    rates = np.zeros((len(d), n_windows))
-    for i, dv in enumerate(d):
-        rates[i, :] = rates_by_d[dv]
-    return RateMatrix(window_us=DT, neuron_ids=np.arange(len(d)), rates_hz=rates), d
+def window_sums(counts_by_d):
+    """The sums of d*count and of count of one window, over synthetic
+    neurons with the given d values and spike counts."""
+    d = np.array(sorted(counts_by_d), dtype=np.float64)
+    counts = np.array([counts_by_d[dv] for dv in d], dtype=np.float64)
+    return np.array([d @ counts]), np.array([counts.sum()])
 
 
 def flat_trace(d_mean, d_min=None, d_max=None, n=1):
@@ -57,21 +57,17 @@ def spike_record(spikes, topology, duration):
 # ------------------------------------------------------------- CoM (exact)
 
 def test_com_weighted_mean_exact():
-    rates, d = rate_matrix({2.0: 1.0, 4.0: 3.0})
-    com = center_of_mass(rates, d)
-    assert com.values[0] == (2 * 1 + 4 * 3) / 4  # 3.5 exactly
+    com = center_of_mass(*window_sums({2.0: 1, 4.0: 3}))
+    assert com[0] == (2 * 1 + 4 * 3) / 4  # 3.5 exactly
 
 
 def test_com_single_active_neuron():
-    rates, d = rate_matrix({-3.0: 5.0, 1.0: 0.0})
-    assert center_of_mass(rates, d).values[0] == -3.0
+    assert center_of_mass(*window_sums({-3.0: 5, 1.0: 0}))[0] == -3.0
 
 
 def test_com_zero_window_undefined():
-    rates, d = rate_matrix({0.0: 0.0, 1.0: 0.0})
-    com = center_of_mass(rates, d)
-    assert np.isnan(com.values[0])
-    assert not com.defined[0]
+    com = center_of_mass(*window_sums({0.0: 0, 1.0: 0}))
+    assert np.isnan(com[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,33 +76,31 @@ def test_com_zero_window_undefined():
     st.floats(0.1, 100.0),
 )
 def test_com_scale_invariance_and_hull(pairs, scale):
-    # rates as a run produces them: a spike count over the window
     by_d = {}
     for d, count in pairs:
         by_d[float(d)] = by_d.get(float(d), 0) + count
-    rates, d = rate_matrix({dv: count / (DT * 1e-6) for dv, count in by_d.items()})
-    com = center_of_mass(rates, d)
-    scaled = RateMatrix(rates.window_us, rates.neuron_ids, rates.rates_hz * scale)
-    com2 = center_of_mass(scaled, d)
-    if com.defined[0]:
-        active = d[rates.rates_hz[:, 0] > 0]
-        assert active.min() - 1e-9 <= com.values[0] <= active.max() + 1e-9
-        assert com2.values[0] == pytest.approx(com.values[0], abs=1e-9)
+    weighted, total = window_sums(by_d)
+    com = center_of_mass(weighted, total)
+    com2 = center_of_mass(weighted * scale, total * scale)
+    if not np.isnan(com[0]):
+        active = [dv for dv, count in by_d.items() if count > 0]
+        assert min(active) - 1e-9 <= com[0] <= max(active) + 1e-9
+        assert com2[0] == pytest.approx(com[0], abs=1e-9)
     else:
-        assert not com2.defined[0]
+        assert np.isnan(com2[0])
 
 
 # ------------------------------------------------------------- RMSE (exact)
 
 def test_rmse_zero_when_identical():
     trace = flat_trace(2.0, n=5)
-    com = CoMTrace(DT, trace.d_mean.copy())
+    com = trace.d_mean.copy()
     assert rmse(com, trace) == 0.0
 
 
 def test_rmse_constant_offset_is_one():
     trace = flat_trace(2.0, n=8)
-    com = CoMTrace(DT, trace.d_mean + 1.0)
+    com = trace.d_mean + 1.0
     assert rmse(com, trace) == 1.0
 
 
@@ -120,24 +114,24 @@ def test_rmse_hand_computed_fixture():
         d_max=np.zeros(5),
         n_joints=np.ones(5, dtype=np.int64),
     )
-    com = CoMTrace(DT, np.array([1.0, 2.0, 3.0, np.nan, 5.0]))
+    com = np.array([1.0, 2.0, 3.0, np.nan, 5.0])
     assert rmse(com, gt) == pytest.approx(np.sqrt(1.5), abs=1e-12)
 
 
 def test_rmse_is_symmetric():
-    a = CoMTrace(DT, np.array([1.0, 2.0, np.nan, 4.0]))
+    a = np.array([1.0, 2.0, np.nan, 4.0])
     b_trace = flat_trace(3.0, n=4)
-    b_as_com = CoMTrace(DT, b_trace.d_mean.copy())
+    b_as_com = b_trace.d_mean.copy()
     a_as_trace = DisparityTrace(
-        window_us=DT, d_mean=a.values, d_min=a.values, d_max=a.values,
-        n_joints=(~np.isnan(a.values)).astype(np.int64),
+        window_us=DT, d_mean=a, d_min=a, d_max=a,
+        n_joints=(~np.isnan(a)).astype(np.int64),
     )
     assert rmse(a, b_trace) == pytest.approx(rmse(b_as_com, a_as_trace), abs=1e-15)
 
 
 def test_rmse_errors_without_joint_window():
     trace = flat_trace(1.0, n=3)
-    com = CoMTrace(DT, np.full(3, np.nan))
+    com = np.full(3, np.nan)
     with pytest.raises(ValueError, match="no window"):
         rmse(com, trace)
 
@@ -162,8 +156,8 @@ def test_label_all_td_inside_band(small_topology):
     nid = d_neuron(small_topology, 2)
     record = spike_record([(1000 * k, nid) for k in range(1, 6)], small_topology, DT - 1)
     trace = flat_trace(2.0, d_min=1.0, d_max=3.0)
-    counts = label_spikes(record, small_topology, trace, 1.0, (Population.DISPARITY,))
-    assert counts.total_td == 5 and counts.total_fd == 0
+    td, fd = label_spikes(instantaneous_rates(record, DT), small_topology, trace, 1.0, (Population.DISPARITY,))
+    assert td.sum() == 5 and fd.sum() == 0
 
 
 def test_label_boundaries_closed_interval(small_topology):
@@ -171,10 +165,10 @@ def test_label_boundaries_closed_interval(small_topology):
     trace = flat_trace(2.0, d_min=1.0, d_max=3.0)
     rec4 = spike_record([(100, d_neuron(small_topology, 4))], small_topology, DT - 1)
     rec5 = spike_record([(100, d_neuron(small_topology, 5))], small_topology, DT - 1)
-    c4 = label_spikes(rec4, small_topology, trace, 1.0, (Population.DISPARITY,))
-    c5 = label_spikes(rec5, small_topology, trace, 1.0, (Population.DISPARITY,))
-    assert (c4.total_td, c4.total_fd) == (1, 0)
-    assert (c5.total_td, c5.total_fd) == (0, 1)
+    td4, fd4 = label_spikes(instantaneous_rates(rec4, DT), small_topology, trace, 1.0, (Population.DISPARITY,))
+    td5, fd5 = label_spikes(instantaneous_rates(rec5, DT), small_topology, trace, 1.0, (Population.DISPARITY,))
+    assert (td4.sum(), fd4.sum()) == (1, 0)
+    assert (td5.sum(), fd5.sum()) == (0, 1)
 
 
 def test_label_skips_uncovered_windows(small_topology):
@@ -183,8 +177,8 @@ def test_label_skips_uncovered_windows(small_topology):
     trace.d_mean[1] = np.nan
     trace.n_joints[1] = 0
     record = spike_record([(10, nid), (DT + 10, nid)], small_topology, 2 * DT - 1)
-    counts = label_spikes(record, small_topology, trace, 1.0, (Population.DISPARITY,))
-    assert counts.total_td + counts.total_fd == 1
+    td, fd = label_spikes(instantaneous_rates(record, DT), small_topology, trace, 1.0, (Population.DISPARITY,))
+    assert td.sum() + fd.sum() == 1
 
 
 def test_label_partition_property(small_topology):
@@ -193,9 +187,9 @@ def test_label_partition_property(small_topology):
     spikes = [(int(rng.integers(0, 5 * DT)), int(rng.choice(ids))) for _ in range(500)]
     record = spike_record(spikes, small_topology, 5 * DT - 1)
     trace = flat_trace(1.0, d_min=0.0, d_max=2.0, n=5)
-    counts = label_spikes(record, small_topology, trace, 1.0, (Population.DISPARITY,))
-    assert counts.total_td + counts.total_fd == len(spikes)
-    assert np.all(counts.td + counts.fd == 100 * np.bincount(record.times // DT, minlength=5) / 100)
+    td, fd = label_spikes(instantaneous_rates(record, DT), small_topology, trace, 1.0, (Population.DISPARITY,))
+    assert td.sum() + fd.sum() == len(spikes)
+    assert np.all(td + fd == 100 * np.bincount(record.times // DT, minlength=5) / 100)
 
 
 # ------------------------------------------------------------- PCD (exact)
@@ -203,35 +197,35 @@ def test_label_partition_property(small_topology):
 def make_counts(per_window):
     td = np.array([w[0] for w in per_window], dtype=np.int64)
     fd = np.array([w[1] for w in per_window], dtype=np.int64)
-    return SpikeLabelCounts(td, fd)
+    return td, fd
 
 
 def test_pcd_all_td():
-    assert pcd(make_counts([(5, 0), (3, 0)])) == 1.0
+    assert pcd(*make_counts([(5, 0), (3, 0)])) == 1.0
 
 
 def test_pcd_symmetric_half():
     counts = make_counts([(4, 4), (2, 2)])
-    assert pcd(counts, "global") == 0.5
-    assert pcd(counts, "per-window-mean") == 0.5
+    assert pcd(*counts, "global") == 0.5
+    assert pcd(*counts, "per-window-mean") == 0.5
 
 
 def test_pcd_modes_fixture():
     counts = make_counts([(3, 1), (0, 4)])
-    assert pcd(counts, "global") == 3 / 8
-    assert pcd(counts, "per-window-mean") == pytest.approx((0.75 + 0.0) / 2, abs=1e-15)
+    assert pcd(*counts, "global") == 3 / 8
+    assert pcd(*counts, "per-window-mean") == pytest.approx((0.75 + 0.0) / 2, abs=1e-15)
 
 
 def test_pcd_zero_spikes_errors():
     with pytest.raises(ValueError):
-        pcd(make_counts([(0, 0)]))
+        pcd(*make_counts([(0, 0)]))
 
 
 def test_pcd_invariant_to_window_rebinning():
     # same spikes regrouped across windows leave the global ratio unchanged
     a = make_counts([(3, 1), (1, 3)])
     b = make_counts([(4, 4)])
-    assert pcd(a, "global") == pcd(b, "global")
+    assert pcd(*a, "global") == pcd(*b, "global")
 
 
 # ------------------------------------------------------------- energy
@@ -318,3 +312,44 @@ def test_com_csv_layout(tmp_path, small_topology):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[3]) == 1.0  # CoM(D) on the only active neuron
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4 * DT - 1), st.integers(0, 10**6)), max_size=300))
+def test_report_com_is_the_exact_quotient_of_spike_counts(small_topology, drawn):
+    # each window's CoM is the correctly rounded sum d*count / sum count, whatever the host's summation order
+    ids = np.arange(small_topology.offsets[Population.COINC_EXC], small_topology.n_neurons)
+    spikes = [(t, int(ids[k % len(ids)])) for t, k in drawn]
+    record = spike_record(spikes, small_topology, 4 * DT - 1)
+    report = build_report(record, small_topology, flat_trace(0.0, n=4), DT, eps_d=1.0)
+    for com, populations in ((report.com_d, {"DISPARITY"}), (report.com_c, {"COINC_EXC", "COINC_INH"})):
+        expected = []
+        for w in range(4):
+            d = [
+                int(small_topology.d[nid]) for t, nid in spikes
+                if t // DT == w and small_topology.population_of(nid).name in populations
+            ]
+            expected.append(float(Fraction(sum(d), len(d))) if d else None)
+        assert com == expected
+
+
+def test_readout_memory_follows_spikes_and_windows(tmp_path):
+    # a dense neurons x windows rate matrix of this full-size network would take tens of MB
+    from evstereo.cli import _write_rates_csv
+
+    topo = build_topology(16, 16, 7)
+    n_windows, n_spikes, window_us = 200, 1000, 1000
+    rng = np.random.default_rng(0)
+    ids = rng.integers(topo.offsets[Population.COINC_EXC], topo.n_neurons, n_spikes)
+    times = np.sort(rng.integers(0, n_windows * window_us, n_spikes))
+    record = SpikeRecord(times, ids, topo.pop_code[ids], n_windows * window_us - 1, 0, 0)
+    trace = DisparityTrace(window_us, np.zeros(n_windows), np.full(n_windows, -1.0), np.ones(n_windows),
+                           np.ones(n_windows, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        build_report(record, topo, trace, window_us, eps_d=1.0)
+        _write_rates_csv(record, topo, window_us, n_windows, str(tmp_path / "rates.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * (n_spikes + n_windows), peak

@@ -51,13 +51,13 @@ def valid(tmp_path_factory):
     return d
 
 
-def command(inputs, out, name):
+def command(inputs, out, name, *flags):
     """``main`` on the inputs in ``inputs``, the config's paths set from the command line."""
     keys = {"left": "left_events", "right": "right_events", "markers": "markers", "calibration": "calibration"}
     sets = [f"input.{key}={inputs / file}" for file, key in keys.items()] + [f"output_dir={out}"]
     sets = [arg for item in sets for arg in ("--set", item)]
     files = ["--spikes", str(inputs / "spikes"), "--trace", str(inputs / "trace")] if name == "eval" else []
-    return main([name, "-c", str(inputs / "config"), *sets, *files])
+    return main([name, "-c", str(inputs / "config"), *sets, *files, *flags])
 
 
 def with_file(valid, tmp, which, data):
@@ -116,6 +116,15 @@ BAD_CONFIG_VALUES = [
     (b'{"analysis": {"eps_d": -1}}', "analysis.eps_d must be >= 0, got -1.0"),
     (b'{"analysis": {"pcd_mode": "bogus"}}', "analysis.pcd_mode must be 'global' or 'per-window-mean', got 'bogus'"),
     (b'{"topology": {"weights": {"w_rc": -1}}}', "topology.weights.w_rc must be > 0, got -1.0"),
+    (b'{"topology": {"retina_width": 0}}', "topology.retina_width must be >= 1, got 0"),
+    (b'{"topology": {"retina_height": 0}}', "topology.retina_height must be >= 1, got 0"),
+    (b'{"topology": {"d_max": -1}}', "topology.d_max must be in [0, 15], got -1"),
+    (b'{"topology": {"polarity_mode": "both"}}', "topology.polarity_mode must be 'rectified' or 'separated', got 'both'"),
+    (b'{"topology": {"continuity_radius": -2}}', "topology.continuity_radius must be >= 0, got -2"),
+    (
+        b'{"simulator": {"mismatch": {"weight_sigma": 0.1, "threshold_sigma": -0.5}}}',
+        "simulator.mismatch.threshold_sigma must be >= 0, got -0.5",
+    ),
 ]
 
 
@@ -132,12 +141,15 @@ def test_every_reader_exits_2_naming_its_file_or_key(valid, tmp_path, capsys, wh
     assert err.startswith(f"config error ({name}): {key or tmp_path / which}" + ("" if key else ":")), err
 
 
-@pytest.mark.parametrize("name", ["synth", "topology", "eval"])
+@pytest.mark.parametrize(
+    "name,flags", [("synth", ()), ("topology", ()), ("topology", ("--hardware-budget",)), ("eval", ())],
+    ids=["synth", "topology", "topology-hardware-budget", "eval"],
+)
 @pytest.mark.parametrize("data,key", BAD_CONFIG_VALUES, ids=[key for _, key in BAD_CONFIG_VALUES])
-def test_every_command_refuses_the_bad_config_values(valid, tmp_path, capsys, name, data, key):
+def test_every_command_refuses_the_bad_config_values(valid, tmp_path, capsys, name, flags, data, key):
     with_file(valid, tmp_path, "config", data)
     capsys.readouterr()
-    assert command(tmp_path, tmp_path / "out", name) == 2
+    assert command(tmp_path, tmp_path / "out", name, *flags) == 2
     assert capsys.readouterr().err.startswith(f"config error ({name}): {key}")
     assert not (tmp_path / "out").exists()
 

@@ -26,7 +26,7 @@ def stream_of(events, geometry=GEOM16):
 
 
 def coincidence_coords_fired(topology, record):
-    mask = record.for_population(Population.COINC_EXC, Population.COINC_INH)
+    mask = np.isin(record.populations, (Population.COINC_EXC, Population.COINC_INH))
     coords = set()
     for nid in record.neuron_ids[mask]:
         _, c, _ = topology.coord_of(int(nid))
@@ -55,7 +55,7 @@ def test_coincident_pair_fires_matching_coordinate_only():
     # engine's spike lands exactly on the first integer crossing
     crossing = first_crossing_us([(1000, 0.6), (1200, 0.6)], 5000.0, 5000.0, 1.0, 60_000)
     assert crossing is not None
-    c_mask = record.for_population(Population.COINC_EXC, Population.COINC_INH)
+    c_mask = np.isin(record.populations, (Population.COINC_EXC, Population.COINC_INH))
     assert set(record.times[c_mask].tolist()) == {crossing}
 
 
@@ -246,18 +246,16 @@ def test_rates_five_spikes_in_window():
         input_events=0,
         deliveries=0,
     )
-    rates = instantaneous_rates(record, 50_000, Population.DISPARITY, topo)
-    assert rates.n_windows == 1
-    row = did - int(topo.population_ids(Population.DISPARITY)[0])
-    assert rates.rates_hz[row, 0] == pytest.approx(100.0)
+    ids, windows, counts = instantaneous_rates(record, 50_000)
+    assert (ids.tolist(), windows.tolist(), counts.tolist()) == ([did], [0], [5])
+    assert counts[0] / (50_000 * 1e-6) == pytest.approx(100.0)
 
 
 def test_rates_empty_record_all_zero():
     topo = build_topology(4, 2, 1)
     record = simulate(topo, stream_of([], CameraGeometry(4, 2)), duration_us=200_000)
-    rates = instantaneous_rates(record, 50_000, Population.DISPARITY, topo)
-    assert rates.rates_hz.shape == (topo.counts[Population.DISPARITY], window_count(200_000, 50_000))
-    assert not rates.rates_hz.any()
+    for column in instantaneous_rates(record, 50_000):
+        assert column.dtype == np.int64 and len(column) == 0
 
 
 def test_rates_match_brute_force_window_counts():
@@ -265,16 +263,14 @@ def test_rates_match_brute_force_window_counts():
     stream = probe_pair_stream(d=2, n_pairs=30, y=2, x_left=3, spacing=17_000, geometry=CameraGeometry(8, 4))
     record = simulate(topo, stream)
     dt = 25_000
-    for pop in (Population.COINC_EXC, Population.DISPARITY):
-        rates = instantaneous_rates(record, dt, pop, topo)
-        # O(spikes * windows) re-count
-        brute = np.zeros_like(rates.rates_hz)
-        ids = list(rates.neuron_ids)
-        for t, nid, p in zip(record.times, record.neuron_ids, record.populations):
-            if p == int(pop):
-                brute[ids.index(int(nid)), int(t) // dt] += 1
-        brute /= dt * 1e-6
-        assert np.array_equal(rates.rates_hz, brute)
+    for n_windows in (None, 5):
+        table = instantaneous_rates(record, dt, n_windows)
+        # O(spikes * windows) re-count, in the table's order: by neuron id, then window
+        brute = {}
+        for t, nid in zip(record.times.tolist(), record.neuron_ids.tolist()):
+            if n_windows is None or t // dt < n_windows:
+                brute[nid, t // dt] = brute.get((nid, t // dt), 0) + 1
+        assert [list(column) for column in table] == [list(c) for c in zip(*sorted((*k, n) for k, n in brute.items()))]
 
 
 # ------------------------------------------------------------- mismatch model

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import OracleMatch, oracle_disparity_estimate, oracle_matches, without_kernel
 from evstereo import _native
@@ -11,8 +13,11 @@ from evstereo.synth import (
     LATTICE_US,
     DisparityProfile,
     _emit,
+    _lattice_disparity,
     gen_stimulus,
+    validate_profile_bounds,
 )
+from evstereo.simulator import window_centers_us, window_count
 
 GEOM = CameraGeometry(16, 16)
 
@@ -93,6 +98,44 @@ def test_out_of_frame_profile_rejected_before_generation():
     with pytest.raises(ValueError, match="t=") as exc:
         gen_stimulus(profile, GEOM, 1_000_000, 50_000)
     assert "leaves the frame" in str(exc.value)
+
+
+def scalar_bounds_error(profile, geometry, duration_us):
+    """The message of the first lattice step at which a DOT or BAR leaves the frame, one step at a time."""
+    for t in range(0, duration_us, LATTICE_US):
+        d = int(round(profile.d_at(t)))
+        x = profile.x
+        if x < 0 or x >= geometry.width or x + d < 0 or x + d >= geometry.width:
+            return f"shape leaves the frame at t={t}us (x={x}, d={d}, width={geometry.width})"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-20_000, 80_000), st.one_of(st.floats(-9, 9), st.integers(-18, 18).map(lambda k: k / 2))),
+        min_size=1, max_size=5,
+    ).map(sorted),
+    st.integers(1, 60_000),
+    st.integers(-2, 17),
+    st.sampled_from([DOT, BAR]),
+)
+def test_array_disparity_equals_the_scalar_d_at(keyframes, duration, x, shape):
+    # one np.interp over the lattice (and over the window centres) gives the bits of d_at step by step,
+    # and np.rint rounds half to even as round does
+    profile = DisparityProfile(shape=shape, keyframes=tuple(keyframes), x=x, y=3, height=2, rate_hz=1000.0)
+    steps = range(0, duration, LATTICE_US)
+    assert _lattice_disparity(profile, duration).tolist() == [int(round(profile.d_at(t))) for t in steps]
+    message = scalar_bounds_error(profile, GEOM, duration)
+    try:
+        validate_profile_bounds(profile, GEOM, duration)
+        _, trace = gen_stimulus(profile, GEOM, duration, 7_000)
+    except ValueError as exc:
+        assert str(exc) == message
+        return
+    assert message is None
+    centers = window_centers_us(window_count(duration, 7_000), 7_000)
+    assert trace.d_mean.tobytes() == np.array([profile.d_at(tc) for tc in centers.tolist()]).tobytes()
 
 
 def test_bar_spans_rows():
