@@ -51,7 +51,7 @@ from .simulator import (
     window_count,
     write_spike_csv,
 )
-from .synth import gen_stimulus
+from .synth import gen_stimulus, stimulus_trace
 from .topology import (
     Population,
     Topology,
@@ -105,11 +105,12 @@ def _marker_tracks(cfg: RunConfig, origin: tuple[int, int], t_offset: int):
 
 def _write_rates_csv(record: SpikeRecord, topology: Topology, window_us: int, n_windows: int, path: str) -> None:
     """Long-format rate export (nonzero entries only): one row per
-    (window, neuron) with activity, by neuron id, then window."""
+    (window, neuron) with activity, by neuron id, then window. Only the
+    windows that hold spikes are labelled."""
     ids, window, counts = instantaneous_rates(record, window_us, n_windows)
-    centers = window_center_labels(n_windows, window_us)
+    present, code = np.unique(window, return_inverse=True)
     population = (POPULATION_CODE_NAMES, topology.pop_code[ids])
-    columns = [window, (centers, window), population, ids, counts / (window_us * 1e-6)]
+    columns = [window, (window_center_labels(present, window_us), code), population, ids, counts / (window_us * 1e-6)]
     write_csv(path, "window_i,t_center_us,population,neuron_id,rate_hz", columns)
 
 
@@ -165,9 +166,7 @@ def _run_one(config_path: str, overrides: list[str]) -> int:
 
     if cfg.input.is_synthetic:
         duration = cfg.input.duration_us
-        stream, trace = gen_stimulus(
-            cfg.input.synthetic, cfg.topology.geometry, duration, cfg.analysis.window_us
-        )
+        stream, _ = gen_stimulus(cfg.input.synthetic, cfg.topology.geometry, duration, cfg.analysis.window_us)
     else:
         raw = _load_file_stream(cfg)
         # recordings normalize to start at t = 0; the marker clock shifts too
@@ -190,11 +189,8 @@ def _run_one(config_path: str, overrides: list[str]) -> int:
     record = simulate(topology, stream, cfg.simulator, cfg.mismatch, duration_us=duration)
     # the windows run to the last spike, which may come after the last event
     n_windows = window_count(record.duration_us, cfg.analysis.window_us)
-    if cfg.input.is_synthetic:  # the stimulus has no disparity after it ends
-        pad = n_windows - trace.n_windows
-        for name in ("d_mean", "d_min", "d_max"):
-            setattr(trace, name, np.concatenate([getattr(trace, name), np.full(pad, np.nan)]))
-        trace.n_joints = np.concatenate([trace.n_joints, np.zeros(pad, dtype=np.int64)])
+    if cfg.input.is_synthetic:
+        trace = stimulus_trace(cfg.input.synthetic, duration, cfg.analysis.window_us, n_windows)
     else:
         try:
             trace = disparity_trajectory(*tracks, cfg.analysis.window_us, n_windows)

@@ -1,13 +1,16 @@
 """Run configuration: one JSON file with a section per pipeline stage,
-plus dotted-path overrides from the command line."""
+plus dotted-path overrides from the command line.
+
+One table (``TABLE``) lists every key. Its rows are plain tuples, built
+with the dataclass and the field each key fills already resolved."""
 
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import astuple, dataclass, field, fields, replace
-from typing import Any
+from dataclasses import dataclass, field, fields
+from typing import Any, NamedTuple
 
 from .events import DAVIS_GEOMETRY, CameraGeometry, InputError, read_text
 from .metrics import PCD_GLOBAL, PCD_PER_WINDOW_MEAN, EnergyCoefficients
@@ -17,8 +20,10 @@ from .synth import DisparityProfile, validate_profile_bounds
 from .topology import Population, WeightParams, check_topology
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class InputConfig:
+    """The ``input`` section: event files, or a synthetic stimulus."""
+
     left_events: str | None = None
     right_events: str | None = None
     events: str | None = None  # merged stereo file
@@ -32,8 +37,10 @@ class InputConfig:
         return self.synthetic is not None
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class TopologyConfig:
+    """The ``topology`` section: retina size, disparity band, weights and wiring."""
+
     retina_width: int = 16
     retina_height: int = 16
     d_max: int = 7
@@ -46,15 +53,19 @@ class TopologyConfig:
         return CameraGeometry(self.retina_width, self.retina_height)
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class AnalysisConfig:
+    """The ``analysis`` section: readout window, PCD tolerance and mode."""
+
     window_us: int = 50_000
     eps_d: float = 1.0
     pcd_mode: str = PCD_GLOBAL
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class RunConfig:
+    """A whole config file, as ``config_from_dict`` builds it from ``TABLE``."""
+
     input: InputConfig = field(default_factory=InputConfig)
     preprocess_enabled: bool = True
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
@@ -172,20 +183,19 @@ INTEGRAL = _Kind(INT.what, INT.accepts, float)  # an integer, stored as a float
 BOOL = _Kind("a boolean", lambda raw: isinstance(raw, bool))
 STR = _Kind("a string", lambda raw: isinstance(raw, str))
 INT_PAIR = _fixed_list("a list of 2 integers", (INT, INT), tuple)
-GEOMETRY = _fixed_list("a list of 2 integers", (INT, INT), lambda v: CameraGeometry(*v), lambda v: list(astuple(v)))
+GEOMETRY = _fixed_list("a list of 2 integers", (INT, INT), lambda v: CameraGeometry(*v), lambda v: [v.width, v.height])
 KEYFRAMES = _list_of("a list of [t_us, d] pairs of finite numbers", _fixed_list("", (INT, FLOAT), tuple), tuple)
 RECTS = _list_of(
-    "a list of [x, y, w, h] lists", _fixed_list("", (INT,) * 4, lambda v: Rect(*v), lambda v: list(astuple(v))), list
+    "a list of [x, y, w, h] lists", _fixed_list("", (INT,) * 4, lambda v: Rect(*v), lambda v: [v.x, v.y, v.w, v.h]), list
 )
 
 
-@dataclass(frozen=True)
 class _Section:
     """A JSON object built into ``cls``; a nullable one reads null and ``{}``
     as None."""
 
-    cls: type
-    nullable: bool = False
+    def __init__(self, cls: type, nullable: bool = False):
+        self.cls, self.nullable = cls, nullable
 
 
 class _PopulationMap:
@@ -206,106 +216,100 @@ class _PopulationMap:
         return {pop.name: dict(vals) for pop, vals in value.items()}
 
 
-@dataclass(frozen=True)
-class Row:
-    """One config key: the value at dotted JSON ``key`` has ``kind`` and fills
-    ``owner.field``."""
+class Row(NamedTuple):
+    """One config key: the value at dotted JSON ``key``, the key ``name`` of
+    the object at ``section``, has ``kind`` and fills ``owner.field``."""
 
     key: str
+    section: str
+    name: str
     kind: Any
-    owner: type | None = None  # default: the dataclass of the enclosing section
-    field: str | None = None  # default: the last part of ``key``
-    seeded: bool = False  # an absent value takes the run's ``seed``
-
-    @property
-    def section(self) -> str:
-        return self.key.rpartition(".")[0]
-
-    @property
-    def name(self) -> str:
-        return self.key.rpartition(".")[2]
+    owner: type
+    field: str
+    seeded: bool  # an absent value takes the run's ``seed``
 
 
-def _table(*rows: Row) -> tuple[Row, ...]:
-    """``rows`` with each owner and field filled in; a section precedes its keys."""
-    section_cls = {"": RunConfig}
-    resolved = []
-    for row in rows:
-        row = replace(row, owner=row.owner or section_cls[row.section], field=row.field or row.name)
-        if isinstance(row.kind, _Section):
-            section_cls[row.key] = row.kind.cls
-        resolved.append(row)
-    return tuple(resolved)
+_SECTION_CLS = {"": RunConfig}  # the dataclass of each section key, as the table declares them
+
+
+def _row(key: str, kind, owner: type | None = None, field: str | None = None, seeded: bool = False) -> Row:
+    """The row of ``key``. ``owner`` defaults to the dataclass of the
+    enclosing section, which must come first, and ``field`` to the last part
+    of ``key``."""
+    section, _, name = key.rpartition(".")
+    if isinstance(kind, _Section):
+        _SECTION_CLS[key] = kind.cls
+    return Row(key, section, name, kind, owner or _SECTION_CLS[section], field or name, seeded)
 
 
 # Every config key, in echo order. Defaults are the dataclasses' own.
-TABLE = _table(
-    Row("seed", INT),
-    Row("sample_label", STR),
-    Row("output_dir", STR),
-    Row("input", _Section(InputConfig)),
-    Row("input.left_events", _nullable(STR)),
-    Row("input.right_events", _nullable(STR)),
-    Row("input.events", _nullable(STR)),
-    Row("input.synthetic", _Section(DisparityProfile, nullable=True)),
-    Row("input.synthetic.shape", STR),
-    Row("input.synthetic.keyframes", KEYFRAMES),
-    Row("input.synthetic.x", INT),
-    Row("input.synthetic.y", INT),
-    Row("input.synthetic.height", INT),
-    Row("input.synthetic.dots_per_row", INT),
-    Row("input.synthetic.rate_hz", FLOAT),
-    Row("input.synthetic.jitter_sigma_us", FLOAT),
-    Row("input.synthetic.seed", INT, seeded=True),
-    Row("input.duration_us", _nullable(INT)),
-    Row("input.markers", _nullable(STR)),
-    Row("input.calibration", _nullable(STR)),
-    Row("preprocess", _Section(PreprocessConfig)),
-    Row("preprocess.enabled", BOOL, RunConfig, "preprocess_enabled"),
-    Row("preprocess.mask_rects", RECTS),
-    Row("preprocess.hot_pixel_factor", _nullable(FLOAT)),
-    Row("preprocess.background_window_us", _nullable(INT)),
-    Row("preprocess.background_radius", INT),
-    Row("preprocess.background_include_same_pixel", BOOL),
-    Row("preprocess.downscale_factor", INT),
-    Row("preprocess.crop_origin", _nullable(INT_PAIR)),
-    Row("preprocess.crop_size", INT_PAIR),
-    Row("preprocess.full_geometry", GEOMETRY, RunConfig, "full_geometry"),
-    Row("topology", _Section(TopologyConfig)),
-    Row("topology.retina_width", INT),
-    Row("topology.retina_height", INT),
-    Row("topology.d_max", INT),
-    Row("topology.weights", _Section(WeightParams)),
-    Row("topology.weights.w_rc", FLOAT),
-    Row("topology.weights.w_ce", FLOAT),
-    Row("topology.weights.w_ci", FLOAT),
-    Row("topology.weights.w_dd", FLOAT),
-    Row("topology.polarity_mode", STR),
-    Row("topology.continuity_radius", _nullable(INT)),
-    Row("simulator", _Section(LifParams)),
-    Row("simulator.tau_m", FLOAT),
-    Row("simulator.tau_s", FLOAT),
-    Row("simulator.threshold", FLOAT),
-    Row("simulator.reset", FLOAT),
-    Row("simulator.refractory_us", INT),
-    Row("simulator.v_floor", FLOAT),
-    Row("simulator.overrides", _PopulationMap()),
-    Row("simulator.mismatch", _Section(MismatchModel, nullable=True), RunConfig, "mismatch"),
-    Row("simulator.mismatch.seed", INT, seeded=True),
-    Row("simulator.mismatch.weight_sigma", FLOAT),
-    Row("simulator.mismatch.threshold_sigma", FLOAT),
-    Row("analysis", _Section(AnalysisConfig)),
-    Row("analysis.window_us", INT),
-    Row("analysis.eps_d", FLOAT),
-    Row("analysis.pcd_mode", STR),
-    Row("energy", _Section(EnergyCoefficients)),
-    Row("energy.e_input_pj", FLOAT),
-    Row("energy.e_spike_pj", FLOAT),
-    Row("energy.e_delivery_pj", FLOAT),
+TABLE = (
+    _row("seed", INT),
+    _row("sample_label", STR),
+    _row("output_dir", STR),
+    _row("input", _Section(InputConfig)),
+    _row("input.left_events", _nullable(STR)),
+    _row("input.right_events", _nullable(STR)),
+    _row("input.events", _nullable(STR)),
+    _row("input.synthetic", _Section(DisparityProfile, nullable=True)),
+    _row("input.synthetic.shape", STR),
+    _row("input.synthetic.keyframes", KEYFRAMES),
+    _row("input.synthetic.x", INT),
+    _row("input.synthetic.y", INT),
+    _row("input.synthetic.height", INT),
+    _row("input.synthetic.dots_per_row", INT),
+    _row("input.synthetic.rate_hz", FLOAT),
+    _row("input.synthetic.jitter_sigma_us", FLOAT),
+    _row("input.synthetic.seed", INT, seeded=True),
+    _row("input.duration_us", _nullable(INT)),
+    _row("input.markers", _nullable(STR)),
+    _row("input.calibration", _nullable(STR)),
+    _row("preprocess", _Section(PreprocessConfig)),
+    _row("preprocess.enabled", BOOL, RunConfig, "preprocess_enabled"),
+    _row("preprocess.mask_rects", RECTS),
+    _row("preprocess.hot_pixel_factor", _nullable(FLOAT)),
+    _row("preprocess.background_window_us", _nullable(INT)),
+    _row("preprocess.background_radius", INT),
+    _row("preprocess.background_include_same_pixel", BOOL),
+    _row("preprocess.downscale_factor", INT),
+    _row("preprocess.crop_origin", _nullable(INT_PAIR)),
+    _row("preprocess.crop_size", INT_PAIR),
+    _row("preprocess.full_geometry", GEOMETRY, RunConfig, "full_geometry"),
+    _row("topology", _Section(TopologyConfig)),
+    _row("topology.retina_width", INT),
+    _row("topology.retina_height", INT),
+    _row("topology.d_max", INT),
+    _row("topology.weights", _Section(WeightParams)),
+    _row("topology.weights.w_rc", FLOAT),
+    _row("topology.weights.w_ce", FLOAT),
+    _row("topology.weights.w_ci", FLOAT),
+    _row("topology.weights.w_dd", FLOAT),
+    _row("topology.polarity_mode", STR),
+    _row("topology.continuity_radius", _nullable(INT)),
+    _row("simulator", _Section(LifParams)),
+    _row("simulator.tau_m", FLOAT),
+    _row("simulator.tau_s", FLOAT),
+    _row("simulator.threshold", FLOAT),
+    _row("simulator.reset", FLOAT),
+    _row("simulator.refractory_us", INT),
+    _row("simulator.v_floor", FLOAT),
+    _row("simulator.overrides", _PopulationMap()),
+    _row("simulator.mismatch", _Section(MismatchModel, nullable=True), RunConfig, "mismatch"),
+    _row("simulator.mismatch.seed", INT, seeded=True),
+    _row("simulator.mismatch.weight_sigma", FLOAT),
+    _row("simulator.mismatch.threshold_sigma", FLOAT),
+    _row("analysis", _Section(AnalysisConfig)),
+    _row("analysis.window_us", INT),
+    _row("analysis.eps_d", FLOAT),
+    _row("analysis.pcd_mode", STR),
+    _row("energy", _Section(EnergyCoefficients)),
+    _row("energy.e_input_pj", FLOAT),
+    _row("energy.e_spike_pj", FLOAT),
+    _row("energy.e_delivery_pj", FLOAT),
 )
 _CHILDREN: dict[str, list[Row]] = {}
-for _row in TABLE:
-    _CHILDREN.setdefault(_row.section, []).append(_row)
+for _r in TABLE:
+    _CHILDREN.setdefault(_r.section, []).append(_r)
 
 
 def _object(raw, key: str, known) -> dict:

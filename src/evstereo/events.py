@@ -45,6 +45,8 @@ class InputError(ValueError):
 
 @dataclass(frozen=True)
 class CameraGeometry:
+    """The pixel frame of a view: ``width`` columns by ``height`` rows."""
+
     width: int
     height: int
 
@@ -58,8 +60,10 @@ class CameraGeometry:
 DAVIS_GEOMETRY = CameraGeometry(346, 260)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class DvsEvent:
+    """One event of a stereo stream, as ``StereoEventStream`` iterates them."""
+
     t: int  # microseconds since recording start
     x: int
     y: int

@@ -22,8 +22,10 @@ MARKER_CSV_HEADER = "t_us,joint,X_mm,Y_mm,Z_mm"
 TRACE_CSV_HEADER = "window_i,t_center_us,d_mean,d_min,d_max,n_joints"
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class MarkerTrack3D:
+    """One joint's marker positions in the motion-capture frame."""
+
     joint: str
     t: np.ndarray  # int64 microseconds, sorted
     xyz: np.ndarray  # (n, 3) float64 millimetres
@@ -37,7 +39,7 @@ class MarkerTrack3D:
             raise ValueError(f"track {self.joint!r} not time-sorted")
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class Track2D:
     """Projected track: pixel positions plus validity (w' > 0) and
     visibility (valid and inside the frame of its stage)."""
@@ -49,7 +51,7 @@ class Track2D:
     visible: np.ndarray  # (n,) bool
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class DisparityTrace:
     """Per-window ground-truth disparity in downscaled pixels; NaN marks
     windows with no visible joint."""
@@ -157,7 +159,7 @@ def disparity_trajectory(
             int(tr.t[-1]) for tr in list(lefts.values()) + list(rights.values()) if len(tr.t)
         )
         n_windows = window_count(horizon, window_us)
-    centers = window_centers_us(n_windows, window_us)
+    centers = window_centers_us(np.arange(n_windows), window_us)
     # NaN, where a joint is not visible in a view, stays NaN
     per_joint = np.array([_interp_visible(rights[j], centers) - _interp_visible(lefts[j], centers) for j in joints])
 
@@ -228,7 +230,7 @@ def _clip(value, limit: int = 80) -> str:
 
 def write_trace_csv(trace: DisparityTrace, path: str) -> None:
     """One row per window; the d cells are empty where no joint is visible."""
-    centers = window_center_labels(trace.n_windows, trace.window_us)
+    centers = window_center_labels(np.arange(trace.n_windows), trace.window_us)
     d = (np.where(trace.n_joints > 0, v, np.nan) for v in (trace.d_mean, trace.d_min, trace.d_max))
     window = np.arange(trace.n_windows)
     write_csv(path, TRACE_CSV_HEADER, [window, (centers, window), *d, trace.n_joints])
@@ -247,8 +249,8 @@ def read_trace_csv(path: str) -> DisparityTrace:
     twice = float(centers[0]) * 2 if rows.n else 0.0
     window_us = max(1, round(twice)) if math.isfinite(twice) else 1
     rows.check(
-        centers != window_centers_us(rows.n, window_us),
-        lambda i: f"t_center_us must be {window_center_labels(i + 1, window_us)[i]}, the centre of window {i} "
+        centers != window_centers_us(np.arange(rows.n), window_us),
+        lambda i: f"t_center_us must be {window_center_labels([i], window_us)[0]}, the centre of window {i} "
         f"of {window_us}us, got {rows.column(1)[i]!r}",
     )
     rows.finish()

@@ -21,7 +21,7 @@ PCD_GLOBAL = "global"
 PCD_PER_WINDOW_MEAN = "per-window-mean"
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False, eq=False)
 class EnergyCoefficients:
     """Picojoules per elementary operation. Placeholder magnitudes typical of
     mixed-signal neuromorphic processors; configure per target hardware."""
@@ -118,8 +118,10 @@ def estimate_energy(record: SpikeRecord, coefficients: EnergyCoefficients) -> fl
     return total_pj / record.duration_us
 
 
-@dataclass
+@dataclass(repr=False)
 class MetricsReport:
+    """Everything ``metrics.json`` holds, in its key order."""
+
     sample_label: str
     window_us: int
     eps_d: float
@@ -224,7 +226,7 @@ def build_report(
 
 def write_com_csv(report: MetricsReport, path: str) -> None:
     """One row per window; an undefined CoM or ground truth is an empty cell."""
-    centers = window_center_labels(report.n_windows, report.window_us)
+    centers = window_center_labels(np.arange(report.n_windows), report.window_us)
     values = np.array([report.com_c, report.com_d, report.gt_mean, report.gt_min, report.gt_max], dtype=np.float64)
     window = np.arange(report.n_windows)
     write_csv(path, COM_CSV_HEADER, [window, (centers, window), *values])

@@ -20,7 +20,7 @@ import numpy as np
 from .events import LEFT, RIGHT, CameraGeometry, StereoEventStream
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Rect:
     """Pixel rectangle [x, x+w) x [y, y+h) in the coordinates of its stage."""
 
@@ -45,7 +45,7 @@ class Rect:
         )
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class PreprocessConfig:
     """Full preprocessing schedule; filters default to the standard DVS
     denoising rules with all parameters configurable.

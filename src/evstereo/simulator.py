@@ -43,7 +43,7 @@ from .topology import Population, Topology
 SPIKE_CSV_HEADER = "t_us,neuron_id,population"
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False, eq=False)
 class NeuronParams:
     """Resolved LIF parameters of one population."""
 
@@ -79,7 +79,7 @@ class NeuronParams:
         return 1.0 / (a * (math.exp(-t_star / tm) - math.exp(-t_star / ts)))
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class LifParams:
     """Base LIF parameters plus optional per-population overrides.
 
@@ -122,7 +122,7 @@ class LifParams:
         return params
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class MismatchModel:
     """Optional seeded emulation of analog device mismatch: multiplicative
     Gaussian jitter on synaptic weights and per-neuron thresholds."""
@@ -141,8 +141,10 @@ class MismatchModel:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class SpikeRecord:
+    """The spikes of a run, in ``(t, neuron_id)`` order, and its counters."""
+
     times: np.ndarray  # int64, sorted by (t, neuron_id)
     neuron_ids: np.ndarray  # int64
     populations: np.ndarray  # int8 Population codes, parallel to times
@@ -168,13 +170,14 @@ def window_count(duration_us: int, window_us: int) -> int:
     return duration_us // window_us + 1
 
 
-def window_centers_us(n_windows: int, window_us: int) -> np.ndarray:
-    return np.arange(n_windows, dtype=np.float64) * window_us + window_us / 2
+def window_centers_us(windows, window_us: int) -> np.ndarray:
+    """The centre of each window of the window indices ``windows``."""
+    return np.asarray(windows, dtype=np.float64) * window_us + window_us / 2
 
 
-def window_center_labels(n_windows: int, window_us: int) -> list[str]:
-    """The ``t_center_us`` cells of the CSV artifacts, one per window."""
-    return list(map("{:.1f}".format, window_centers_us(n_windows, window_us).tolist()))
+def window_center_labels(windows, window_us: int) -> list[str]:
+    """The ``t_center_us`` cells of the CSV artifacts, one per index of ``windows``."""
+    return list(map("{:.1f}".format, window_centers_us(windows, window_us).tolist()))
 
 
 # ---------------------------------------------------------------- engine

@@ -3,8 +3,9 @@
 Generation runs on a 1 ms lattice: at each step every active pixel of the
 shape draws one Bernoulli emission (probability rate/1000), producing a LEFT
 event and its RIGHT twin at x + round(d(t)), each independently jittered by
-a clamped seeded Gaussian. The generator also returns the exact disparity
-trace evaluated at the analysis window centres.
+a clamped seeded Gaussian. ``stimulus_trace`` gives the exact disparity at
+the analysis window centres, over any number of windows: a run scores the
+windows of its spikes, which may outlast the stimulus.
 
 The emission loop runs compiled where the kernel library links numpy's
 random C library (see ``_native``): it draws from the Generator's own bit
@@ -29,7 +30,7 @@ CLOUD = "CLOUD"
 LATTICE_US = 1000
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class DisparityProfile:
     """Piecewise-linear disparity course plus the stimulus shape.
 
@@ -155,7 +156,8 @@ def gen_stimulus(
     duration_us: int,
     window_us: int,
 ) -> tuple[StereoEventStream, DisparityTrace]:
-    """Generate the stereo stream and its exact ground-truth trace."""
+    """Generate the stereo stream, and its exact ground-truth trace over the
+    stimulus's own windows."""
     if duration_us <= 0:
         raise ValueError("duration must be > 0")
     validate_profile_bounds(profile, geometry, duration_us)
@@ -177,15 +179,15 @@ def gen_stimulus(
     events = None if lib is None else _native.synth(lib, rng, LATTICE_US, d, rows, cols, p_emit, sigma, duration_us)
     columns = _emit(rng, steps, d, rows, cols, p_emit, sigma, duration_us) if events is None else events.T
     stream = StereoEventStream(*columns, geometry)
+    return stream, stimulus_trace(profile, duration_us, window_us, window_count(duration_us, window_us))
 
-    n_windows = window_count(duration_us, window_us)
-    centers = window_centers_us(n_windows, window_us)
-    d_centers = profile.d_at(centers)
-    trace = DisparityTrace(
-        window_us=window_us,
-        d_mean=d_centers.copy(),
-        d_min=d_centers.copy(),
-        d_max=d_centers.copy(),
-        n_joints=np.ones(n_windows, dtype=np.int64),
-    )
-    return stream, trace
+
+def stimulus_trace(profile: DisparityProfile, duration_us: int, window_us: int, n_windows: int) -> DisparityTrace:
+    """The exact ground truth of a stimulus of ``duration_us`` over
+    ``n_windows`` windows: the profile's disparity at each window centre,
+    seen by one joint. The windows from ``window_count(duration_us,
+    window_us)`` on come after the stimulus: NaN, with no joint."""
+    windows = np.arange(n_windows)
+    shown = windows < window_count(duration_us, window_us)
+    d = np.where(shown, profile.d_at(window_centers_us(windows, window_us)), np.nan)
+    return DisparityTrace(window_us, d, d.copy(), d.copy(), shown.astype(np.int64))

@@ -53,8 +53,10 @@ RECTIFIED = "rectified"
 SEPARATED = "separated"
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class NeuronCoord:
+    """A coincidence or disparity neuron's cyclopean column, row and disparity."""
+
     x_cyc: int
     y: int
     d: int
@@ -76,7 +78,7 @@ class NeuronCoord:
         return cls(x_cyc=x_right + x_left, y=y, d=x_right - x_left)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class WeightParams:
     """Synaptic weights in units of the firing threshold.
 
@@ -104,8 +106,10 @@ MAX_FAN_IN = 64
 NEURON_BUDGET = 3 * 4 * 256
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class ConstraintReport:
+    """The outcome of ``check_hardware_constraints``."""
+
     fan_in_ok: bool
     budget_ok: bool
     max_fan_in_found: int
@@ -268,21 +272,6 @@ class Topology:
             raise KeyError(f"retina channel {channel} out of range")
         pop = Population.RETINA_L if side == 0 else Population.RETINA_R
         return self.offsets[pop] + (channel * self.retina_height + y) * self.retina_width + x
-
-    def id_of(self, population: Population, coord: NeuronCoord, channel: int = 0) -> int:
-        if population not in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY):
-            raise KeyError(f"id_of expects a coincidence/disparity population, got {population}")
-        cell = (coord.d + self.d_max, coord.y, coord.x_cyc)
-        idx = int(self._index[cell]) if all(0 <= i < n for i, n in zip(cell, self._index.shape)) else -1
-        if idx < 0:
-            raise KeyError(f"coordinate {coord} not in topology")
-        if population is Population.DISPARITY:
-            if channel != 0:
-                raise KeyError("disparity population has a single channel")
-            return self.offsets[population] + idx
-        if not 0 <= channel < self.n_channels:
-            raise KeyError(f"channel {channel} out of range")
-        return self.offsets[population] + channel * self.n_triplets + idx
 
     def coord_of(self, neuron_id: int):
         """Return (population, NeuronCoord, channel) or

@@ -10,6 +10,13 @@ force, the reference for the coincidence detectors.
 
 `without_kernel` runs the numpy and Python references that stand in for the
 compiled kernels on hosts without a compiler.
+
+`id_of` is the id of a coincidence or disparity coordinate, the inverse of
+``Topology.coord_of`` that only tests need.
+
+`split_rows` and `union_of_runs` state the row decomposition: rules R1-R4
+connect only neurons of one retina row, so a run equals the union of the
+runs on each row's events.
 """
 
 import contextlib
@@ -24,7 +31,7 @@ from evstereo import _native
 from evstereo.events import LEFT, RIGHT, DvsEvent, StereoEventStream
 from evstereo.metrics import MetricsReport
 from evstereo.simulator import LifParams, window_count
-from evstereo.topology import Population, Topology
+from evstereo.topology import NeuronCoord, Population, Topology
 
 
 @contextlib.contextmanager
@@ -32,6 +39,39 @@ def without_kernel():
     """Inside the block, callers of ``_native.kernel`` see no compiled library."""
     with mock.patch.object(_native, "kernel", lambda: None):
         yield
+
+
+def split_rows(stream: StereoEventStream) -> list[StereoEventStream]:
+    """The events of each row that has any, one stream per row."""
+    return [stream.select(stream.y == y) for y in np.unique(stream.y).tolist()]
+
+
+def union_of_runs(runs) -> tuple[np.ndarray, np.ndarray, int]:
+    """The (spike times, spike ids, deliveries) of several runs as one run:
+    the spikes in ``(t, nid)`` order and the deliveries summed."""
+    times = np.concatenate([np.zeros(0, dtype=np.int64), *(r[0] for r in runs)])
+    ids = np.concatenate([np.zeros(0, dtype=np.int64), *(r[1] for r in runs)])
+    order = np.lexsort((ids, times))
+    return times[order], ids[order], sum(r[2] for r in runs)
+
+
+def id_of(topology: Topology, population: Population, coord: NeuronCoord, channel: int = 0) -> int:
+    """The id of the ``population`` neuron at ``coord`` on ``channel``;
+    KeyError where the topology has none."""
+    if population not in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY):
+        raise KeyError(f"id_of expects a coincidence/disparity population, got {population}")
+    cell = (coord.d + topology.d_max, coord.y, coord.x_cyc)
+    index = topology._index
+    idx = int(index[cell]) if all(0 <= i < n for i, n in zip(cell, index.shape)) else -1
+    if idx < 0:
+        raise KeyError(f"coordinate {(coord.x_cyc, coord.y, coord.d)} (x_cyc, y, d) not in topology")
+    if population is Population.DISPARITY:
+        if channel != 0:
+            raise KeyError("disparity population has a single channel")
+        return topology.offsets[population] + idx
+    if not 0 <= channel < topology.n_channels:
+        raise KeyError(f"channel {channel} out of range")
+    return topology.offsets[population] + channel * topology.n_triplets + idx
 
 
 def event_sort_key(e: DvsEvent) -> tuple[int, int, int, int, int]:

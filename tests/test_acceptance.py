@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import epsp_kernel, event_sort_key, oracle_matches
+from conftest import epsp_kernel, event_sort_key, id_of, oracle_matches
 from evstereo.cli import main as cli_main
 from evstereo.events import LEFT, ON, RIGHT, CameraGeometry, DvsEvent, StereoEventStream
 from evstereo.groundtruth import DisparityTrace
@@ -316,7 +316,7 @@ def test_a8_topology_rules_and_bijection():
                     assert (c.x_left, c.x_right, c.y) == (xl, xr, y)
                     if abs(c.d) <= d_max:
                         for pop in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY):
-                            nid = topo.id_of(pop, c)
+                            nid = id_of(topo, pop, c)
                             assert topo.coord_of(nid) == (pop, c, 0)
     passline("A8", f"R1-R4 match the O(N^2) re-evaluation on {checked} builds <= 4x4; bijection holds")
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import evstereo
-from conftest import read_report
+from conftest import read_report, without_kernel
 from evstereo import _native
 from evstereo.cli import main
 from evstereo.config import (
@@ -649,6 +650,28 @@ def test_import_stays_small():
     assert [m for m in names.split() if m in unused or m.startswith(tuple(u + "." for u in unused))] == []
 
 
+def test_records_generate_only_the_methods_something_uses():
+    # every generated method is compiled at import, in every process: a record
+    # opts into __eq__, __repr__ or __hash__ only where code, a message or a test uses it
+    import importlib
+    import pkgutil
+
+    modules = [importlib.import_module(f"evstereo.{info.name}") for info in pkgutil.iter_modules(evstereo.__path__)]
+    records = [
+        obj for module in modules for obj in vars(module).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+    ]
+
+    def having(method):
+        return sorted(cls.__name__ for cls in records if vars(cls).get(method) is not None)
+
+    # CameraGeometry is compared in cli._run_one and merge_streams, printed in messages and a
+    # dataclass default; WeightParams is part of cli._topology's lru_cache key; tests compare the rest
+    assert having("__eq__") == ["CameraGeometry", "DvsEvent", "MetricsReport", "NeuronCoord", "WeightParams"]
+    assert having("__repr__") == ["CameraGeometry", "Rect"]  # printed in preprocess and events messages
+    assert having("__hash__") == ["CameraGeometry", "WeightParams"]
+
+
 @pytest.mark.parametrize("names,jobs", [("a", 1), ("ab", 2)])
 def test_module_entry_prints_each_headline_once_to_a_pipe(tmp_path, names, jobs):
     # a pipe makes stdout block-buffered, so the exit must flush it
@@ -1270,3 +1293,35 @@ def test_readout_floats_in_exponent_form(tmp_path):
     cli._write_mean_rates_csv(record, topo, str(tmp_path / "mean.csv"))
     assert (tmp_path / "rates.csv").read_text().splitlines()[1:] == ["0,50000000000.0,COINC_EXC,5,1e-05"]
     assert (tmp_path / "mean.csv").read_text().splitlines()[2] == "COINC_EXC,5,0,0,0,1e-05"
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
+def test_rates_csv_labels_only_the_windows_with_spikes(tmp_path, compiled):
+    # four spikes over a million windows: the file, and the memory that writing it takes, follow the spikes
+    import tracemalloc
+
+    from evstereo import cli
+    from evstereo.simulator import SpikeRecord
+    from evstereo.topology import build_topology
+
+    topo = build_topology(2, 1, 1)
+    window_us, n_windows = 3, 10**6
+    times = np.array([0, 7, 7, 2_999_996], dtype=np.int64)  # windows 0, 2, 2 and 999,998
+    ids = np.array([12, 5, 12, 5], dtype=np.int64)
+    record = SpikeRecord(times, ids, topo.pop_code[ids], 2_999_999, 0, 0)
+    _native.kernel()  # finds or builds the library outside the traced span
+    tracemalloc.start()
+    try:
+        with contextlib.nullcontext() if compiled else without_kernel():
+            cli._write_rates_csv(record, topo, window_us, n_windows, str(tmp_path / "rates.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "rates.csv").read_bytes() == (
+        b"window_i,t_center_us,population,neuron_id,rate_hz\n"
+        b"2,7.5,COINC_EXC,5,333333.3333333333\n"
+        b"999998,2999995.5,COINC_EXC,5,333333.3333333333\n"
+        b"0,1.5,DISPARITY,12,333333.3333333333\n"
+        b"2,7.5,DISPARITY,12,333333.3333333333\n"
+    )
+    assert peak < 256 * 1024, peak

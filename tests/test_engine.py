@@ -2,7 +2,8 @@
 equality of spike times, ids and delivery counts and bitwise equality of the
 final neuron and synapse state over random small networks, the fallback
 without a compiler, concurrent builds, and a warning-free build of the
-kernel source."""
+kernel source. Both loops also keep the row decomposition: a run is the
+union of the runs on each retina row's events."""
 
 import os
 import subprocess
@@ -14,9 +15,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import evstereo
+from conftest import split_rows, union_of_runs
 from evstereo import _native
 from evstereo.events import LEFT, RIGHT, CameraGeometry, DvsEvent, StereoEventStream
 from evstereo.simulator import LifParams, MismatchModel, _Engine, _input_ids, _Network, simulate
+from evstereo.synth import CLOUD, DisparityProfile, gen_stimulus
 from evstereo.topology import RECTIFIED, SEPARATED, Population, WeightParams, build_topology
 
 
@@ -106,6 +109,74 @@ def test_compiled_loop_equals_python_loop(lib, case):
     assert np.array_equal(times, python[0]) and times.dtype == python[0].dtype
     assert np.array_equal(ids, python[1]) and ids.dtype == python[1].dtype
     assert deliveries == python[2]
+
+
+@st.composite
+def row_cases(draw, max_side: int, max_duration_us: int):
+    """A retina up to ``max_side`` square with ``d_max`` up to 7 in either
+    polarity mode, with or without mismatch, and a CLOUD stimulus over some
+    of its rows plus uniform noise."""
+    sides = st.just(max_side) | st.integers(1, max_side)  # the full size in about half the cases
+    width, height = draw(sides), draw(sides)
+    d_max = draw(st.integers(0, min(7, width - 1)))
+    topology = build_topology(width, height, d_max, polarity_mode=draw(st.sampled_from([RECTIFIED, SEPARATED])))
+    mismatch = draw(st.none() | st.builds(
+        MismatchModel, st.integers(0, 1000), st.sampled_from([0.1, 0.2]), st.sampled_from([0.0, 0.1])
+    ))
+    d = draw(st.integers(-d_max, d_max))
+    y = draw(st.integers(0, height - 1))
+    profile = DisparityProfile(
+        shape=CLOUD,
+        keyframes=((0, float(d)),),
+        y=y,
+        height=draw(st.just(height - y) | st.integers(1, height - y)),
+        dots_per_row=draw(st.integers(1, min(3, width - abs(d)))),
+        rate_hz=draw(st.sampled_from([300.0, 800.0])),
+        jitter_sigma_us=draw(st.sampled_from([0.0, 300.0])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    geometry = CameraGeometry(width, height)
+    duration = draw(st.just(max_duration_us) | st.integers(1_000, max_duration_us))
+    cloud, _ = gen_stimulus(profile, geometry, duration, duration)
+    rng = np.random.default_rng(draw(st.integers(0, 1000)))
+    n = draw(st.integers(0, 40))
+    noise = (rng.integers(0, duration, n), rng.integers(0, width, n), rng.integers(0, height, n),
+             rng.integers(0, 2, n), rng.integers(0, 2, n))
+    columns = [np.concatenate([a, b]) for a, b in zip((cloud.t, cloud.x, cloud.y, cloud.p, cloud.side), noise)]
+    return topology, StereoEventStream(*columns, geometry), mismatch
+
+
+def assert_union_of_rows(run, stream):
+    """``run(stream)`` gives its spikes in ``(t, nid)`` order, and equals the
+    union of ``run`` on each row's events."""
+    times, ids, deliveries = run(stream)
+    assert np.array_equal(np.lexsort((ids, times)), np.arange(len(times)))
+    row_times, row_ids, row_deliveries = union_of_runs([run(row) for row in split_rows(stream)])
+    assert np.array_equal(times, row_times)
+    assert np.array_equal(ids, row_ids)
+    assert deliveries == row_deliveries
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_cases(16, 100_000))
+def test_compiled_run_is_the_union_of_its_rows(lib, case):
+    topology, stream, mismatch = case
+    net = _Network(topology, LifParams(), mismatch)
+
+    def run(s):
+        result = _native.run(lib, net, s.t, _input_ids(topology, s))
+        assert result is not None
+        return result
+
+    assert_union_of_rows(run, stream)
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_cases(6, 30_000))
+def test_python_run_is_the_union_of_its_rows(case):
+    topology, stream, mismatch = case
+    net = _Network(topology, LifParams(), mismatch)
+    assert_union_of_rows(lambda s: _Engine(net).run(s.t.tolist(), _input_ids(topology, s).tolist()), stream)
 
 
 def busy_stream(n: int, duration_us: int) -> StereoEventStream:

@@ -134,7 +134,7 @@ def test_array_disparity_equals_the_scalar_d_at(keyframes, duration, x, shape):
         assert str(exc) == message
         return
     assert message is None
-    centers = window_centers_us(window_count(duration, 7_000), 7_000)
+    centers = window_centers_us(np.arange(window_count(duration, 7_000)), 7_000)
     assert trace.d_mean.tobytes() == np.array([profile.d_at(tc) for tc in centers.tolist()]).tobytes()
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import id_of
 from evstereo.topology import (
     EXC,
     FEEDFORWARD,
@@ -83,7 +84,7 @@ def test_id_coord_roundtrip_everywhere():
             side = 0 if pop is Population.RETINA_L else 1
             assert topo.id_of_retina(side, coord[0], coord[1], channel) == nid
         else:
-            assert topo.id_of(pop, coord, channel) == nid
+            assert id_of(topo, pop, coord, channel) == nid
 
 
 @pytest.mark.parametrize("mode", ["rectified", "separated"])
@@ -117,7 +118,7 @@ def test_unknown_lookups_raise():
     with pytest.raises(KeyError):
         topo.coord_of(topo.n_neurons)
     with pytest.raises(KeyError):
-        topo.id_of(Population.DISPARITY, NeuronCoord.from_pair(0, 5, 0))
+        id_of(topo, Population.DISPARITY, NeuronCoord.from_pair(0, 5, 0))
 
 
 # ------------------------------------------------------------- rules R1-R4
@@ -132,8 +133,8 @@ def rule_oracle(topo):
     coords = topo.disparity_coords
     for idx_a, a in enumerate(coords):
         for ch in range(n_ch):
-            ce = topo.id_of(Population.COINC_EXC, a, ch)
-            ci = topo.id_of(Population.COINC_INH, a, ch)
+            ce = id_of(topo, Population.COINC_EXC, a, ch)
+            ci = id_of(topo, Population.COINC_INH, a, ch)
             # R1: binocular retina drive into both copies
             for cid in (ce, ci):
                 expected.add((topo.id_of_retina(0, a.x_left, a.y, ch), cid, EXC, FEEDFORWARD))
