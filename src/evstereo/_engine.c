@@ -1,8 +1,8 @@
 /* Compiled kernels of evstereo: the event loop of the exact event-driven LIF
  * simulation, the strict parser of plain event files, the
- * background-activity filter, the draws of a synthetic stimulus and the
- * rows of a CSV artifact. Each reproduces a Python/numpy reference in the
- * package exactly; the reference stays the fallback.
+ * background-activity filter and the rows of a CSV artifact. Each reproduces
+ * a Python/numpy reference in the package exactly; the reference stays the
+ * fallback. The library needs only libm.
  *
  * The event loop is the algorithm of simulator._Engine, operation for
  * operation: the closed-form advance, the crossing prediction by closed-form
@@ -29,7 +29,6 @@
  */
 
 #include <math.h>
-#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -542,88 +541,6 @@ int evstereo_background(int64_t n, const int64_t *t, const int32_t *x, const int
     free(last);
     return status;
 }
-
-/* ------------------------------------------------------------ synthetic stimulus */
-
-#ifdef EVSTEREO_NPYRANDOM
-/* numpy's random C library, numpy/random/lib/libnpyrandom.a. Its header
- * needs Python.h; a bit generator is only passed through, so an incomplete
- * type serves. */
-typedef struct bitgen bitgen_t;
-double random_standard_uniform(bitgen_t *bitgen_state);
-double random_normal(bitgen_t *bitgen_state, double loc, double scale);
-void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t rng, intptr_t cnt, bool use_masked,
-                                uint64_t *out);
-
-/* jittered(t) of synth._emit: max(0, min(duration, t + int(round(j))))
- * of j = max(-3 sigma, min(3 sigma, rng.normal(0, sigma))), picking as
- * Python's min and max do and rounding half to even; duration < 2^62 */
-static int64_t jittered(bitgen_t *bg, int64_t t, double sigma, int64_t duration)
-{
-    if (sigma == 0.0)
-        return t;
-    double j = random_normal(bg, 0.0, sigma), hi = 3.0 * sigma, lo = -3.0 * sigma;
-    j = j < hi ? j : hi;
-    j = j > lo ? j : lo;
-    double r = nearbyint(j);
-    if (r >= 0x1p62)
-        return duration;
-    if (r <= -0x1p62)
-        return 0;
-    int64_t tj = t + (int64_t)r;
-    return tj < duration ? (tj > 0 ? tj : 0) : duration;
-}
-
-/* The emission loop of synth._emit, drawing from bg in the same
- * order: at step k (time k * lattice) every (row, column) emits with
- * probability p_emit, a LEFT event at the column and a RIGHT one at the
- * column plus d[k], sharing one polarity, each jittered on its own. On EV_OK
- * *events holds *n_events rows (t, x, y, p, side), owned by the caller
- * (release with evstereo_free). */
-int evstereo_synth(bitgen_t *bg, int64_t n_steps, int64_t lattice, const int64_t *d, int64_t n_rows,
-                   const int64_t *rows, int64_t n_cols, const int64_t *cols, double p_emit, double sigma,
-                   int64_t duration, int64_t **events, int64_t *n_events)
-{
-    int64_t *ev = NULL, len = 0, cap = 0;
-    for (int64_t k = 0; k < n_steps; k++) {
-        int64_t t = k * lattice;
-        for (int64_t r = 0; r < n_rows; r++) {
-            for (int64_t c = 0; c < n_cols; c++) {
-                if (p_emit < 1.0 && random_standard_uniform(bg) >= p_emit)
-                    continue;
-                uint64_t pol;
-                random_bounded_uint64_fill(bg, 0, 1, 1, false, &pol);
-                if (len + 2 > cap) {
-                    cap = cap ? 2 * cap : 4096;
-                    int64_t *grown = realloc(ev, (size_t)cap * 5 * sizeof(int64_t));
-                    if (!grown) {
-                        free(ev);
-                        *events = NULL;
-                        *n_events = 0;
-                        return EV_NOMEM;
-                    }
-                    ev = grown;
-                }
-                int64_t *e = ev + 5 * len;
-                e[0] = jittered(bg, t, sigma, duration);
-                e[1] = cols[c];
-                e[2] = rows[r];
-                e[3] = (int64_t)pol;
-                e[4] = 0;
-                e[5] = jittered(bg, t, sigma, duration);
-                e[6] = cols[c] + d[k];
-                e[7] = rows[r];
-                e[8] = (int64_t)pol;
-                e[9] = 1;
-                len += 2;
-            }
-        }
-    }
-    *events = ev;
-    *n_events = len;
-    return EV_OK;
-}
-#endif
 
 /* ------------------------------------------------------------ CSV rows */
 

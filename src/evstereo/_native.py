@@ -1,17 +1,12 @@
 """Build, cache and call the compiled kernels in ``_engine.c``: the
 simulator's event loop, the strict parser of plain event files, the
-background-activity filter, the emission loop of a synthetic stimulus and
-the row assembly of the CSV writer.
+background-activity filter and the row assembly of the CSV writer.
 
 The first call compiles the C source with the system ``cc`` into the
-package's ``__pycache__/``. Where numpy ships its random C library
-(``numpy/random/lib/libnpyrandom.a``), the build links it and defines
-``evstereo_synth``, which draws from a Generator's own bit generator; without
-it that symbol is absent and ``gen_stimulus`` runs its Python loop. The
-library's file name carries the CRC-32 and Adler-32 of the source, the
-flags, the machine and that archive, so an edited kernel never loads a
-stale library (``zlib`` is loaded at start-up; ``hashlib`` would load
-OpenSSL). Each build writes a name unique to its process and renames it
+package's ``__pycache__/``. The library's file name carries the CRC-32 and
+Adler-32 of the source, the flags and the machine, so an edited kernel never
+loads a stale library (``zlib`` is loaded at start-up; ``hashlib`` would
+load OpenSSL). Each build writes a name unique to its process and renames it
 into place, so concurrent workers building at once are safe. Nothing here
 is imported until a caller needs a kernel. Without a library each caller
 runs its Python or numpy reference, which gives the same result.
@@ -31,7 +26,6 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(HERE, "_engine.c")
 CACHE_DIR = os.path.join(HERE, "__pycache__")
-NPYRANDOM = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
 # no -ffast-math and no fused multiply-add: every operation rounds as in
 # CPython, which keeps spikes bit-identical to the Python loop
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -77,20 +71,11 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.POINTER(ctypes.c_void_p), i64p,
     ]
     lib.evstereo_format_rows.restype = ctypes.c_int
-    if hasattr(lib, "evstereo_synth"):
-        lib.evstereo_synth.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, i64p, ctypes.c_int64, i64p, ctypes.c_int64, i64p,
-            ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.POINTER(i64p), i64p,
-        ]
-        lib.evstereo_synth.restype = ctypes.c_int
     return lib
 
 
 def compile_command(cc: str, out: str) -> list[str]:
-    """The command that builds the library at ``out``: with numpy's random C
-    library linked where numpy ships it."""
-    if os.path.exists(NPYRANDOM):
-        return [cc, *CFLAGS, "-DEVSTEREO_NPYRANDOM", "-o", out, SOURCE, NPYRANDOM, "-lm"]
+    """The command that builds the library at ``out``."""
     return [cc, *CFLAGS, "-o", out, SOURCE, "-lm"]
 
 
@@ -100,9 +85,6 @@ def build(cache_dir: str) -> ctypes.CDLL:
     loaded."""
     with open(SOURCE, "rb") as fh:
         data = fh.read() + " ".join(CFLAGS).encode() + os.uname().machine.encode()
-    if os.path.exists(NPYRANDOM):
-        with open(NPYRANDOM, "rb") as fh:
-            data += fh.read()
     path = os.path.join(cache_dir, f"_engine-{zlib.crc32(data):08x}{zlib.adler32(data):08x}.so")
     if not os.path.exists(path):
         import subprocess  # deferred: only a build needs it
@@ -131,8 +113,8 @@ def kernel() -> ctypes.CDLL | None:
         return build(CACHE_DIR)
     except OSError as exc:
         warnings.warn(
-            f"evstereo: compiled kernels unavailable ({exc}); using the Python loop for simulation and "
-            "stimuli, numpy for parsing and background filtering and Python for CSV rows",
+            f"evstereo: compiled kernels unavailable ({exc}); using the Python loop for simulation, "
+            "numpy for parsing and background filtering and Python for CSV rows",
             RuntimeWarning,
         )
         return None
@@ -269,34 +251,6 @@ def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray, final_state
     finally:
         lib.evstereo_free(spike_t)
         lib.evstereo_free(spike_id)
-
-
-def synth(lib: ctypes.CDLL, rng: np.random.Generator, lattice_us: int, d: list[int], rows: list[int],
-          cols: list[int], p_emit: float, sigma: float, duration_us: int) -> np.ndarray | None:
-    """The emission loop of ``synth._emit`` on ``rng``'s own bit
-    generator, which it advances exactly as the Python loop does: an (n, 5)
-    int64 array of rows (t, x, y, p, side), or None where only the Python
-    loop reproduces the result (no numpy random library linked, a jitter
-    sigma that is not finite, or a duration of 2**62 or more)."""
-    if not hasattr(lib, "evstereo_synth") or not np.isfinite(sigma) or not 0 < duration_us < 2**62:
-        return None
-    d_arr, rows_arr, cols_arr = (np.array(v, dtype=np.int64) for v in (d, rows, cols))
-    events = ctypes.POINTER(ctypes.c_int64)()
-    n = ctypes.c_int64(0)
-    with rng.bit_generator.lock:
-        status = lib.evstereo_synth(
-            rng.bit_generator.ctypes.bit_generator, len(d_arr), lattice_us, _ptr(d_arr, ctypes.c_int64),
-            len(rows_arr), _ptr(rows_arr, ctypes.c_int64), len(cols_arr), _ptr(cols_arr, ctypes.c_int64),
-            p_emit, sigma, duration_us, ctypes.byref(events), ctypes.byref(n),
-        )
-    try:
-        if not _accepted(status, "compiled stimulus"):
-            return None
-        if n.value == 0:
-            return np.zeros((0, 5), np.int64)
-        return _int64s(events, 5 * n.value).reshape(n.value, 5)
-    finally:
-        lib.evstereo_free(events)
 
 
 def format_rows(lib: ctypes.CDLL, columns: list[tuple[np.ndarray, list[str] | None]]) -> bytes | None:

@@ -16,7 +16,7 @@ from .events import DAVIS_GEOMETRY, CameraGeometry, InputError, read_text
 from .metrics import PCD_GLOBAL, PCD_PER_WINDOW_MEAN, EnergyCoefficients
 from .preprocess import PreprocessConfig, Rect
 from .simulator import LifParams, MismatchModel, NeuronParams
-from .synth import DisparityProfile, validate_profile_bounds
+from .synth import DisparityProfile, check_stimulus_size, validate_profile_bounds
 from .topology import Population, WeightParams, check_topology
 
 
@@ -370,6 +370,8 @@ def config_from_dict(data: dict) -> RunConfig:
         raise InputError(f"analysis.eps_d must be >= 0, got {a.eps_d!r}")
     if a.pcd_mode not in (PCD_GLOBAL, PCD_PER_WINDOW_MEAN):
         raise InputError(f"analysis.pcd_mode must be {PCD_GLOBAL!r} or {PCD_PER_WINDOW_MEAN!r}, got {a.pcd_mode!r}")
+    if cfg.input.is_synthetic and cfg.input.duration_us is not None:
+        _check("input.", check_stimulus_size, cfg.input.synthetic, cfg.input.duration_us)
     t = cfg.topology
     _check("topology.", check_topology, t.retina_width, t.retina_height, t.d_max, t.polarity_mode, t.continuity_radius)
     _check("topology.weights.", t.weights.validate)

@@ -1,16 +1,19 @@
 """Synthetic stereo stimuli with exact known disparity.
 
-Generation runs on a 1 ms lattice: at each step every active pixel of the
-shape draws one Bernoulli emission (probability rate/1000), producing a LEFT
-event and its RIGHT twin at x + round(d(t)), each independently jittered by
-a clamped seeded Gaussian. ``stimulus_trace`` gives the exact disparity at
-the analysis window centres, over any number of windows: a run scores the
-windows of its spikes, which may outlast the stimulus.
+Generation runs on a 1 ms lattice of (step, row, column) cells: at each step
+every active pixel of the shape emits with probability rate/1000, producing a
+LEFT event and its RIGHT twin at x + round(d(t)), which share one polarity
+and are each jittered by a clamped seeded Gaussian. ``stimulus_trace`` gives
+the exact disparity at the analysis window centres, over any number of
+windows: a run scores the windows of its spikes, which may outlast the
+stimulus.
 
-The emission loop runs compiled where the kernel library links numpy's
-random C library (see ``_native``): it draws from the Generator's own bit
-generator through numpy's own functions, in the order of the Python loop
-``_emit``, so the stream is the same; elsewhere ``_emit`` runs.
+One Generator, seeded by the profile, draws in this order: a CLOUD's columns
+(``choice``); one uniform per cell, where emission is not certain, and a cell
+emits where it is below the emission probability; one polarity per emission,
+emissions in (step, row, column) order; and, where the jitter sigma is not
+0, a (2, emissions) normal array whose row 0 jitters the LEFT events and row
+1 the RIGHT ones.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ DOT = "DOT"
 CLOUD = "CLOUD"
 
 LATTICE_US = 1000
+# the most lattice cells (steps x rows x columns) of one stimulus: its draws
+# and events peak at up to about 150 bytes a cell
+MAX_STIMULUS_CELLS = 2**22
 
 
 @dataclass(repr=False, eq=False)
@@ -86,9 +92,22 @@ def _cloud_columns(profile: DisparityProfile, geometry: CameraGeometry) -> range
     return cols
 
 
+def check_stimulus_size(profile: DisparityProfile, duration_us: int) -> None:
+    """Reject a stimulus of more than ``MAX_STIMULUS_CELLS`` lattice cells,
+    before anything is allocated."""
+    steps = -(-duration_us // LATTICE_US)
+    rows, cols = len(profile.rows), profile.dots_per_row if profile.shape == CLOUD else 1
+    if steps * rows * cols > MAX_STIMULUS_CELLS:
+        raise ValueError(
+            f"duration_us {duration_us} gives {steps} lattice steps x {rows} rows x {cols} columns = "
+            f"{steps * rows * cols} stimulus cells, more than {MAX_STIMULUS_CELLS}"
+        )
+
+
 def validate_profile_bounds(profile: DisparityProfile, geometry: CameraGeometry, duration_us: int) -> None:
-    """Reject profiles whose shape would leave the frame at any lattice step,
-    before any event is generated."""
+    """Reject a stimulus too large to generate, or whose shape would leave
+    the frame at any lattice step, before any event is generated."""
+    check_stimulus_size(profile, duration_us)
     rows = profile.rows
     if any(y < 0 or y >= geometry.height for y in rows):
         raise ValueError(f"shape rows {list(rows)} outside geometry height {geometry.height}")
@@ -111,43 +130,15 @@ def _lattice_disparity(profile: DisparityProfile, duration_us: int) -> np.ndarra
     return np.rint(profile.d_at(np.arange(0, duration_us, LATTICE_US))).astype(np.int64)
 
 
-def _emit(rng: np.random.Generator, steps: range, d: list[int], rows: list[int], cols: list[int],
-          p_emit: float, sigma: float, duration_us: int) -> tuple[list[int], ...]:
-    """The events (t, x, y, p, side columns) of every lattice step, with
-    ``d[k]`` the rounded disparity of step k: each (row, column) emits with
-    probability ``p_emit`` a LEFT event and its RIGHT twin at x + d, sharing
-    one polarity and each jittered on its own. The reference for the
-    compiled loop, which draws from ``rng`` in the same order."""
-    t_list: list[int] = []
-    x_list: list[int] = []
-    y_list: list[int] = []
-    p_list: list[int] = []
-    s_list: list[int] = []
-
-    def jittered(t: int) -> int:
-        if sigma == 0:
-            return t
-        j = rng.normal(0.0, sigma)
-        j = max(-3.0 * sigma, min(3.0 * sigma, j))
-        return max(0, min(duration_us, t + int(round(j))))
-
-    for t, dk in zip(steps, d):
-        for y in rows:
-            for x in cols:
-                if p_emit < 1.0 and rng.random() >= p_emit:
-                    continue
-                pol = int(rng.integers(0, 2))  # twins share the brightness sign
-                t_list.append(jittered(t))
-                x_list.append(x)
-                y_list.append(y)
-                p_list.append(pol)
-                s_list.append(LEFT)
-                t_list.append(jittered(t))
-                x_list.append(x + dk)
-                y_list.append(y)
-                p_list.append(pol)
-                s_list.append(RIGHT)
-    return t_list, x_list, y_list, p_list, s_list
+def _jittered(t: np.ndarray, j: np.ndarray, sigma: float, duration_us: int) -> np.ndarray:
+    """``t`` plus the jitter ``j`` clamped to 3 sigma and rounded half to
+    even, clamped to ``[0, duration_us]``: the bits of Python's ``max(0,
+    min(duration_us, t + int(round(j))))``. A jitter beyond ``duration_us +
+    1`` clamps the same either way, so it is clamped there too; the sums
+    then stay integers below 2**53 (``MAX_STIMULUS_CELLS`` bounds the
+    duration), exact in float64."""
+    bound = min(3.0 * sigma, duration_us + 1)
+    return np.clip(np.rint(np.clip(j, -bound, bound)) + t, 0, duration_us).astype(np.int64)
 
 
 def gen_stimulus(
@@ -162,23 +153,30 @@ def gen_stimulus(
         raise ValueError("duration must be > 0")
     validate_profile_bounds(profile, geometry, duration_us)
     rng = np.random.default_rng(profile.seed)
-    rows = list(profile.rows)
     if profile.shape == CLOUD:
         valid = _cloud_columns(profile, geometry)
         cols = [valid[c] for c in sorted(rng.choice(len(valid), size=profile.dots_per_row, replace=False).tolist())]
     else:
         cols = [profile.x]
-    steps = range(0, duration_us, LATTICE_US)
-
+    rows = list(profile.rows)
+    d = _lattice_disparity(profile, duration_us)
+    per_step = len(rows) * len(cols)
     p_emit = min(profile.rate_hz * LATTICE_US * 1e-6, 1.0)
     sigma = profile.jitter_sigma_us
-    d = _lattice_disparity(profile, duration_us).tolist()
-    from . import _native  # deferred, so that importing the package compiles and loads nothing
-
-    lib = _native.kernel()
-    events = None if lib is None else _native.synth(lib, rng, LATTICE_US, d, rows, cols, p_emit, sigma, duration_us)
-    columns = _emit(rng, steps, d, rows, cols, p_emit, sigma, duration_us) if events is None else events.T
-    stream = StereoEventStream(*columns, geometry)
+    # the emitting cells of the (step, row, column) lattice, by flat index
+    n_cells = len(d) * per_step
+    cell = np.flatnonzero(rng.random(n_cells) < p_emit) if p_emit < 1.0 else np.arange(n_cells)
+    k, rc = np.divmod(cell, per_step)
+    pol = rng.integers(0, 2, len(cell))  # twins share the brightness sign
+    # each emission gives a LEFT event and then its RIGHT twin at x + d
+    t = np.repeat(k * LATTICE_US, 2)
+    if sigma != 0:
+        t = _jittered(t, rng.normal(0.0, sigma, (2, len(cell))).T.ravel(), sigma, duration_us)
+    x = np.repeat(np.tile(np.array(cols, dtype=np.int32), len(rows))[rc], 2)
+    x[1::2] += d[k]
+    y = np.repeat(np.repeat(np.array(rows, dtype=np.int32), len(cols))[rc], 2)
+    side = np.tile(np.array([LEFT, RIGHT], dtype=np.int8), len(cell))
+    stream = StereoEventStream(t, x, y, np.repeat(pol.astype(np.int8), 2), side, geometry)
     return stream, stimulus_trace(profile, duration_us, window_us, window_count(duration_us, window_us))
 
 

@@ -16,7 +16,9 @@ compiled kernels on hosts without a compiler.
 
 `split_rows` and `union_of_runs` state the row decomposition: rules R1-R4
 connect only neurons of one retina row, so a run equals the union of the
-runs on each row's events.
+runs on each row's events. `shifted`, `mirrored` and `transplanted` are the
+other input maps that the network commutes with, and `spike_coords` names
+its spikes by coordinate, so that runs on two topologies compare.
 """
 
 import contextlib
@@ -28,7 +30,7 @@ from unittest import mock
 import numpy as np
 
 from evstereo import _native
-from evstereo.events import LEFT, RIGHT, DvsEvent, StereoEventStream
+from evstereo.events import LEFT, RIGHT, CameraGeometry, DvsEvent, StereoEventStream
 from evstereo.metrics import MetricsReport
 from evstereo.simulator import LifParams, window_count
 from evstereo.topology import NeuronCoord, Population, Topology
@@ -53,6 +55,33 @@ def union_of_runs(runs) -> tuple[np.ndarray, np.ndarray, int]:
     ids = np.concatenate([np.zeros(0, dtype=np.int64), *(r[1] for r in runs)])
     order = np.lexsort((ids, times))
     return times[order], ids[order], sum(r[2] for r in runs)
+
+
+def shifted(stream: StereoEventStream, dt: int) -> StereoEventStream:
+    """Every event ``dt`` microseconds later."""
+    return StereoEventStream(stream.t + dt, stream.x, stream.y, stream.p, stream.side, stream.geometry)
+
+
+def mirrored(stream: StereoEventStream) -> StereoEventStream:
+    """The stream seen in a mirror: sides swapped and ``x -> W - 1 - x``.
+    A match ``(d, x_cyc)`` becomes ``(d, 2 (W - 1) - x_cyc)``."""
+    x = stream.geometry.width - 1 - stream.x
+    return StereoEventStream(stream.t, x, stream.y, stream.p, 1 - stream.side, stream.geometry)
+
+
+def transplanted(row: StereoEventStream) -> StereoEventStream:
+    """The events of one row, moved to row 0 of a one-row retina."""
+    geometry = CameraGeometry(row.geometry.width, 1)
+    return StereoEventStream(row.t, row.x, np.zeros_like(row.y), row.p, row.side, geometry)
+
+
+def spike_coords(topology: Topology, times: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Each spike as a row (t, population, channel, d, x_cyc, y), which
+    names it on any topology that holds its coordinate."""
+    pop = topology.pop_code[ids].astype(np.int64)
+    first = np.array([topology.offsets[p] for p in Population])[pop]
+    channel = np.where(pop == Population.DISPARITY, 0, (ids - first) // topology.n_triplets)
+    return np.stack([times, pop, channel, topology.d[ids], topology.x_cyc[ids], topology.y[ids]], axis=1)
 
 
 def id_of(topology: Topology, population: Population, coord: NeuronCoord, channel: int = 0) -> int:

@@ -2,8 +2,9 @@
 equality of spike times, ids and delivery counts and bitwise equality of the
 final neuron and synapse state over random small networks, the fallback
 without a compiler, concurrent builds, and a warning-free build of the
-kernel source. Both loops also keep the row decomposition: a run is the
-union of the runs on each retina row's events."""
+kernel source. Both loops also keep the network's invariants: a run is the
+union of the runs on each retina row's events, each row runs alone on a
+one-row retina, and a run commutes with a time shift and with the mirror."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import evstereo
-from conftest import split_rows, union_of_runs
+from conftest import mirrored, shifted, spike_coords, split_rows, transplanted, union_of_runs
 from evstereo import _native
 from evstereo.events import LEFT, RIGHT, CameraGeometry, DvsEvent, StereoEventStream
 from evstereo.simulator import LifParams, MismatchModel, _Engine, _input_ids, _Network, simulate
@@ -112,7 +113,7 @@ def test_compiled_loop_equals_python_loop(lib, case):
 
 
 @st.composite
-def row_cases(draw, max_side: int, max_duration_us: int):
+def row_cases(draw, max_side: int, max_duration_us: int, with_mismatch: bool = True):
     """A retina up to ``max_side`` square with ``d_max`` up to 7 in either
     polarity mode, with or without mismatch, and a CLOUD stimulus over some
     of its rows plus uniform noise."""
@@ -122,7 +123,7 @@ def row_cases(draw, max_side: int, max_duration_us: int):
     topology = build_topology(width, height, d_max, polarity_mode=draw(st.sampled_from([RECTIFIED, SEPARATED])))
     mismatch = draw(st.none() | st.builds(
         MismatchModel, st.integers(0, 1000), st.sampled_from([0.1, 0.2]), st.sampled_from([0.0, 0.1])
-    ))
+    )) if with_mismatch else None
     d = draw(st.integers(-d_max, d_max))
     y = draw(st.integers(0, height - 1))
     profile = DisparityProfile(
@@ -146,9 +147,27 @@ def row_cases(draw, max_side: int, max_duration_us: int):
     return topology, StereoEventStream(*columns, geometry), mismatch
 
 
-def assert_union_of_rows(run, stream):
-    """``run(stream)`` gives its spikes in ``(t, nid)`` order, and equals the
-    union of ``run`` on each row's events."""
+def runner(lib, topology, mismatch=None):
+    """``run(stream)``, the (spike times, spike ids, deliveries) of the
+    compiled loop over ``topology``, or of the Python loop where ``lib`` is
+    None."""
+    net = _Network(topology, LifParams(), mismatch)
+
+    def run(stream):
+        ev_src = _input_ids(topology, stream)
+        if lib is None:
+            return _Engine(net).run(stream.t.tolist(), ev_src.tolist())
+        result = _native.run(lib, net, stream.t, ev_src)
+        assert result is not None
+        return result
+
+    return run
+
+
+def assert_union_of_rows(lib, topology, stream, mismatch):
+    """A run gives its spikes in ``(t, nid)`` order, and equals the union of
+    the runs on each row's events."""
+    run = runner(lib, topology, mismatch)
     times, ids, deliveries = run(stream)
     assert np.array_equal(np.lexsort((ids, times)), np.arange(len(times)))
     row_times, row_ids, row_deliveries = union_of_runs([run(row) for row in split_rows(stream)])
@@ -157,26 +176,92 @@ def assert_union_of_rows(run, stream):
     assert deliveries == row_deliveries
 
 
+def assert_time_shift(lib, topology, stream, mismatch, dt):
+    """Events ``dt`` later give the same spikes ``dt`` later."""
+    run = runner(lib, topology, mismatch)
+    times, ids, deliveries = run(stream)
+    later = run(shifted(stream, dt))
+    assert np.array_equal(later[0], times + dt)
+    assert np.array_equal(later[1], ids)
+    assert later[2] == deliveries
+
+
+def assert_mirror(lib, topology, stream):
+    """The mirrored stream gives the mirrored spikes, ``x_cyc -> 2 (W - 1) -
+    x_cyc``, as a multiset."""
+    run = runner(lib, topology)
+    times, ids, deliveries = run(stream)
+    m_times, m_ids, m_deliveries = run(mirrored(stream))
+    spikes, mirror = spike_coords(topology, times, ids), spike_coords(topology, m_times, m_ids)
+    mirror[:, 4] = 2 * (topology.retina_width - 1) - mirror[:, 4]
+    assert sorted(map(tuple, mirror.tolist())) == sorted(map(tuple, spikes.tolist()))
+    assert m_deliveries == deliveries
+
+
+def assert_row_transplant(lib, topology, stream):
+    """Each row's events, moved to a one-row retina, give that row's spikes
+    in order, named by coordinate; the deliveries sum to the full run's."""
+    times, ids, deliveries = runner(lib, topology)(stream)
+    spikes = spike_coords(topology, times, ids)
+    one_row = build_topology(topology.retina_width, 1, topology.d_max, polarity_mode=topology.polarity_mode)
+    run_row = runner(lib, one_row)
+    rows, total = split_rows(stream), 0
+    for row in rows:
+        row_times, row_ids, row_deliveries = run_row(transplanted(row))
+        moved = spike_coords(one_row, row_times, row_ids)
+        moved[:, 5] = row.y[0]
+        assert np.array_equal(moved, spikes[spikes[:, 5] == row.y[0]].reshape(-1, 6))
+        total += row_deliveries
+    assert total == deliveries
+    assert set(spikes[:, 5].tolist()) <= {int(row.y[0]) for row in rows}
+
+
 @settings(max_examples=150, deadline=None)
 @given(row_cases(16, 100_000))
 def test_compiled_run_is_the_union_of_its_rows(lib, case):
-    topology, stream, mismatch = case
-    net = _Network(topology, LifParams(), mismatch)
-
-    def run(s):
-        result = _native.run(lib, net, s.t, _input_ids(topology, s))
-        assert result is not None
-        return result
-
-    assert_union_of_rows(run, stream)
+    assert_union_of_rows(lib, *case)
 
 
 @settings(max_examples=60, deadline=None)
 @given(row_cases(6, 30_000))
 def test_python_run_is_the_union_of_its_rows(case):
-    topology, stream, mismatch = case
-    net = _Network(topology, LifParams(), mismatch)
-    assert_union_of_rows(lambda s: _Engine(net).run(s.t.tolist(), _input_ids(topology, s).tolist()), stream)
+    assert_union_of_rows(None, *case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(row_cases(16, 100_000), st.integers(1, 10**7))
+def test_compiled_run_commutes_with_a_time_shift(lib, case, dt):
+    assert_time_shift(lib, *case, dt)
+
+
+@settings(max_examples=20, deadline=None)
+@given(row_cases(6, 30_000), st.integers(1, 10**7))
+def test_python_run_commutes_with_a_time_shift(case, dt):
+    assert_time_shift(None, *case, dt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(row_cases(16, 100_000, with_mismatch=False))
+def test_compiled_run_commutes_with_the_mirror(lib, case):
+    assert_mirror(lib, *case[:2])
+
+
+@settings(max_examples=20, deadline=None)
+@given(row_cases(6, 30_000, with_mismatch=False))
+def test_python_run_commutes_with_the_mirror(case):
+    assert_mirror(None, *case[:2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(row_cases(16, 100_000, with_mismatch=False))
+def test_compiled_rows_run_alone_on_a_one_row_retina(lib, case):
+    assert_row_transplant(lib, *case[:2])
+
+
+@settings(max_examples=20, deadline=None)
+@given(row_cases(6, 30_000, with_mismatch=False))
+def test_python_rows_run_alone_on_a_one_row_retina(case):
+    assert_row_transplant(None, *case[:2])
 
 
 def busy_stream(n: int, duration_us: int) -> StereoEventStream:

@@ -125,6 +125,16 @@ BAD_CONFIG_VALUES = [
         b'{"simulator": {"mismatch": {"weight_sigma": 0.1, "threshold_sigma": -0.5}}}',
         "simulator.mismatch.threshold_sigma must be >= 0, got -0.5",
     ),
+    # stimulus lattices far beyond the cap, refused before anything is allocated
+    (
+        b'{"input": {"synthetic": {"shape": "DOT"}, "duration_us": 4611686018427387904}}',
+        "input.duration_us 4611686018427387904 gives 4611686018427388 lattice steps x 1 rows x 1 columns",
+    ),
+    (
+        b'{"input": {"synthetic": {"shape": "CLOUD", "y": 2, "height": 12, "dots_per_row": 4},'
+        b' "duration_us": 4611686018427387904}}',
+        "input.duration_us 4611686018427387904 gives 4611686018427388 lattice steps x 12 rows x 4 columns",
+    ),
 ]
 
 

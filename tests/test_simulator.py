@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import first_crossing_us, membrane_trace, reference_simulate
+from conftest import first_crossing_us, membrane_trace, reference_simulate, transplanted
 from evstereo.events import LEFT, ON, RIGHT, CameraGeometry, DvsEvent, StereoEventStream
 from evstereo.simulator import (
     LifParams,
@@ -16,6 +16,7 @@ from evstereo.simulator import (
     window_count,
     write_spike_csv,
 )
+from evstereo.synth import CLOUD, DisparityProfile, gen_stimulus
 from evstereo.topology import NeuronCoord, Population, build_topology
 
 GEOM16 = CameraGeometry(16, 16)
@@ -231,6 +232,22 @@ def test_engine_matches_reference_equal_tau():
     got = list(zip(record.times.tolist(), record.neuron_ids.tolist()))
     expected = reference_simulate(topo, stream, params, horizon_us=stream.duration + 60_000)
     assert got == expected
+
+
+def test_engine_matches_stepped_reference_on_a_full_size_row():
+    # one row of a benchmark-sized CLOUD stimulus (0.1 s, 12 rows x 4 dots), alone on a 16x1 retina with
+    # d_max 7: 584 neurons. With the row transplant (test_engine.py) it stands for the whole 16x16 network
+    profile = DisparityProfile(
+        shape=CLOUD, keyframes=((0, -3.0), (100_000, 3.0)), y=2, height=12, dots_per_row=4, rate_hz=600.0,
+        jitter_sigma_us=300.0, seed=0,
+    )
+    stream, _ = gen_stimulus(profile, GEOM16, 100_000, 50_000)
+    row = transplanted(stream.select(stream.y == 5))
+    topo = build_topology(16, 1, 7)
+    record = simulate(topo, row, REF_PARAMS)
+    got = list(zip(record.times.tolist(), record.neuron_ids.tolist()))
+    assert len(got) > 1000
+    assert got == reference_simulate(topo, row, REF_PARAMS, horizon_us=row.duration + 80_000)
 
 
 # ------------------------------------------------------------- rates

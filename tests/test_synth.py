@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OracleMatch, oracle_disparity_estimate, oracle_matches, without_kernel
-from evstereo import _native
+from conftest import OracleMatch, oracle_disparity_estimate, oracle_matches
 from evstereo.events import LEFT, RIGHT, CameraGeometry, StereoEventStream
 from evstereo.synth import (
     BAR,
     CLOUD,
     DOT,
     LATTICE_US,
+    MAX_STIMULUS_CELLS,
     DisparityProfile,
-    _emit,
+    _cloud_columns,
     _lattice_disparity,
     gen_stimulus,
     validate_profile_bounds,
@@ -51,6 +51,38 @@ def test_seeded_generation_is_reproducible():
     assert a == b
 
 
+def reference_stimulus(profile, geometry, duration_us):
+    """The events (t, x, y, p, side) of a stimulus, one emission at a time in
+    Python ints, from the draws in the order that ``gen_stimulus`` documents;
+    and the generator after them."""
+    rng = np.random.default_rng(profile.seed)
+    rows = list(profile.rows)
+    if profile.shape == CLOUD:
+        valid = _cloud_columns(profile, geometry)
+        cols = [valid[c] for c in sorted(rng.choice(len(valid), size=profile.dots_per_row, replace=False).tolist())]
+    else:
+        cols = [profile.x]
+    steps = range(0, duration_us, LATTICE_US)
+    p_emit = min(profile.rate_hz * LATTICE_US * 1e-6, 1.0)
+    sigma = profile.jitter_sigma_us
+    cells = [(t, y, x) for t in steps for y in rows for x in cols]
+    if p_emit < 1.0:
+        uniforms = rng.random((len(steps), len(rows), len(cols))).ravel().tolist()
+        cells = [cell for cell, u in zip(cells, uniforms) if u < p_emit]
+    polarities = rng.integers(0, 2, len(cells)).tolist()
+    jitters = rng.normal(0.0, sigma, (2, len(cells))).tolist() if sigma != 0 else [[0.0] * len(cells)] * 2
+
+    def jittered(t, j):
+        j = max(-3.0 * sigma, min(3.0 * sigma, j))
+        return max(0, min(duration_us, t + int(round(j))))
+
+    events = []
+    for (t, y, x), pol, j_left, j_right in zip(cells, polarities, *jitters):
+        d = int(round(profile.d_at(t)))
+        events += [(jittered(t, j_left), x, y, pol, LEFT), (jittered(t, j_right), x + d, y, pol, RIGHT)]
+    return events, rng
+
+
 @pytest.mark.parametrize(
     "shape, rate_hz, sigma",
     [
@@ -63,34 +95,34 @@ def test_seeded_generation_is_reproducible():
         (CLOUD, 600.0, 1e20),  # every jitter clamps to 0 or the duration
     ],
 )
-def test_compiled_stimulus_equals_python_loop(shape, rate_hz, sigma):
-    # the compiled emission loop draws the same numbers from the generator's
-    # bit generator as the Python loop, leaves it in the same state and
-    # gives the same stream through gen_stimulus
-    lib = _native.kernel()
-    if lib is None or not hasattr(lib, "evstereo_synth"):
-        pytest.skip("no compiled stimulus loop on this host")
+def test_stimulus_equals_the_per_emission_reference(monkeypatch, shape, rate_hz, sigma):
+    # the array draw gives the reference's events and leaves the generator in
+    # the reference's state
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: made.append(default_rng(seed)) or made[-1])
     duration = 40_000
-    steps = range(0, duration, LATTICE_US)
     for seed in range(20):
         profile = DisparityProfile(
             shape=shape, keyframes=((0, -2.0), (duration, 3.0)), x=5, y=3, height=4, dots_per_row=3,
             rate_hz=rate_hz, jitter_sigma_us=sigma, seed=seed,
         )
-        d = [int(round(profile.d_at(t))) for t in steps]
-        rows, cols = [3, 4, 5] if shape != DOT else [3], [2, 6] if shape == CLOUD else [5]
-        p_emit = min(rate_hz * LATTICE_US * 1e-6, 1.0)
-        compiled_rng, python_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        events = _native.synth(lib, compiled_rng, LATTICE_US, d, rows, cols, p_emit, sigma, duration)
-        expected = _emit(python_rng, steps, d, rows, cols, p_emit, sigma, duration)
-        assert events is not None and events.dtype == np.int64
-        assert events.T.tolist() == [list(col) for col in expected]
-        assert compiled_rng.bit_generator.state == python_rng.bit_generator.state
+        stream, _ = gen_stimulus(profile, GEOM, duration, 20_000)
+        expected, rng = reference_stimulus(profile, GEOM, duration)
+        columns = (stream.t, stream.x, stream.y, stream.p, stream.side)
+        assert sorted(zip(*(col.tolist() for col in columns))) == sorted(expected)
+        assert made.pop().bit_generator.state == rng.bit_generator.state
 
-        compiled, _ = gen_stimulus(profile, GEOM, duration, 20_000)
-        with without_kernel():
-            python, _ = gen_stimulus(profile, GEOM, duration, 20_000)
-        assert compiled == python
+
+@pytest.mark.parametrize("shape, height, dots", [(DOT, 1, 1), (BAR, 16, 1), (CLOUD, 16, 16)])
+def test_stimulus_lattice_beyond_the_cap_is_refused_before_allocation(shape, height, dots):
+    # one step past the cap is refused by arithmetic alone; so is 2**62 us
+    per_step = height * dots
+    at_cap = MAX_STIMULUS_CELLS // per_step * LATTICE_US
+    profile = DisparityProfile(shape=shape, x=5, y=0, height=height, dots_per_row=dots)
+    for duration in (at_cap + 1, 2**62):
+        with pytest.raises(ValueError, match=r"^duration_us .* stimulus cells, more than 4194304$"):
+            gen_stimulus(profile, GEOM, duration, 50_000)
 
 
 def test_out_of_frame_profile_rejected_before_generation():
