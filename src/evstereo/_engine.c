@@ -23,9 +23,11 @@
  * unchanging stamp, so the shadow spikes, and its synapses deliver, at the
  * (t, nid) heap position the unmerged loop gives it.
  *
- * Where the Python code would raise (a float division by zero) or produce a
- * time outside int64 (Python ints are unbounded), evstereo_run returns
- * EV_PYTHON and the caller runs the Python loop instead.
+ * A closed form whose divisor is 0, or underflows to 0, has no crossing.
+ * The parameter bounds that every config passes (README, "Model notes")
+ * keep every crossing search below 2**40 and every time of a run inside
+ * int64. So evstereo_run returns EV_OK, or EV_NOMEM, or EV_OVERFLOW for a
+ * time beyond int64, which is a fault of the caller.
  */
 
 #include <math.h>
@@ -33,10 +35,9 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { EV_OK = 0, EV_NOMEM = 1, EV_PYTHON = 2 };
-enum { NO_CROSSING = 0, CROSSING = 1, UNREPRESENTABLE = -1 };
+enum { EV_OK = 0, EV_NOMEM = 1, EV_PYTHON = 2, EV_OVERFLOW = 3 };
+enum { NO_CROSSING = 0, CROSSING = 1, TIME_OVERFLOW = -1 };
 
-#define TIME_LIMIT 0x1p62 /* bisection bounds stay exact and their sum fits int64 */
 #define TABLE_SIZE 65536 /* decay table entries per time constant: 512 KiB, touched lazily */
 
 typedef struct {
@@ -131,37 +132,28 @@ static int predict_crossing(const network *net, int64_t i, int64_t *out)
     double g = net->gain[i], tm = net->tau_m[i], ts = net->tau_s[i], t_peak;
     if (g * s0 - v0 / tm <= 0.0)
         return NO_CROSSING;
+    /* a divisor that is 0, or underflows to 0, leaves no crossing */
     if (net->equal_tau[i]) {
-        if (s0 == 0.0)
-            return NO_CROSSING;
         double gs = g * s0;
         if (gs == 0.0)
-            return UNREPRESENTABLE;
+            return NO_CROSSING;
         t_peak = tm - v0 / gs;
     } else {
-        double a = net->coef[i] * s0, b = v0 - a, ratio = 0.0;
-        if (b != 0.0) {
-            double den = b * ts;
-            if (den == 0.0)
-                return UNREPRESENTABLE;
-            ratio = -(a * tm) / den;
-        }
+        double a = net->coef[i] * s0, den = (v0 - a) * ts;
+        double ratio = den != 0.0 ? -(a * tm) / den : 0.0;
         if (ratio <= 0.0)
             return NO_CROSSING;
-        double rate = 1.0 / ts - 1.0 / tm;
-        if (rate == 0.0)
-            return UNREPRESENTABLE;
-        t_peak = log(ratio) / rate;
+        t_peak = log(ratio) / (1.0 / ts - 1.0 / tm); /* unequal constants: the rate is not 0 */
     }
     if (t_peak <= 0.0 || !isfinite(t_peak))
         return NO_CROSSING;
     /* kf and kc stay doubles: Python converts the integers floor(t_peak)
-     * and floor(t_peak) + 1 to exactly these doubles when it divides */
+     * and floor(t_peak) + 1 to exactly these doubles when it divides. A v
+     * at or above theta > 0 needs a decay above 0, so kf < 746 tau < 2**40
+     * whenever the search below runs */
     double kf = floor(t_peak), kc = kf + 1.0;
     int64_t k;
     if (v_at(net, i, v0, s0, kf) >= theta) {
-        if (kf >= TIME_LIMIT)
-            return UNREPRESENTABLE;
         int64_t lo = 1, hi = (int64_t)kf; /* v rises monotonically on [0, t_peak] */
         while (lo < hi) {
             int64_t mid = (lo + hi) / 2;
@@ -172,15 +164,11 @@ static int predict_crossing(const network *net, int64_t i, int64_t *out)
         }
         k = lo;
     } else if (v_at(net, i, v0, s0, kc) >= theta) {
-        if (kf >= TIME_LIMIT)
-            return UNREPRESENTABLE;
         k = (int64_t)kf + 1;
     } else {
         return NO_CROSSING;
     }
-    if (__builtin_add_overflow(base, k, out))
-        return UNREPRESENTABLE;
-    return CROSSING;
+    return __builtin_add_overflow(base, k, out) ? TIME_OVERFLOW : CROSSING;
 }
 
 /* ------------------------------------------------------------ containers */
@@ -334,8 +322,8 @@ int evstereo_run(int64_t n, const double *par, const int64_t *refr, const uint8_
             int64_t nid = dirty[j], t_pred;
             in_dirty[nid] = 0;
             int r = predict_crossing(&net, nid, &t_pred);
-            if (r == UNREPRESENTABLE) {
-                status = EV_PYTHON;
+            if (r == TIME_OVERFLOW) {
+                status = EV_OVERFLOW;
                 goto done;
             }
             if (r == CROSSING && !heap_push(&h, (entry){t_pred, nid, net.stamp[nid]})) {
@@ -361,7 +349,7 @@ int evstereo_run(int64_t n, const double *par, const int64_t *refr, const uint8_
                 advance(&net, nid, t);
                 net.v[nid] = net.reset[nid];
                 if (__builtin_add_overflow(t, net.refr[nid], &net.refr_until[nid])) {
-                    status = EV_PYTHON;
+                    status = EV_OVERFLOW;
                     goto done;
                 }
                 MARK_DIRTY(nid); /* may cross again once refractoriness ends */

@@ -9,7 +9,10 @@ loads a stale library (``zlib`` is loaded at start-up; ``hashlib`` would
 load OpenSSL). Each build writes a name unique to its process and renames it
 into place, so concurrent workers building at once are safe. Nothing here
 is imported until a caller needs a kernel. Without a library each caller
-runs its Python or numpy reference, which gives the same result.
+runs its Python or numpy reference, which gives the same result. With one,
+the event loop returns its result or raises; the parser, the background
+filter and the CSV rows may decline an input, which their reference then
+decides.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ CACHE_DIR = os.path.join(HERE, "__pycache__")
 # CPython, which keeps spikes bit-identical to the Python loop
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-EV_OK, EV_NOMEM, EV_PYTHON = 0, 1, 2
+EV_OK, EV_NOMEM, EV_PYTHON, EV_OVERFLOW = 0, 1, 2, 3
 
 
 def _find_compiler() -> str | None:
@@ -130,15 +133,23 @@ def _int64s(ptr, count: int) -> np.ndarray:
     return np.frombuffer(ctypes.string_at(ptr, 8 * count), np.int64)
 
 
-def _accepted(status: int, what: str) -> bool:
-    """False where the kernel declined (only the Python or numpy reference
-    reproduces the result); raises on any failure."""
+def _fault(status: int, what: str) -> Exception:
+    """The exception of a kernel that failed with ``status``."""
     if status == EV_NOMEM:
-        raise MemoryError(f"{what}: allocation failed")
+        return MemoryError(f"{what}: allocation failed")
+    if status == EV_OVERFLOW:
+        return OverflowError(f"{what}: a time beyond int64")
+    return RuntimeError(f"{what}: unknown status {status}")
+
+
+def _accepted(status: int, what: str) -> bool:
+    """False where the parser, the background filter or the CSV rows
+    declined (only the numpy or Python reference reproduces the result);
+    raises on any failure."""
     if status == EV_PYTHON:
         return False
     if status != EV_OK:
-        raise RuntimeError(f"{what}: unknown status {status}")
+        raise _fault(status, what)
     return True
 
 
@@ -185,10 +196,12 @@ def background(lib: ctypes.CDLL, stream, window_us: int, radius: int, include_sa
 
 def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray, final_state: np.ndarray | None = None):
     """Run the event loop over ``net`` (a ``simulator._Network``) and the
-    input events, with ``net.twins`` merged. Returns (spike times, spike ids,
-    deliveries), or None where only the Python loop reproduces the result
-    exactly. A float64 ``final_state`` of 2n + m values receives the final
-    v, s (n values each) and the saturating synapses' values (m).
+    input events, with ``net.twins`` merged: (spike times, spike ids,
+    deliveries). A float64 ``final_state`` of 2n + m values receives the
+    final v, s (n values each) and the saturating synapses' values (m).
+    Raises OverflowError for a spike time or refractory end beyond int64,
+    which the bounds of ``NeuronParams.validate`` and an input shorter than
+    2**60 us rule out.
 
     The synapse tables and the twins of ``net`` are its topology's, whose
     ``syn_start`` checks them once: ids in range and the CSR monotone; twin
@@ -242,8 +255,8 @@ def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray, final_state
         None if final_state is None else _ptr(final_state, f64),
     )
     try:
-        if not _accepted(status, "compiled event loop"):
-            return None
+        if status != EV_OK:
+            raise _fault(status, "compiled event loop")
         count = n_spikes.value
         if count == 0:
             return np.zeros(0, np.int64), np.zeros(0, np.int64), deliveries.value

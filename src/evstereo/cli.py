@@ -19,7 +19,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .config import RunConfig, config_to_dict, load_config
+from .config import RunConfig, config_to_dict, load_config, window_count_of
 from .events import (
     LEFT,
     RIGHT,
@@ -42,13 +42,13 @@ from .groundtruth import (
 from .metrics import build_report, write_com_csv
 from .preprocess import preprocess_pipeline_resolved
 from .simulator import (
+    MAX_SPAN_US,
     POPULATION_CODE_NAMES,
     SpikeRecord,
     instantaneous_rates,
     read_spike_csv,
     simulate,
     window_center_labels,
-    window_count,
     write_spike_csv,
 )
 from .synth import gen_stimulus, stimulus_trace
@@ -80,12 +80,20 @@ def _topology(
 
 
 def _load_file_stream(cfg: RunConfig) -> StereoEventStream:
+    """The recording, refused where it spans more than ``MAX_SPAN_US``; the
+    message names the file of its last event."""
     inp = cfg.input
     if inp.events is not None:
-        return parse_event_file(inp.events, cfg.full_geometry)
-    left = parse_event_file(inp.left_events, cfg.full_geometry, side=LEFT)
-    right = parse_event_file(inp.right_events, cfg.full_geometry, side=RIGHT)
-    return merge_streams(left, right)
+        stream = parse_event_file(inp.events, cfg.full_geometry)
+    else:
+        left = parse_event_file(inp.left_events, cfg.full_geometry, side=LEFT)
+        right = parse_event_file(inp.right_events, cfg.full_geometry, side=RIGHT)
+        stream = merge_streams(left, right)
+    span = int(stream.t[-1]) - int(stream.t[0]) if len(stream) else 0
+    if span > MAX_SPAN_US:
+        path = inp.events or (inp.right_events if stream.side[-1] == RIGHT else inp.left_events)
+        raise InputError(f"{path}: the last event comes {span} us after the first, more than 2**60")
+    return stream
 
 
 def _marker_tracks(cfg: RunConfig, origin: tuple[int, int], t_offset: int):
@@ -183,12 +191,13 @@ def _run_one(config_path: str, overrides: list[str]) -> int:
                 "enable preprocessing or fix the crop"
             )
         duration = stream.duration
+        window_count_of(cfg, duration)  # before the run, which the spikes' windows check again
         tracks = _marker_tracks(cfg, origin, t_offset)
 
     topology = _build_topology(cfg)
     record = simulate(topology, stream, cfg.simulator, cfg.mismatch, duration_us=duration)
     # the windows run to the last spike, which may come after the last event
-    n_windows = window_count(record.duration_us, cfg.analysis.window_us)
+    n_windows = window_count_of(cfg, record.duration_us)
     if cfg.input.is_synthetic:
         trace = stimulus_trace(cfg.input.synthetic, duration, cfg.analysis.window_us, n_windows)
     else:

@@ -15,7 +15,7 @@ from typing import Any, NamedTuple
 from .events import DAVIS_GEOMETRY, CameraGeometry, InputError, read_text
 from .metrics import PCD_GLOBAL, PCD_PER_WINDOW_MEAN, EnergyCoefficients
 from .preprocess import PreprocessConfig, Rect
-from .simulator import LifParams, MismatchModel, NeuronParams
+from .simulator import LifParams, MismatchModel, NeuronParams, window_count
 from .synth import DisparityProfile, check_stimulus_size, validate_profile_bounds
 from .topology import Population, WeightParams, check_topology
 
@@ -356,10 +356,26 @@ def _check(prefix: str, check, *args) -> None:
         raise InputError(f"{prefix}{exc}") from None
 
 
+#: The most analysis windows a run may hold: each costs a few hundred bytes
+#: in the report and in ``metrics.json``.
+MAX_WINDOWS = 2**17
+
+
+def window_count_of(cfg: RunConfig, duration_us: int) -> int:
+    """The windows of a run over ``duration_us``, refused beyond
+    ``MAX_WINDOWS`` before any array of windows exists."""
+    w = cfg.analysis.window_us
+    n = window_count(duration_us, w)
+    if n > MAX_WINDOWS:
+        raise InputError(f"analysis.window_us {w} gives {n} windows over {duration_us} us, more than {MAX_WINDOWS}")
+    return n
+
+
 def config_from_dict(data: dict) -> RunConfig:
     """The config of ``data``. Beyond each key's JSON kind, it checks the
     values that every command reads; each message starts with the key at
-    fault (a ``simulator`` message names the population)."""
+    fault. A ``simulator`` value that a population overrides is named by its
+    ``simulator.overrides`` key."""
     kwargs = {RunConfig: {}}
     _parse_section("", data, kwargs)
     cfg = RunConfig(**kwargs[RunConfig])
@@ -372,13 +388,20 @@ def config_from_dict(data: dict) -> RunConfig:
         raise InputError(f"analysis.pcd_mode must be {PCD_GLOBAL!r} or {PCD_PER_WINDOW_MEAN!r}, got {a.pcd_mode!r}")
     if cfg.input.is_synthetic and cfg.input.duration_us is not None:
         _check("input.", check_stimulus_size, cfg.input.synthetic, cfg.input.duration_us)
+        window_count_of(cfg, cfg.input.duration_us)
     t = cfg.topology
     _check("topology.", check_topology, t.retina_width, t.retina_height, t.d_max, t.polarity_mode, t.continuity_radius)
     _check("topology.weights.", t.weights.validate)
     if cfg.mismatch is not None:
         _check("simulator.mismatch.", cfg.mismatch.validate)
+    sim = cfg.simulator
     for pop in Population:
-        _check(f"simulator ({pop.name} parameters): ", cfg.simulator.for_population, pop)
+        try:
+            sim.for_population(pop)
+        except ValueError as exc:  # its message starts with the field at fault
+            field = str(exc).partition(" ")[0]
+            section = f"simulator.overrides.{pop.name}." if field in sim.overrides.get(pop, {}) else "simulator."
+            raise InputError(f"{section}{exc}") from None
     return cfg
 
 

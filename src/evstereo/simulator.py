@@ -22,10 +22,11 @@ on the first call and cached in this package's ``__pycache__/`` (see
 and calls the same libm ``exp``/``log`` (a decay over fewer than 2**16
 microseconds comes from a table of exactly those ``exp`` values); compiled
 with ``-ffp-contract=off`` and without ``-ffast-math``, it rounds exactly as
-CPython does, so its spikes are bit-identical. Without a compiler, or in the
-corner cases only Python arithmetic reproduces (a time beyond int64, a float
-division by zero), ``simulate`` runs ``_Engine``, the Python loop, which is
-also the reference the tests compare the compiled loop against.
+CPython does, so its spikes are bit-identical. Only where no library loads
+does ``simulate`` run ``_Engine``, the Python loop, which is also the
+reference the tests compare the compiled loop against. The bounds of
+``NeuronParams.validate`` keep every closed form and every time of a run
+representable in both loops (README, "Model notes").
 """
 
 from __future__ import annotations
@@ -42,6 +43,16 @@ from .topology import Population, Topology
 
 SPIKE_CSV_HEADER = "t_us,neuron_id,population"
 
+#: The largest time constant, in microseconds. exp(-x) is 0 from x = 745.2
+#: on, so a crossing search ends within 746 time constants, below 2**40 us.
+MAX_TAU_US = 1e9
+#: Unequal time constants differ by more than this fraction of the larger:
+#: closer ones lose the biexponential's gain to cancellation.
+MIN_TAU_GAP = 1e-6
+#: The longest refractory period and the longest span of input, in
+#: microseconds: with the crossings' bound, every time of a run stays below 2**62.
+MAX_SPAN_US = 2**60
+
 
 @dataclass(repr=False, eq=False)
 class NeuronParams:
@@ -55,18 +66,27 @@ class NeuronParams:
     v_floor: float
 
     def validate(self) -> None:
-        if not (self.tau_m > 0 and self.tau_s > 0):
-            raise ValueError("tau_m and tau_s must be > 0")
-        if not all(map(math.isfinite, (self.tau_m, self.tau_s, self.threshold, self.reset, self.v_floor))):
-            raise ValueError("non-finite neuron parameter")
-        if not self.threshold > self.reset:
-            raise ValueError("threshold must exceed reset")
+        """Each message starts with the name of the field at fault."""
+        for name in ("tau_m", "tau_s"):
+            if not 0 < getattr(self, name) <= MAX_TAU_US:
+                raise ValueError(f"{name} must lie in (0, 1e9] us, got {getattr(self, name)!r}")
+        tm, ts = self.tau_m, self.tau_s
+        if tm != ts and abs(tm - ts) <= MIN_TAU_GAP * max(tm, ts):
+            raise ValueError(
+                f"tau_s must equal tau_m or differ from it by more than {MIN_TAU_GAP:g} of the larger, "
+                f"got tau_s {ts!r} and tau_m {tm!r}"
+            )
+        for name in ("threshold", "reset", "v_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.threshold <= 0:
-            raise ValueError("threshold must be > 0")
-        if self.refractory_us < 0:
-            raise ValueError("refractory must be >= 0")
+            raise ValueError(f"threshold must be > 0, got {self.threshold!r}")
+        if not self.reset < self.threshold:
+            raise ValueError(f"reset must lie below threshold {self.threshold!r}, got {self.reset!r}")
+        if not 0 <= self.refractory_us <= MAX_SPAN_US:
+            raise ValueError(f"refractory_us must lie in [0, 2**60], got {self.refractory_us}")
         if self.v_floor >= self.threshold:
-            raise ValueError("v_floor must lie below threshold")
+            raise ValueError(f"v_floor must lie below threshold {self.threshold!r}, got {self.v_floor!r}")
 
     @property
     def gain(self) -> float:
@@ -217,7 +237,9 @@ class _Network:
             rng = np.random.default_rng(mismatch.seed)
             if mismatch.threshold_sigma > 0:
                 jittered = self.theta * (1.0 + mismatch.threshold_sigma * rng.standard_normal(n))
-                lowest = np.maximum(self.reset, 0.0) + 1e-9  # theta > max(reset, 0), as validate() requires
+                # theta > max(reset, 0), as validate() requires, also where 1e-9 rounds away
+                base = np.maximum(self.reset, 0.0)
+                lowest = np.maximum(base + 1e-9, np.nextafter(base, np.inf))
                 self.theta = np.where(lowest > jittered, lowest, jittered)
 
         # the topology stores its synapses sorted by pre, in delivery order
@@ -332,16 +354,18 @@ class _Engine:
         # rises toward 0 from below; neither path reaches theta > max(v0, 0)
         if g * s0 - v0 / tm <= 0.0:
             return None
-        # continuous argmax of the rising-then-falling trajectory
+        # continuous argmax of the rising-then-falling trajectory; a divisor
+        # that is 0, or underflows to 0, leaves no crossing
         if self.equal_tau[nid]:
-            if s0 == 0.0:
+            gs = g * s0
+            if gs == 0.0:
                 return None
-            t_peak = tm - v0 / (g * s0)
+            t_peak = tm - v0 / gs
         else:
             a = self.coef[nid] * s0
-            b = v0 - a
-            # v'(dt)=0  =>  exp(dt*(1/ts-1/tm)) = -(a*tm)/(b*ts)
-            ratio = -(a * tm) / (b * ts) if b != 0.0 else 0.0
+            den = (v0 - a) * ts
+            # v'(dt)=0  =>  exp(dt*(1/ts-1/tm)) = -(a*tm)/((v0-a)*ts)
+            ratio = -(a * tm) / den if den != 0.0 else 0.0
             if ratio <= 0.0:
                 # no interior critical point: rising toward 0 from below
                 return None
@@ -431,12 +455,8 @@ class _Engine:
 def _input_ids(topology: Topology, stream: StereoEventStream) -> np.ndarray:
     """Retina neuron id of each input event; the stream's coordinates and
     polarities are already validated against a geometry equal to the retina."""
-    channel = stream.p.astype(np.int64) if topology.n_channels == 2 else 0
-    return (
-        stream.side.astype(np.int64) * topology.n_retina_per_side
-        + (channel * topology.retina_height + stream.y.astype(np.int64)) * topology.retina_width
-        + stream.x
-    )
+    side, x, y, p = (a.astype(np.int64) for a in (stream.side, stream.x, stream.y, stream.p))
+    return topology.retina_ids(side, x, y, p if topology.n_channels == 2 else 0)
 
 
 def simulate(
@@ -459,10 +479,10 @@ def simulate(
     from . import _native  # deferred, so that importing the package compiles and loads nothing
 
     lib = _native.kernel()
-    result = _native.run(lib, net, stream.t, ev_src) if lib is not None else None
-    if result is None:
-        result = _Engine(net).run(stream.t.tolist(), ev_src.tolist())
-    times, ids, deliveries = result
+    if lib is None:
+        times, ids, deliveries = _Engine(net).run(stream.t.tolist(), ev_src.tolist())
+    else:
+        times, ids, deliveries = _native.run(lib, net, stream.t, ev_src)
 
     dur = stream.duration if duration_us is None else duration_us
     if len(times):

@@ -265,13 +265,20 @@ class Topology:
             raise KeyError(f"unknown neuron id {neuron_id}")
         return Population(int(self.pop_code[neuron_id]))
 
+    def retina_ids(self, side, x, y, channel=0):
+        """The id of each retina neuron at pixel ``(x, y)`` of ``channel``
+        on ``side`` (0 left, 1 right), unchecked: the one spelling of the
+        retina's id layout. Each argument is an int or an int64 array, so
+        that no product overflows."""
+        return side * self.n_retina_per_side + (channel * self.retina_height + y) * self.retina_width + x
+
     def id_of_retina(self, side: int, x: int, y: int, channel: int = 0) -> int:
+        """``retina_ids`` of one pixel, checked; any side but 0 is the right."""
         if not (0 <= x < self.retina_width and 0 <= y < self.retina_height):
             raise KeyError(f"retina pixel ({x},{y}) out of range")
         if not 0 <= channel < self.n_channels:
             raise KeyError(f"retina channel {channel} out of range")
-        pop = Population.RETINA_L if side == 0 else Population.RETINA_R
-        return self.offsets[pop] + (channel * self.retina_height + y) * self.retina_width + x
+        return self.retina_ids(int(side != 0), x, y, channel)
 
     def coord_of(self, neuron_id: int):
         """Return (population, NeuronCoord, channel) or
@@ -323,17 +330,16 @@ class Topology:
         tables come out sorted by pre, in delivery order."""
         wp, ch, n_tri = self.weights, self.n_channels, self.n_triplets
         exc, inh, disp = (self.offsets[p] for p in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY))
-        n_px = self.retina_width * self.retina_height
         blocks: list[tuple[int, np.ndarray, np.ndarray]] = []  # (rule 0..3 for R1..R4, pre, post)
 
         # R1: retina -> coincidence (both copies), saturating synapses so an
         # arbitrary monocular train can never sum past one EPSP per side; a
         # pixel drives each triplet on its line of sight, excitatory copy first
-        px_y, px_x = np.divmod(np.arange(n_px), self.retina_width)
+        px_y, px_x = np.divmod(np.arange(self.retina_width * self.retina_height), self.retina_width)
         for side in (0, 1):
             px, tri = _fan_out(self._line_of_sight(px_y, px_x, side))
             for c in range(ch):
-                pre = side * self.n_retina_per_side + c * n_px + px
+                pre = self.retina_ids(side, px_x[px], px_y[px], c)
                 post = np.stack([exc + c * n_tri + tri, inh + c * n_tri + tri], axis=1)
                 blocks.append((0, np.repeat(pre, 2), post.ravel()))
 

@@ -441,6 +441,69 @@ def test_synthetic_run_and_synth_write_the_same_files_without_a_compiler(tmp_pat
     assert sorted(compiled) == sorted(ARTIFACTS + ["left.csv", "right.csv", "trace.csv"])
 
 
+def test_an_underflowing_drive_leaves_no_crossing_with_and_without_a_compiler(tmp_path, monkeypatch):
+    # equal time constants, a negative reset and a refractory period of 740
+    # ms: after a spike s decays to a subnormal value and g * s underflows to
+    # 0, which leaves no crossing in either loop
+    path, _ = synthetic_config(
+        tmp_path,
+        input={"synthetic": {"shape": "DOT", "keyframes": [[0, 2.0]], "x": 5, "y": 8}, "duration_us": 100_000},
+        topology={"retina_width": 16, "retina_height": 16, "d_max": 7},
+        simulator={"tau_m": 1000.0, "tau_s": 1000.0, "reset": -0.5, "refractory_us": 740_000, "overrides": {}},
+    )
+    out = tmp_path / "out"
+
+    def run() -> dict:
+        assert main(["run", "-c", str(path)]) == 0
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        shutil.rmtree(out)
+        return files
+
+    if _native.kernel() is None:  # no compiler on this host: the Python loop alone
+        assert sorted(run()) == sorted(ARTIFACTS)
+        return
+    compiled = run()
+    _native.kernel.cache_clear()
+    monkeypatch.setattr(_native, "CACHE_DIR", str(tmp_path / "empty_cache"))
+    monkeypatch.setattr(_native, "_find_compiler", lambda: None)
+    try:
+        with pytest.warns(RuntimeWarning, match="compiled kernels unavailable"):
+            python = run()
+        assert _native.kernel() is None
+    finally:
+        _native.kernel.cache_clear()
+    assert sorted(compiled) == sorted(ARTIFACTS)
+    assert python == compiled
+
+
+def test_file_run_refuses_more_windows_than_the_cap_before_simulating(tmp_path, capsys, monkeypatch):
+    from evstereo import cli
+
+    path = file_config(tmp_path, *write_file_fixture(tmp_path))
+    monkeypatch.setattr(cli, "simulate", None)  # never reached
+    assert main(["run", "-c", str(path), "--set", "analysis.window_us=5"]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"config error \(run\): analysis\.window_us 5 gives \d+ windows over \d+ us, more than 131072$", err)
+
+
+def test_run_refuses_a_spike_tail_of_more_windows_than_the_cap_before_the_report(tmp_path, capsys, monkeypatch):
+    from evstereo import cli
+
+    # the 0.1 s stimulus gives 100,001 windows of 1 us, but slow disparity
+    # neurons fire until about 0.33 s
+    path, _ = synthetic_config(
+        tmp_path,
+        input={"synthetic": {"shape": "DOT", "keyframes": [[0, 2.0]], "x": 5, "y": 8}, "duration_us": 100_000},
+        simulator={"overrides": {"DISPARITY": {"tau_m": 100_000.0, "tau_s": 100_000.0}}},
+        analysis={"window_us": 1},
+    )
+    monkeypatch.setattr(cli, "build_report", None)  # never reached
+    assert main(["run", "-c", str(path)]) == 2
+    err = capsys.readouterr().err
+    match = re.match(r"config error \(run\): analysis\.window_us 1 gives (\d+) windows over \d+ us, more than 131072$", err)
+    assert match and int(match[1]) > 131072, err
+
+
 def test_run_multiple_configs_with_jobs(tmp_path):
     path1, _ = synthetic_config(tmp_path)
     cfg2_path = tmp_path / "config2.json"

@@ -106,6 +106,8 @@ MALFORMED = [
     ("spikes", lambda rows: rows[:2] + ["-1,2,COINC_EXC"] + rows[2:]),
     ("spikes", lambda rows: rows[:2] + ["1,2,BOGUS"] + rows[2:]),
     ("config", b'{"analysis": '),
+    # a recording spanning more than 2**60 us, named by the file of its last event
+    ("left", b"t_us,x,y,p\n0,10,10,1\n1152921504606846977,10,10,1\n"),
 ]
 # config values that are read: the message starts with the dotted key instead
 BAD_CONFIG_VALUES = [
@@ -134,6 +136,23 @@ BAD_CONFIG_VALUES = [
         b'{"input": {"synthetic": {"shape": "CLOUD", "y": 2, "height": 12, "dots_per_row": 4},'
         b' "duration_us": 4611686018427387904}}',
         "input.duration_us 4611686018427387904 gives 4611686018427388 lattice steps x 12 rows x 4 columns",
+    ),
+    # what the closed forms and int64 cannot represent
+    (b'{"simulator": {"refractory_us": 1e19}}', "simulator.refractory_us must lie in [0, 2**60], got 10000000000000000000"),
+    (
+        b'{"simulator": {"tau_m": 1000, "tau_s": 1000.0000000000001}}',
+        "simulator.tau_s must equal tau_m or differ from it by more than 1e-06 of the larger, "
+        "got tau_s 1000.0000000000001 and tau_m 1000.0",
+    ),
+    (b'{"simulator": {"tau_s": 1e19}}', "simulator.tau_s must lie in (0, 1e9] us, got 1e+19"),
+    (
+        b'{"simulator": {"overrides": {"DISPARITY": {"tau_m": 1e10}}}}',
+        "simulator.overrides.DISPARITY.tau_m must lie in (0, 1e9] us, got 10000000000.0",
+    ),
+    # more windows than the cap, refused before any is allocated
+    (
+        b'{"input": {"synthetic": {"shape": "DOT"}, "duration_us": 2000000}, "analysis": {"window_us": 1}}',
+        "analysis.window_us 1 gives 2000001 windows over 2000000 us, more than 131072",
     ),
 ]
 

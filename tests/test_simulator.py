@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import first_crossing_us, membrane_trace, reference_simulate, transplanted
+from conftest import first_crossing_us, membrane_trace, reference_simulate, transplanted, without_kernel
 from evstereo.events import LEFT, ON, RIGHT, CameraGeometry, DvsEvent, StereoEventStream
 from evstereo.simulator import (
     LifParams,
@@ -17,7 +17,7 @@ from evstereo.simulator import (
     write_spike_csv,
 )
 from evstereo.synth import CLOUD, DisparityProfile, gen_stimulus
-from evstereo.topology import NeuronCoord, Population, build_topology
+from evstereo.topology import NeuronCoord, Population, WeightParams, build_topology
 
 GEOM16 = CameraGeometry(16, 16)
 
@@ -334,3 +334,20 @@ def test_large_threshold_jitter_keeps_theta_positive_with_negative_reset():
     ]
     record = simulate(topo, stream_of(events, CameraGeometry(4, 2)), params, mismatch)
     assert 0 < len(record) < 5000
+
+
+def test_threshold_jitter_keeps_theta_above_a_large_reset():
+    # reset + 1e-9 rounds to reset at 1e8: a theta clamped there equalled the
+    # reset, so a neuron fired at the end of every refractory period without
+    # input, forever in the Python loop and until int64 overflowed compiled
+    topo = build_topology(2, 1, 0, WeightParams(w_rc=2e8))
+    params = LifParams(threshold=1.1e8, reset=1e8, refractory_us=1000, overrides={})
+    mismatch = MismatchModel(seed=1, threshold_sigma=10.0)
+    net = _Network(topo, params, mismatch)
+    assert np.sum(net.theta == np.nextafter(net.reset, np.inf)) == 2
+    stream = stream_of([DvsEvent(10, 0, 0, ON, LEFT), DvsEvent(10, 0, 0, ON, RIGHT)], CameraGeometry(2, 1))
+    record = simulate(topo, stream, params, mismatch)
+    assert 0 < len(record) < 100
+    with without_kernel():
+        python = simulate(topo, stream, params, mismatch)
+    assert np.array_equal(python.times, record.times) and np.array_equal(python.neuron_ids, record.neuron_ids)
