@@ -1,8 +1,9 @@
 /* Compiled kernels of evstereo: the event loop of the exact event-driven LIF
  * simulation, the strict parser of plain event files, the
  * background-activity filter and the rows of a CSV artifact. Each reproduces
- * a Python/numpy reference in the package exactly; the reference stays the
- * fallback. The library needs only libm.
+ * a Python/numpy reference exactly, which runs where no library loads; only
+ * the parser declines an input (EV_PYTHON, for the line scan). The library
+ * needs only libm.
  *
  * The event loop is the algorithm of simulator._Engine, operation for
  * operation: the closed-form advance, the crossing prediction by closed-form
@@ -35,7 +36,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { EV_OK = 0, EV_NOMEM = 1, EV_PYTHON = 2, EV_OVERFLOW = 3 };
+enum { EV_OK = 0, EV_NOMEM = 1, EV_PYTHON = 2, EV_OVERFLOW = 3, EV_INDEX = 4 };
 enum { NO_CROSSING = 0, CROSSING = 1, TIME_OVERFLOW = -1 };
 
 #define TABLE_SIZE 65536 /* decay table entries per time constant: 512 KiB, touched lazily */
@@ -488,8 +489,9 @@ int evstereo_parse_events(const uint8_t *buf, int64_t len, int has_side, int64_t
  * t_prev >= t[i] - window. last[] holds the latest timestamp per pixel of a
  * frame padded by radius on every edge, one frame per side, so no
  * neighbourhood wraps. Each group of equal timestamps is queried before it
- * is recorded, so support is strictly earlier. Returns EV_PYTHON if a time is
- * negative or out of order or an event lies outside the frame. */
+ * is recorded, so support is strictly earlier. Returns EV_INDEX, a fault of
+ * the caller, if a time is negative or out of order or an event lies outside
+ * the frame. */
 int evstereo_background(int64_t n, const int64_t *t, const int32_t *x, const int32_t *y, const int8_t *side,
                         int64_t width, int64_t height, int64_t radius, int same_pixel, int64_t window,
                         uint8_t *keep)
@@ -504,23 +506,20 @@ int evstereo_background(int64_t n, const int64_t *t, const int32_t *x, const int
     for (int64_t i = 0, j = 0; i < n && status == EV_OK; i = j) {
         int64_t ti = t[i];
         if (ti < 0 || (i && ti < t[i - 1])) {
-            status = EV_PYTHON;
+            status = EV_INDEX;
             break;
         }
         int64_t since = ti - window;
         for (j = i; j < n && t[j] == ti; j++) {
             if (x[j] < 0 || x[j] >= width || y[j] < 0 || y[j] >= height || side[j] < 0 || side[j] > 1) {
-                status = EV_PYTHON;
+                status = EV_INDEX;
                 break;
             }
             const int64_t *centre = last + side[j] * frame + (y[j] + radius) * wp + x[j] + radius;
             uint8_t ok = 0;
             for (int64_t dy = -radius; dy <= radius && !ok; dy++)
-                for (int64_t dx = -radius; dx <= radius; dx++)
-                    if ((dx || dy || same_pixel) && centre[dy * wp + dx] >= since) {
-                        ok = 1;
-                        break;
-                    }
+                for (int64_t dx = -radius; dx <= radius && !ok; dx++)
+                    ok = (dx || dy || same_pixel) && centre[dy * wp + dx] >= since;
             keep[j] = ok;
         }
         for (int64_t k = i; k < j; k++)
@@ -553,7 +552,7 @@ static char *put_int(char *p, int64_t v)
  * n_names[c] < 0 a cell is its value in decimal; otherwise the value is a
  * code k in [0, n_names[c]) and the cell the name j = first[c] + k, the
  * bytes text[bounds[j] .. bounds[j+1]). On EV_OK *out holds *out_len bytes
- * owned by the caller (release with evstereo_free). Returns EV_PYTHON for a
+ * owned by the caller (release with evstereo_free). Returns EV_INDEX for a
  * code out of range. */
 int evstereo_format_rows(int64_t n_rows, int64_t n_cols, const int64_t *const *cols, const int64_t *n_names,
                          const int64_t *first, const int64_t *bounds, const char *text, char **out,
@@ -588,7 +587,7 @@ int evstereo_format_rows(int64_t n_rows, int64_t n_cols, const int64_t *const *c
             if (n_names[c] < 0) {
                 p = put_int(p, v);
             } else if (v < 0 || v >= n_names[c]) {
-                status = EV_PYTHON;
+                status = EV_INDEX;
                 break;
             } else {
                 int64_t j = first[c] + v;

@@ -10,9 +10,9 @@ load OpenSSL). Each build writes a name unique to its process and renames it
 into place, so concurrent workers building at once are safe. Nothing here
 is imported until a caller needs a kernel. Without a library each caller
 runs its Python or numpy reference, which gives the same result. With one,
-the event loop returns its result or raises; the parser, the background
-filter and the CSV rows may decline an input, which their reference then
-decides.
+the event loop, the background filter and the CSV rows return their result
+or raise; only the parser may decline an input (``EV_PYTHON``), which the
+line scan then decides.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ CACHE_DIR = os.path.join(HERE, "__pycache__")
 # CPython, which keeps spikes bit-identical to the Python loop
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
-EV_OK, EV_NOMEM, EV_PYTHON, EV_OVERFLOW = 0, 1, 2, 3
+EV_OK, EV_NOMEM, EV_PYTHON, EV_OVERFLOW, EV_INDEX = 0, 1, 2, 3, 4
 
 
 def _find_compiler() -> str | None:
@@ -133,24 +133,17 @@ def _int64s(ptr, count: int) -> np.ndarray:
     return np.frombuffer(ctypes.string_at(ptr, 8 * count), np.int64)
 
 
-def _fault(status: int, what: str) -> Exception:
-    """The exception of a kernel that failed with ``status``."""
+def _check(status: int, what: str, outside: str = "") -> None:
+    """Raise the exception of a kernel that returned ``status``, unless it is
+    ``EV_OK``; ``outside`` names the input that an ``EV_INDEX`` guard refused."""
     if status == EV_NOMEM:
-        return MemoryError(f"{what}: allocation failed")
+        raise MemoryError(f"{what}: allocation failed")
     if status == EV_OVERFLOW:
-        return OverflowError(f"{what}: a time beyond int64")
-    return RuntimeError(f"{what}: unknown status {status}")
-
-
-def _accepted(status: int, what: str) -> bool:
-    """False where the parser, the background filter or the CSV rows
-    declined (only the numpy or Python reference reproduces the result);
-    raises on any failure."""
-    if status == EV_PYTHON:
-        return False
+        raise OverflowError(f"{what}: a time beyond int64")
+    if status == EV_INDEX:
+        raise IndexError(f"{what}: {outside}")
     if status != EV_OK:
-        raise _fault(status, what)
-    return True
+        raise RuntimeError(f"{what}: unknown status {status}")
 
 
 def parse_events(lib: ctypes.CDLL, data: bytes, start: int, side: int | None, x_end: int, y_end: int):
@@ -169,18 +162,20 @@ def parse_events(lib: ctypes.CDLL, data: bytes, start: int, side: int | None, x_
         _ptr(t, ctypes.c_int64), _ptr(x, ctypes.c_int32), _ptr(y, ctypes.c_int32),
         _ptr(p, ctypes.c_int8), _ptr(s, ctypes.c_int8), ctypes.byref(n),
     )
-    if not _accepted(status, "compiled parser"):
+    if status == EV_PYTHON:
         return None
+    _check(status, "compiled parser")
     if n.value != cap:
         raise RuntimeError(f"compiled parser: {n.value} of {cap} rows")
     return t, x, y, p, s
 
 
-def background(lib: ctypes.CDLL, stream, window_us: int, radius: int, include_same_pixel: bool) -> np.ndarray | None:
+def background(lib: ctypes.CDLL, stream, window_us: int, radius: int, include_same_pixel: bool) -> np.ndarray:
     """The keep mask of the background-activity filter over ``stream`` (a
-    canonically ordered ``StereoEventStream``), or None where only the numpy
-    filter decides. The kernel allocates one int64 per pixel of both sides'
-    frames padded by ``radius``; ``1 <= window_us < 2**63``."""
+    canonically ordered ``StereoEventStream``). The kernel allocates one int64
+    per pixel of both sides' frames padded by ``radius``; ``1 <= window_us <
+    2**63``. Raises IndexError for an event out of time order or outside its
+    frame, which no valid stream holds."""
     t, x, y, side = (
         np.ascontiguousarray(col, dtype)
         for col, dtype in zip((stream.t, stream.x, stream.y, stream.side), (np.int64, np.int32, np.int32, np.int8))
@@ -191,7 +186,8 @@ def background(lib: ctypes.CDLL, stream, window_us: int, radius: int, include_sa
         stream.geometry.width, stream.geometry.height, radius, bool(include_same_pixel), window_us,
         _ptr(keep, ctypes.c_uint8),
     )
-    return keep.view(bool) if _accepted(status, "compiled background filter") else None
+    _check(status, "compiled background filter", "an event out of time order or outside its frame")
+    return keep.view(bool)
 
 
 def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray, final_state: np.ndarray | None = None):
@@ -255,8 +251,7 @@ def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray, final_state
         None if final_state is None else _ptr(final_state, f64),
     )
     try:
-        if status != EV_OK:
-            raise _fault(status, "compiled event loop")
+        _check(status, "compiled event loop")
         count = n_spikes.value
         if count == 0:
             return np.zeros(0, np.int64), np.zeros(0, np.int64), deliveries.value
@@ -266,10 +261,11 @@ def run(lib: ctypes.CDLL, net, ev_t: np.ndarray, ev_src: np.ndarray, final_state
         lib.evstereo_free(spike_id)
 
 
-def format_rows(lib: ctypes.CDLL, columns: list[tuple[np.ndarray, list[str] | None]]) -> bytes | None:
+def format_rows(lib: ctypes.CDLL, columns: list[tuple[np.ndarray, list[str] | None]]) -> bytes:
     """The CSV body of equal-length int64 ``columns``, each paired with its
     names (a cell is then ``names[value]``) or with None (a cell is the value
-    in decimal); None where a value is no valid index into its names."""
+    in decimal). Raises IndexError where a value is no index into its names,
+    as ``events._python_rows`` does."""
     n_rows = len(columns[0][0]) if columns else 0
     values = [np.ascontiguousarray(v, dtype=np.int64) for v, _ in columns]
     if any(v.shape != (n_rows,) for v in values):
@@ -286,8 +282,7 @@ def format_rows(lib: ctypes.CDLL, columns: list[tuple[np.ndarray, list[str] | No
         b"".join(e for names in encoded for e in names), ctypes.byref(out), ctypes.byref(out_len),
     )
     try:
-        if not _accepted(status, "compiled CSV rows"):
-            return None
+        _check(status, "CSV rows", "a code outside its names")
         return ctypes.string_at(out, out_len.value) if out_len.value else b""
     finally:
         lib.evstereo_free(out)

@@ -36,7 +36,6 @@ from .groundtruth import (
     read_calibration_json,
     read_marker_csv,
     read_trace_csv,
-    to_downscaled_coords,
     write_trace_csv,
 )
 from .metrics import build_report, write_com_csv
@@ -105,10 +104,7 @@ def _marker_tracks(cfg: RunConfig, origin: tuple[int, int], t_offset: int):
             tr.t = tr.t - t_offset  # markers share the recording clock
     factor = cfg.preprocess.downscale_factor if cfg.preprocess_enabled else 1
     size = (cfg.topology.retina_width, cfg.topology.retina_height)
-    return [
-        [to_downscaled_coords(tr, factor, origin, size) for tr in project_markers(tracks3d, p, cfg.full_geometry)]
-        for p in read_calibration_json(cfg.input.calibration)
-    ]
+    return [project_markers(tracks3d, p, factor, origin, size) for p in read_calibration_json(cfg.input.calibration)]
 
 
 def _write_rates_csv(record: SpikeRecord, topology: Topology, window_us: int, n_windows: int, path: str) -> None:
@@ -183,13 +179,8 @@ def _run_one(config_path: str, overrides: list[str]) -> int:
             raw = StereoEventStream._from_canonical(raw.t - t_offset, raw.x, raw.y, raw.p, raw.side, raw.geometry)
         if cfg.preprocess_enabled:
             stream, origin = preprocess_pipeline_resolved(raw, cfg.preprocess)
-        else:
+        else:  # the config holds the retina's geometry
             stream, origin = raw, (0, 0)
-        if stream.geometry != cfg.topology.geometry:
-            raise InputError(
-                f"input geometry {stream.geometry} does not match the retina; "
-                "enable preprocessing or fix the crop"
-            )
         duration = stream.duration
         window_count_of(cfg, duration)  # before the run, which the spikes' windows check again
         tracks = _marker_tracks(cfg, origin, t_offset)

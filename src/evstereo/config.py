@@ -83,7 +83,8 @@ class RunConfig:
 
     def validate_for_run(self) -> None:
         """The checks of a run's inputs: its files, the stimulus bounds, the
-        preprocessing geometry and the crop against the retina."""
+        preprocessing geometry and the crop against the retina, or without
+        preprocessing the recording's geometry against the retina."""
         inp = self.input
         if inp.is_synthetic:
             if inp.duration_us is None or inp.duration_us <= 0:
@@ -112,7 +113,7 @@ class RunConfig:
                 raise InputError(
                     "file input requires input.markers and input.calibration for ground truth"
                 )
-            if self.preprocess_enabled:  # else the run checks the input's geometry against the retina
+            if self.preprocess_enabled:
                 try:
                     self.preprocess.validate(self.full_geometry)
                 except ValueError as exc:
@@ -123,6 +124,12 @@ class RunConfig:
                         f"preprocess crop size {cw}x{ch} must equal the retina "
                         f"{self.topology.retina_width}x{self.topology.retina_height}"
                     )
+            elif self.full_geometry != self.topology.geometry:  # the events reach the retina as recorded
+                raise InputError(
+                    f"preprocess.full_geometry {self.full_geometry.width}x{self.full_geometry.height} "
+                    f"does not match the retina {self.topology.retina_width}x{self.topology.retina_height}; "
+                    "enable preprocessing or set the retina to the recording's size"
+                )
 
 
 # ---------------------------------------------------------------- the table

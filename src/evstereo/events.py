@@ -413,43 +413,40 @@ def write_event_file(stream: StereoEventStream, path: str) -> None:
 def write_csv(path: str, header: str, columns: Sequence) -> None:
     """Write ``header`` and one row per position of the equal-length
     ``columns`` with ``atomic_write``; no rows give a header-only file. A
-    column is an array of numbers or a ``(names, codes)`` pair, whose cell is
-    ``names[code]``. The number format of every artifact: a float cell is the
-    shortest round-trip ``repr``, or empty for NaN (a missing value); an
-    integer cell is ``str``. The compiled kernel (``_native``) assembles the
-    rows where it can, else ``_python_rows``; both give the same bytes."""
+    column is an array of integers or floats, or a ``(names, codes)`` pair,
+    whose cell is ``names[code]``. The number format of every artifact: a
+    float cell is the shortest round-trip ``repr``, or empty for NaN (a
+    missing value); an integer cell is ``str``. Both writers take the columns
+    as ``_coded_columns`` codes them: the compiled kernel (``_native``) where
+    one loads, else ``_python_rows``; both give the same bytes."""
     from . import _native  # deferred, so that importing the package compiles and loads nothing
 
+    coded = _coded_columns(columns)
     lib = _native.kernel()
-    coded = None if lib is None else _coded_columns(columns)
-    body = None if coded is None else _native.format_rows(lib, coded)
-    if body is None:
-        body = _python_rows(columns)
+    body = _python_rows(coded) if lib is None else _native.format_rows(lib, coded)
     atomic_write(path, header.encode() + b"\n" + body)
 
 
-def _python_rows(columns: Sequence) -> bytes:
-    """The CSV body of ``columns`` in Python: the reference for the kernel."""
+def _python_rows(coded: list[tuple[np.ndarray, list[str] | None]]) -> bytes:
+    """The CSV body of ``_coded_columns`` in Python: the reference for the
+    kernel. A code outside its names raises IndexError, as the kernel does."""
 
-    def cells(col) -> list[str]:
-        if isinstance(col, tuple):
-            names, codes = col
-            return [str(names[k]) for k in np.asarray(codes).tolist()]
-        a = np.asarray(col)
-        if a.dtype.kind == "f":
-            return ["" if v != v else repr(v) for v in a.tolist()]
-        return list(map(str, a.tolist()))
+    def cells(values: np.ndarray, names: list[str] | None) -> list[str]:
+        if names is None:
+            return list(map(str, values.tolist()))
+        if len(values) and not 0 <= values.min() <= values.max() < len(names):
+            raise IndexError("CSV rows: a code outside its names")
+        return [names[k] for k in values.tolist()]
 
-    rows = map(",".join, zip(*map(cells, columns), strict=True))
+    rows = map(",".join, zip(*(cells(values, names) for values, names in coded), strict=True))
     return "".join(row + "\n" for row in rows).encode()
 
 
-def _coded_columns(columns: Sequence) -> list[tuple[np.ndarray, list[str] | None]] | None:
-    """``columns`` as the kernel takes them: int64 values, each with None
+def _coded_columns(columns: Sequence) -> list[tuple[np.ndarray, list[str] | None]]:
+    """``columns`` as both writers take them: integer values, each with None
     (printed in decimal) or with the names its values index. A float column
     becomes codes into the cells of its distinct bit patterns, so each
-    distinct value is formatted once. None if a column is neither a pair nor
-    of integers or floats."""
+    distinct value is formatted once."""
     coded = []
     for col in columns:
         names, values = col if isinstance(col, tuple) else (None, col)
@@ -459,7 +456,7 @@ def _coded_columns(columns: Sequence) -> list[tuple[np.ndarray, list[str] | None
         elif a.dtype.kind == "f" and names is None:
             coded.append(_float_codes(np.ascontiguousarray(a, dtype=np.float64)))
         else:
-            return None
+            raise TypeError(f"a CSV column must hold integers or floats, or codes into names, got {a.dtype}")
     return coded
 
 

@@ -1,8 +1,8 @@
 """Ground-truth disparity from 3D marker trajectories.
 
-Marker positions project through per-camera 3x4 matrices onto the full
-resolution image planes, map into the downscaled/cropped frame of the
-network input, and reduce to a per-window disparity trace d = u_right -
+Marker positions project through per-camera 3x4 matrices straight into the
+downscaled and cropped frame of the network input (``project_markers``, one
+pass per view), and reduce to a per-window disparity trace d = u_right -
 u_left (the same sign convention as the network's disparity coordinate).
 Ground truth keeps sub-pixel precision end to end; only events are integer.
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import CameraGeometry, InputError, read_csv, read_text, write_csv
+from .events import InputError, read_csv, read_text, write_csv
 from .simulator import window_center_labels, window_centers_us, window_count
 
 MARKER_CSV_HEADER = "t_us,joint,X_mm,Y_mm,Z_mm"
@@ -41,13 +41,13 @@ class MarkerTrack3D:
 
 @dataclass(repr=False, eq=False)
 class Track2D:
-    """Projected track: pixel positions plus validity (w' > 0) and
-    visibility (valid and inside the frame of its stage)."""
+    """Projected track in the network's frame: sub-pixel positions (NaN
+    behind the camera) and visibility (in front of the camera and inside the
+    crop)."""
 
     joint: str
     t: np.ndarray
     uv: np.ndarray  # (n, 2) float64
-    valid: np.ndarray  # (n,) bool
     visible: np.ndarray  # (n,) bool
 
 
@@ -71,53 +71,34 @@ class DisparityTrace:
         return ~np.isnan(self.d_mean)
 
 
-def check_projection_matrix(P: np.ndarray) -> np.ndarray:
+def project_markers(
+    tracks: list[MarkerTrack3D], P: np.ndarray, factor: int, origin: tuple[int, int], size: tuple[int, int]
+) -> list[Track2D]:
+    """Each track in the frame of the network's input, in one pass: the
+    perspective projection ``(p0/p2, p1/p2)`` of its homogeneous world
+    points, downscaled by ``factor`` and re-based to the crop at ``origin``,
+    ``(u/factor - ox, v/factor - oy)``, kept sub-pixel. A sample is visible
+    where ``w' > 0`` and it lies inside the crop of ``size``; behind the
+    camera its position is NaN. Nothing is dropped."""
     P = np.asarray(P, dtype=np.float64)
     if P.shape != (3, 4):
         raise ValueError(f"projection matrix must be 3x4, got {P.shape}")
-    return P
-
-
-def project_markers(tracks: list[MarkerTrack3D], P: np.ndarray, geometry: CameraGeometry) -> list[Track2D]:
-    """Perspective projection (u, v) = (p0/p2, p1/p2) of homogeneous world
-    points; samples with w' <= 0 are flagged invalid, samples landing outside
-    the frame are flagged not visible. Nothing is dropped."""
-    P = check_projection_matrix(P)
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
+    shift = np.array(origin, dtype=np.float64)
+    w, h = size
     out = []
     for track in tracks:
         n = len(track.t)
-        homog = np.hstack([track.xyz, np.ones((n, 1))])
-        proj = homog @ P.T  # (n, 3)
+        proj = np.hstack([track.xyz, np.ones((n, 1))]) @ P.T  # (n, 3)
         wprime = proj[:, 2]
-        valid = wprime > 0
+        front = wprime > 0
         uv = np.full((n, 2), np.nan)
-        uv[valid] = proj[valid, :2] / wprime[valid, None]
-        visible = valid.copy()
-        inside = (
-            (uv[:, 0] >= 0) & (uv[:, 0] < geometry.width) & (uv[:, 1] >= 0) & (uv[:, 1] < geometry.height)
-        )
-        visible &= np.where(np.isnan(uv[:, 0]), False, inside)
-        out.append(Track2D(joint=track.joint, t=track.t.copy(), uv=uv, valid=valid, visible=visible))
+        uv[front] = proj[front, :2] / wprime[front, None]
+        uv = uv / factor - shift
+        visible = front & (uv[:, 0] >= 0) & (uv[:, 0] < w) & (uv[:, 1] >= 0) & (uv[:, 1] < h)  # False on NaN
+        out.append(Track2D(joint=track.joint, t=track.t, uv=uv, visible=visible))
     return out
-
-
-def to_downscaled_coords(
-    track: Track2D,
-    factor: int,
-    crop_origin: tuple[int, int],
-    crop_size: tuple[int, int],
-) -> Track2D:
-    """(u, v) -> (u/factor - crop_x, v/factor - crop_y), kept sub-pixel;
-    visibility re-evaluated against the crop window."""
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    ox, oy = crop_origin
-    w, h = crop_size
-    uv = track.uv / factor - np.array([ox, oy], dtype=np.float64)
-    visible = track.valid & ~np.isnan(uv[:, 0])
-    inside = (uv[:, 0] >= 0) & (uv[:, 0] < w) & (uv[:, 1] >= 0) & (uv[:, 1] < h)
-    visible &= np.where(np.isnan(uv[:, 0]), False, inside)
-    return Track2D(joint=track.joint, t=track.t.copy(), uv=uv, valid=track.valid.copy(), visible=visible)
 
 
 def _interp_visible(track: Track2D, t_center: np.ndarray) -> np.ndarray:

@@ -1,6 +1,11 @@
 """Event-stream preprocessing: IR-region masking, hot-pixel removal,
 background-activity filtering, uniform downscaling, and cropping.
 
+Hot pixels are one boolean flag per pixel of both frames, which
+``detect_hot_pixels`` computes and ``remove_pixels`` selects with. The
+background filter runs the compiled kernel where one loads, else its numpy
+reference; the kernel returns the keep mask or raises.
+
 Every stage is a pure filter+remap over an immutable stream: it never creates
 events and never touches timestamps. A filter keeps the canonical order of
 its input (``StereoEventStream.select``), and so does the translation of
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import LEFT, RIGHT, CameraGeometry, StereoEventStream
+from .events import CameraGeometry, StereoEventStream
 
 
 @dataclass(eq=False)
@@ -118,31 +123,25 @@ def _pixel_index(side, y, x, geometry: CameraGeometry) -> np.ndarray:
     return (np.asarray(side, dtype=np.int64) * geometry.height + y) * geometry.width + x
 
 
-def detect_hot_pixels(stream: StereoEventStream, factor: float) -> set[tuple[int, int, int]]:
-    """Pixels whose event count exceeds factor x median nonzero per-pixel
-    count, statistics taken per camera side. Returns {(x, y, side)}."""
-    hot: set[tuple[int, int, int]] = set()
+def detect_hot_pixels(stream: StereoEventStream, factor: float) -> np.ndarray:
+    """One flag per pixel of both frames, indexed by ``_pixel_index``: set
+    where the pixel's event count exceeds factor x the median nonzero
+    per-pixel count of its side."""
     h, w = stream.geometry.height, stream.geometry.width
     counts = np.bincount(_pixel_index(stream.side, stream.y, stream.x, stream.geometry), minlength=2 * h * w)
+    hot = np.zeros((2, h * w), dtype=bool)
     for side, side_counts in enumerate(counts.reshape(2, h * w)):
         nonzero = side_counts[side_counts > 0]
-        if len(nonzero) == 0:
-            continue
-        threshold = factor * float(np.median(nonzero))
-        for idx in np.flatnonzero(side_counts > threshold):
-            hot.add((int(idx % w), int(idx // w), side))
-    return hot
+        if len(nonzero):
+            hot[side] = side_counts > factor * float(np.median(nonzero))
+    return hot.ravel()
 
 
-def remove_pixels(stream: StereoEventStream, pixels: set[tuple[int, int, int]]) -> StereoEventStream:
-    """Drop every event whose ``(x, y, side)`` is in ``pixels``; entries
-    outside the geometry match nothing."""
-    h, w = stream.geometry.height, stream.geometry.width
-    inside = [(s, y, x) for x, y, s in pixels if 0 <= x < w and 0 <= y < h and s in (LEFT, RIGHT)]
-    if not inside:
+def remove_pixels(stream: StereoEventStream, flagged: np.ndarray) -> StereoEventStream:
+    """Drop every event whose pixel is flagged, one flag per pixel of both
+    frames as ``detect_hot_pixels`` returns them."""
+    if not flagged.any():
         return stream
-    flagged = np.zeros(2 * h * w, dtype=bool)
-    flagged[_pixel_index(*np.array(inside, dtype=np.int64).T, stream.geometry)] = True
     return stream.select(~flagged[_pixel_index(stream.side, stream.y, stream.x, stream.geometry)])
 
 
@@ -164,24 +163,23 @@ def filter_background(
 
     The compiled kernel (``_native``) makes one pass over the time-ordered
     events with the latest timestamp of every pixel (Delbruck 2008). The
-    numpy filter ``_background_keep`` gives the same result; it runs where
-    there is no compiler and on geometries whose padded grid exceeds
-    ``_BACKGROUND_GRID_CELLS``.
+    numpy filter ``_background_keep`` gives the same result; it runs instead
+    where there is no compiler and on geometries whose padded grid exceeds
+    ``_BACKGROUND_GRID_CELLS``. One of the two runs per call.
     """
     if window_us <= 0:
         raise ValueError("window_us must be > 0")
     if len(stream) == 0:
         return stream
-    keep = None
-    cells = 2 * (stream.geometry.width + 2 * radius) * (stream.geometry.height + 2 * radius)
-    if radius >= 0 and cells <= _BACKGROUND_GRID_CELLS and window_us < 1 << 63:
-        from . import _native  # deferred, so that importing the package compiles and loads nothing
+    from . import _native  # deferred, so that importing the package compiles and loads nothing
 
-        lib = _native.kernel()
-        if lib is not None:
-            keep = _native.background(lib, stream, window_us, radius, include_same_pixel)
-    if keep is None:
+    cells = 2 * (stream.geometry.width + 2 * radius) * (stream.geometry.height + 2 * radius)
+    fits = radius >= 0 and cells <= _BACKGROUND_GRID_CELLS and window_us < 1 << 63
+    lib = _native.kernel() if fits else None
+    if lib is None:
         keep = _background_keep(stream, window_us, radius, include_same_pixel)
+    else:
+        keep = _native.background(lib, stream, window_us, radius, include_same_pixel)
     return stream.select(keep)
 
 

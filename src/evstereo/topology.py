@@ -440,17 +440,37 @@ def _fan_out(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, candidates[rows, cols]
 
 
+#: The most values of the largest array a topology build allocates, R3's
+#: candidate matrix of ``n_triplets x (2W - 1)`` int64 values (128 MiB; a
+#: build peaks near 850 MB at the cap, 1.3 GB with separated polarities).
+MAX_CANDIDATES = 2**24
+
+
+def candidate_count(retina_width: int, retina_height: int, d_max: int) -> int:
+    """The values of R3's candidate matrix: ``n_triplets x (2W - 1)``, where
+    ``n_triplets = H ((2 d_max + 1) W - d_max (d_max + 1))``."""
+    n_triplets = retina_height * ((2 * d_max + 1) * retina_width - d_max * (d_max + 1))
+    return n_triplets * (2 * retina_width - 1)
+
+
 def check_topology(
     retina_width: int, retina_height: int, d_max: int, polarity_mode: str, continuity_radius: int | None
 ) -> None:
     """The checks of ``build_topology``'s arguments, weights aside; each
-    message starts with the argument's name."""
+    message starts with the argument's name. A retina whose candidate matrix
+    exceeds ``MAX_CANDIDATES`` is refused before anything is allocated."""
     if retina_width < 1:
         raise ValueError(f"retina_width must be >= 1, got {retina_width}")
     if retina_height < 1:
         raise ValueError(f"retina_height must be >= 1, got {retina_height}")
     if not 0 <= d_max <= retina_width - 1:
         raise ValueError(f"d_max must be in [0, {retina_width - 1}], got {d_max}")
+    size = candidate_count(retina_width, retina_height, d_max)
+    if size > MAX_CANDIDATES:
+        raise ValueError(
+            f"retina_width {retina_width} x retina_height {retina_height} with d_max {d_max} gives a candidate "
+            f"matrix of {size} values, more than {MAX_CANDIDATES}"
+        )
     if polarity_mode not in (RECTIFIED, SEPARATED):
         raise ValueError(f"polarity_mode must be {RECTIFIED!r} or {SEPARATED!r}, got {polarity_mode!r}")
     if continuity_radius is not None and continuity_radius < 0:
@@ -493,8 +513,12 @@ def check_hardware_constraints(topology: Topology) -> ConstraintReport:
 
 
 def largest_feasible_d_max(retina_width: int, retina_height: int, weights: WeightParams | None = None) -> int | None:
-    """Largest d_max whose build passes the hardware constraints, or None."""
-    for d_max in range(retina_width - 1, -1, -1):
+    """Largest d_max whose build passes the hardware constraints, or None.
+    The search starts at the largest d_max that ``MAX_CANDIDATES`` admits."""
+    top = retina_width - 1
+    while top >= 0 and candidate_count(retina_width, retina_height, top) > MAX_CANDIDATES:
+        top -= 1
+    for d_max in range(top, -1, -1):
         topo = build_topology(retina_width, retina_height, d_max, weights)
         if check_hardware_constraints(topo).passed:
             return d_max

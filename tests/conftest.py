@@ -14,6 +14,13 @@ compiled kernels on hosts without a compiler.
 `id_of` is the id of a coincidence or disparity coordinate, the inverse of
 ``Topology.coord_of`` that only tests need.
 
+`flagged_pixels` and `pixel_flags` turn the per-pixel flags of the hot-pixel
+stage into a set of ``(x, y, side)`` and back, so that tests compare sets.
+
+`two_step_projection` is the reference for ``project_markers``: the marker
+projection into the full frame, then downscaled and cropped in a second
+step, as the pipeline once computed it.
+
 `split_rows` and `union_of_runs` state the row decomposition: rules R1-R4
 connect only neurons of one retina row, so a run equals the union of the
 runs on each row's events. `shifted`, `mirrored` and `transplanted` are the
@@ -101,6 +108,40 @@ def id_of(topology: Topology, population: Population, coord: NeuronCoord, channe
     if not 0 <= channel < topology.n_channels:
         raise KeyError(f"channel {channel} out of range")
     return topology.offsets[population] + channel * topology.n_triplets + idx
+
+
+def flagged_pixels(flags: np.ndarray, geometry: CameraGeometry) -> set[tuple[int, int, int]]:
+    """The ``(x, y, side)`` of every flagged pixel of the two frames."""
+    side, pixel = np.divmod(np.flatnonzero(flags), geometry.width * geometry.height)
+    y, x = np.divmod(pixel, geometry.width)
+    return set(zip(x.tolist(), y.tolist(), side.tolist()))
+
+
+def pixel_flags(pixels, geometry: CameraGeometry) -> np.ndarray:
+    """One flag per pixel of the two frames, set at each ``(x, y, side)``."""
+    flags = np.zeros((2, geometry.height, geometry.width), dtype=bool)
+    for x, y, side in pixels:
+        flags[side, y, x] = True
+    return flags.ravel()
+
+
+def two_step_projection(track, P: np.ndarray, factor: int, origin, size):
+    """(uv, visible) of a ``MarkerTrack3D`` in two steps: projected into the
+    full frame (NaN and invalid where ``w' <= 0``), then divided by
+    ``factor``, shifted by ``origin`` and checked against the crop of
+    ``size``."""
+    n = len(track.t)
+    proj = np.hstack([track.xyz, np.ones((n, 1))]) @ np.asarray(P, dtype=np.float64).T
+    wprime = proj[:, 2]
+    valid = wprime > 0
+    uv = np.full((n, 2), np.nan)
+    uv[valid] = proj[valid, :2] / wprime[valid, None]
+    uv = uv / factor - np.array(origin, dtype=np.float64)
+    w, h = size
+    visible = valid & ~np.isnan(uv[:, 0])
+    inside = (uv[:, 0] >= 0) & (uv[:, 0] < w) & (uv[:, 1] >= 0) & (uv[:, 1] < h)
+    visible &= np.where(np.isnan(uv[:, 0]), False, inside)
+    return uv, visible
 
 
 def event_sort_key(e: DvsEvent) -> tuple[int, int, int, int, int]:

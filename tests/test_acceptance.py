@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import epsp_kernel, event_sort_key, id_of, oracle_matches
+from conftest import epsp_kernel, event_sort_key, flagged_pixels, id_of, oracle_matches
 from evstereo.cli import main as cli_main
 from evstereo.events import LEFT, ON, RIGHT, CameraGeometry, DvsEvent, StereoEventStream
 from evstereo.groundtruth import DisparityTrace
@@ -374,7 +374,7 @@ def test_a10_preprocessing_oracles_exact():
     assert list(mask_regions(s, [region])) == [e for e in s if not region.contains(e.x, e.y)]
 
     factor = 4.0
-    got_hot = detect_hot_pixels(s, factor)
+    got_hot = flagged_pixels(detect_hot_pixels(s, factor), geom)
     oracle_hot = set()
     for side in (LEFT, RIGHT):
         counts = {}

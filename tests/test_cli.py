@@ -328,6 +328,20 @@ def test_run_file_inputs_without_preprocessing(tmp_path, capsys):
     assert "does not match the retina" in capsys.readouterr().err
 
 
+def test_run_refuses_a_recording_geometry_other_than_the_retina_before_parsing(tmp_path, capsys, monkeypatch):
+    """Without preprocessing the events reach the retina as recorded, so the
+    config is refused at load, naming ``preprocess.full_geometry``, before
+    any event file is read."""
+    from evstereo import cli
+
+    path = file_config(tmp_path, *write_file_fixture(tmp_path))
+    monkeypatch.setattr(cli, "parse_event_file", None)  # never reached
+    flags = ["--set", "preprocess.enabled=false", "--set", "preprocess.full_geometry=[40,30]"]
+    assert main(["run", "-c", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error (run): preprocess.full_geometry 40x30 does not match the retina 16x16;"), err
+
+
 def test_file_ground_truth_covers_the_windows_of_spikes_after_the_last_event(tmp_path):
     """Events end at 398 ms and the markers run to 600 ms: a spike after
     400 ms opens window 8, whose ground truth comes from the markers."""
@@ -719,7 +733,7 @@ def test_records_generate_only_the_methods_something_uses():
     def having(method):
         return sorted(cls.__name__ for cls in records if vars(cls).get(method) is not None)
 
-    # CameraGeometry is compared in cli._run_one and merge_streams, printed in messages and a
+    # CameraGeometry is compared in RunConfig.validate_for_run and merge_streams, printed in messages and a
     # dataclass default; WeightParams is part of cli._topology's lru_cache key; tests compare the rest
     assert having("__eq__") == ["CameraGeometry", "DvsEvent", "MetricsReport", "NeuronCoord", "WeightParams"]
     assert having("__repr__") == ["CameraGeometry", "Rect"]  # printed in preprocess and events messages

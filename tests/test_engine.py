@@ -2,13 +2,16 @@
 equality of spike times, ids and delivery counts and bitwise equality of the
 final neuron and synapse state over random small networks, the fallback
 without a compiler, concurrent builds, and a warning-free build of the
-kernel source. Both loops also keep the network's invariants: a run is the
+kernel source, whose prototypes the ctypes declarations match in length.
+Both loops also keep the network's invariants: a run is the
 union of the runs on each retina row's events, each row runs alone on a
 one-row retina, and a run commutes with a time shift and with the mirror."""
 
 import os
+import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -358,3 +361,30 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     cmd = _native.compile_command(cc, str(tmp_path / "engine.so"))
     proc = subprocess.run([cmd[0], "-Wall", "-Wextra", "-Werror", *cmd[1:]], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_ctypes_declaration_matches_its_prototype_in_length():
+    """Each argtypes list that ``_native._declare`` sets has as many entries
+    as the parameter list of the function's prototype in ``_engine.c``; this
+    needs no compiler. Every exported function is declared."""
+    with open(_native.SOURCE, encoding="utf-8") as fh:
+        source = fh.read()
+    prototypes = {
+        name: [param for param in params.split(",") if param.strip()]
+        for name, params in re.findall(r"^\w[\w ]*\b(evstereo_\w+)\(([^)]*)\)", source, flags=re.M)
+    }
+
+    class Library:
+        """Records what ``_declare`` sets, one namespace per function."""
+
+        def __init__(self) -> None:
+            self.functions: dict[str, types.SimpleNamespace] = {}
+
+        def __getattr__(self, name: str) -> types.SimpleNamespace:
+            return self.functions.setdefault(name, types.SimpleNamespace())
+
+    lib = Library()
+    _native._declare(lib)
+    assert sorted(lib.functions) == sorted(prototypes)
+    for name, declared in lib.functions.items():
+        assert len(declared.argtypes) == len(prototypes[name]), name

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evstereo.events import CameraGeometry
+from conftest import two_step_projection
 from evstereo.groundtruth import (
     MarkerTrack3D,
     Track2D,
@@ -10,12 +12,11 @@ from evstereo.groundtruth import (
     read_calibration_json,
     read_marker_csv,
     read_trace_csv,
-    to_downscaled_coords,
     write_trace_csv,
 )
 
-FULL = CameraGeometry(346, 260)
 IDENTITY_P = np.hstack([np.eye(3), np.zeros((3, 1))])
+FULL_FRAME = (1, (0, 0), (346, 260))  # factor, crop origin and crop size of the undivided 346x260 frame
 
 
 def track(joint, samples):
@@ -30,23 +31,23 @@ def track(joint, samples):
 
 def test_identity_projection_perspective_divide():
     tracks = [track("a", [(0, 100.0, 50.0, 2.0)])]
-    out = project_markers(tracks, IDENTITY_P, FULL)
+    out = project_markers(tracks, IDENTITY_P, *FULL_FRAME)
     assert out[0].uv[0] == pytest.approx([50.0, 25.0])
-    assert out[0].valid[0] and out[0].visible[0]
+    assert out[0].visible[0]
 
 
-def test_point_behind_camera_flagged_invalid():
+def test_point_behind_camera_flagged_not_visible():
     tracks = [track("a", [(0, 10.0, 10.0, -2.0), (1000, 10.0, 10.0, 2.0)])]
-    out = project_markers(tracks, IDENTITY_P, FULL)
-    assert not out[0].valid[0] and not out[0].visible[0]
-    assert out[0].valid[1]
+    out = project_markers(tracks, IDENTITY_P, *FULL_FRAME)
+    assert not out[0].visible[0] and np.isnan(out[0].uv[0]).all()
+    assert out[0].visible[1]
     assert len(out[0].t) == 2  # flagged, not dropped
 
 
 def test_point_outside_frame_flagged_not_visible():
     tracks = [track("a", [(0, 10000.0, 50.0, 2.0)])]
-    out = project_markers(tracks, IDENTITY_P, FULL)
-    assert out[0].valid[0]
+    out = project_markers(tracks, IDENTITY_P, *FULL_FRAME)
+    assert out[0].uv[0] == pytest.approx([5000.0, 25.0])
     assert not out[0].visible[0]
 
 
@@ -56,7 +57,7 @@ def test_projection_matches_independent_homogeneous_algebra():
     P[2] = [0, 0, 1, 5.0]  # keep w' positive for z > -5
     samples = [(int(i * 1000), *rng.uniform(1, 100, size=3)) for i in range(50)]
     tracks = [track("j", samples)]
-    out = project_markers(tracks, P, FULL)[0]
+    out = project_markers(tracks, P, *FULL_FRAME)[0]
     # second implementation: explicit scalar dot products
     for i, (_, X, Y, Z) in enumerate(samples):
         num_u = P[0, 0] * X + P[0, 1] * Y + P[0, 2] * Z + P[0, 3]
@@ -66,48 +67,69 @@ def test_projection_matches_independent_homogeneous_algebra():
         assert out.uv[i, 1] == pytest.approx(num_v / den, abs=1e-12)
 
 
-def test_projection_rejects_bad_matrix_shape():
+def test_projection_rejects_bad_matrix_shape_and_factor():
     with pytest.raises(ValueError, match="3x4"):
-        project_markers([], np.eye(3), FULL)
+        project_markers([], np.eye(3), *FULL_FRAME)
+    with pytest.raises(ValueError, match="factor"):
+        project_markers([], IDENTITY_P, 0, (0, 0), (16, 16))
 
 
 # ------------------------------------------------------------- downscaling
 
 def make_track2d(joint, t, uv, visible=None):
     uv = np.asarray(uv, dtype=np.float64)
-    n = len(t)
-    valid = ~np.isnan(uv[:, 0])
-    vis = valid.copy() if visible is None else np.asarray(visible, dtype=bool)
-    return Track2D(joint=joint, t=np.asarray(t, dtype=np.int64), uv=uv, valid=valid, visible=vis)
+    vis = ~np.isnan(uv[:, 0]) if visible is None else np.asarray(visible, dtype=bool)
+    return Track2D(joint=joint, t=np.asarray(t, dtype=np.int64), uv=uv, visible=vis)
 
 
 def test_downscale_divides_and_shifts():
-    tr = make_track2d("a", [0], [[60.0, 30.0]])
-    out = to_downscaled_coords(tr, 6, (0, 0), (16, 16))
-    assert out.uv[0] == pytest.approx([10.0, 5.0])
-    out2 = to_downscaled_coords(tr, 6, (10, 5), (16, 16))
-    assert out2.uv[0] == pytest.approx([0.0, 0.0])
+    tracks = [track("a", [(0, 60.0, 30.0, 1.0)])]
+    assert project_markers(tracks, IDENTITY_P, 6, (0, 0), (16, 16))[0].uv[0] == pytest.approx([10.0, 5.0])
+    assert project_markers(tracks, IDENTITY_P, 6, (10, 5), (16, 16))[0].uv[0] == pytest.approx([0.0, 0.0])
 
 
 def test_downscale_factor_one_identity():
-    tr = make_track2d("a", [0], [[12.5, 7.25]])
-    out = to_downscaled_coords(tr, 1, (0, 0), (346, 260))
-    assert out.uv[0] == pytest.approx([12.5, 7.25])
+    tracks = [track("a", [(0, 12.5, 7.25, 1.0)])]
+    assert project_markers(tracks, IDENTITY_P, *FULL_FRAME)[0].uv[0] == pytest.approx([12.5, 7.25])
 
 
-def test_downscale_reevaluates_visibility():
-    tr = make_track2d("a", [0, 1000], [[60.0, 30.0], [300.0, 30.0]])
-    out = to_downscaled_coords(tr, 6, (0, 0), (16, 16))
-    assert out.visible[0]
-    assert not out.visible[1]  # 50 px exceeds the 16 px window
+def test_downscale_evaluates_visibility_against_the_crop():
+    samples = [(0, 60.0, 30.0, 1.0), (1000, 300.0, 30.0, 1.0), (2000, 0.0, 0.0, 1.0), (3000, 96.0, 30.0, 1.0),
+               (4000, 60.0, 96.0, 1.0), (5000, 95.9, 95.9, 1.0)]
+    out = project_markers([track("a", samples)], IDENTITY_P, 6, (0, 0), (16, 16))[0]
+    # 50 px exceeds the 16 px window; the crop holds [0, 16) on each axis
+    assert out.visible.tolist() == [True, False, True, False, False, True]
 
 
 def test_downscale_commutes_with_affine_map():
     rng = np.random.default_rng(3)
     uv = rng.uniform(0, 300, size=(20, 2))
-    tr = make_track2d("a", np.arange(20) * 100, uv)
-    out = to_downscaled_coords(tr, 6, (7, 3), (16, 16))
+    tracks = [track("a", [(k * 100, u, v, 1.0) for k, (u, v) in enumerate(uv)])]
+    out = project_markers(tracks, IDENTITY_P, 6, (7, 3), (16, 16))[0]
     assert np.allclose(out.uv, uv / 6 - [7, 3], atol=1e-12)
+
+
+# moderate coordinates on a 1e-3 lattice: every projection stays finite
+COORD = st.integers(-10**6, 10**6).map(lambda k: k / 1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(COORD, COORD, COORD), min_size=1, max_size=12),
+    st.lists(COORD, min_size=12, max_size=12),
+    st.integers(1, 8),
+    st.tuples(st.integers(0, 40), st.integers(0, 30)),
+    st.tuples(st.integers(1, 20), st.integers(1, 20)),
+)
+def test_one_pass_projection_equals_the_two_step_reference_bit_for_bit(points, p, factor, origin, size):
+    """Samples behind the camera, outside the full frame and outside the crop
+    included; the uv bits (NaN included) and the visibility agree."""
+    tr = track("a", [(k, *xyz) for k, xyz in enumerate(points)])
+    P = np.array(p).reshape(3, 4)
+    got = project_markers([tr], P, factor, origin, size)[0]
+    uv, visible = two_step_projection(tr, P, factor, origin, size)
+    assert got.uv.view(np.int64).tolist() == uv.view(np.int64).tolist()
+    assert got.visible.tolist() == visible.tolist()
 
 
 # ------------------------------------------------------------- trajectory

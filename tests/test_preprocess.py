@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import without_kernel
+from conftest import flagged_pixels, pixel_flags, without_kernel
 from evstereo import _native
 from evstereo.events import LEFT, ON, RIGHT, CameraGeometry, DvsEvent, StereoEventStream
 from evstereo.preprocess import (
@@ -70,7 +70,8 @@ def test_hot_pixels_uniform_rates_empty():
         DvsEvent(t=i, x=i % 10, y=i // 10, polarity=ON, side=LEFT) for i in range(100)
     ]
     s = StereoEventStream.from_events(events, GEOM)
-    assert detect_hot_pixels(s, 1.5) == set()
+    assert flagged_pixels(detect_hot_pixels(s, 1.5), GEOM) == set()
+    assert not detect_hot_pixels(s, 1.0).any()  # a count equal to the threshold is not hot
 
 
 def test_hot_pixels_single_outlier():
@@ -83,13 +84,13 @@ def test_hot_pixels_single_outlier():
             events.append(DvsEvent(t=2000 + k, x=x, y=y, polarity=ON, side=LEFT))
             k += 1
     s = StereoEventStream.from_events(events, GEOM)
-    assert detect_hot_pixels(s, 10.0) == {(0, 0, LEFT)}
+    assert flagged_pixels(detect_hot_pixels(s, 10.0), GEOM) == {(0, 0, LEFT)}
 
 
 def test_hot_pixels_match_histogram_oracle():
     s = random_stream(5, 10_000, geometry=CameraGeometry(12, 9))
     factor = 5.0
-    got = detect_hot_pixels(s, factor)
+    got = flagged_pixels(detect_hot_pixels(s, factor), s.geometry)
     # oracle: per-side dict histogram + median threshold
     oracle = set()
     for side in (LEFT, RIGHT):
@@ -109,7 +110,7 @@ def test_hot_pixels_match_histogram_oracle():
 def test_hot_pixel_removal_drops_only_flagged():
     s = random_stream(6, 3000, geometry=CameraGeometry(8, 8))
     hot = {(0, 0, LEFT), (3, 4, RIGHT)}
-    out = remove_pixels(s, hot)
+    out = remove_pixels(s, pixel_flags(hot, s.geometry))
     assert list(out) == [e for e in s if (e.x, e.y, e.side) not in hot]
 
 
@@ -225,8 +226,8 @@ def test_background_property_matches_quadratic_oracle(s, window, radius, include
 @given(small_streams(), st.data())
 def test_remove_pixels_property_matches_set_oracle(s, data):
     w, h = s.geometry.width, s.geometry.height
-    pixels = data.draw(st.sets(st.tuples(st.integers(-2, w + 1), st.integers(-2, h + 1), st.integers(-1, 2))))
-    out = remove_pixels(s, pixels)
+    pixels = data.draw(st.sets(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1), st.integers(0, 1))))
+    out = remove_pixels(s, pixel_flags(pixels, s.geometry))
     assert list(out) == [e for e in s if (e.x, e.y, e.side) not in pixels]
 
 
@@ -258,11 +259,10 @@ def test_compiled_background_equals_numpy_on_the_full_frame(include_same):
     for radius in range(4):
         for window in (1, 300, 2**62 - 1):
             keep = _native.background(lib, s, window, radius, include_same)
-            assert keep is not None
             assert np.array_equal(keep, _background_keep(s, window, radius, include_same))
 
 
-def test_compiled_background_declines_what_it_cannot_index():
+def test_compiled_background_raises_on_what_it_cannot_index():
     lib = _native.kernel()
     if lib is None:
         pytest.skip("no C compiler on this host")
@@ -271,7 +271,8 @@ def test_compiled_background_declines_what_it_cannot_index():
     for name, col in [("t", s.t[::-1]), ("t", s.t - s.t[0] - 1), ("x", s.x + 1), ("y", s.y - 1), ("side", s.side * 2)]:
         # bypasses validation, as no public constructor does
         bad = StereoEventStream._from_canonical(**{**cols, name: np.array(col)}, geometry=s.geometry)
-        assert _native.background(lib, bad, 100, 1, False) is None, name
+        with pytest.raises(IndexError, match="out of time order or outside its frame"):
+            _native.background(lib, bad, 100, 1, False)
 
 
 # ---------------------------------------------------------------- downscale

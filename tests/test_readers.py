@@ -149,6 +149,17 @@ BAD_CONFIG_VALUES = [
         b'{"simulator": {"overrides": {"DISPARITY": {"tau_m": 1e10}}}}',
         "simulator.overrides.DISPARITY.tau_m must lie in (0, 1e9] us, got 10000000000.0",
     ),
+    # retinas whose candidate matrix exceeds the cap, refused before anything is allocated
+    (
+        b'{"topology": {"retina_width": 4096, "retina_height": 4096}}',
+        "topology.retina_width 4096 x retina_height 4096 with d_max 7 gives a candidate matrix of "
+        "2059453825024 values, more than 16777216",
+    ),
+    (
+        b'{"topology": {"retina_width": 100000, "retina_height": 100000}}',
+        "topology.retina_width 100000 x retina_height 100000 with d_max 7 gives a candidate matrix of "
+        "29998730005600000 values, more than 16777216",
+    ),
     # more windows than the cap, refused before any is allocated
     (
         b'{"input": {"synthetic": {"shape": "DOT"}, "duration_us": 2000000}, "analysis": {"window_us": 1}}',

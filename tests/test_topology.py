@@ -13,6 +13,7 @@ from evstereo.topology import (
     Population,
     WeightParams,
     build_topology,
+    candidate_count,
     check_hardware_constraints,
     largest_feasible_d_max,
 )
@@ -307,6 +308,37 @@ def test_build_rejects_bad_parameters():
         build_topology(4, 4, -1)
     with pytest.raises(ValueError):
         build_topology(4, 4, 2, polarity_mode="other")
+
+
+@pytest.mark.parametrize("w,h,d_max", [(1, 1, 0), (2, 1, 1), (5, 3, 2), (8, 4, 7), (16, 16, 7), (16, 16, 15)])
+def test_candidate_count_is_the_size_of_r3s_candidate_matrix(w, h, d_max):
+    topo = build_topology(w, h, d_max)
+    assert candidate_count(w, h, d_max) == topo.n_triplets * (2 * w - 1)
+
+
+def test_build_refuses_a_candidate_matrix_beyond_the_cap(monkeypatch):
+    from evstereo import topology
+
+    monkeypatch.setattr(topology, "MAX_CANDIDATES", candidate_count(16, 16, 5))
+    build_topology(16, 16, 5)
+    monkeypatch.setattr(topology, "Topology", None)  # nothing is built beyond the cap
+    with pytest.raises(ValueError, match=r"^retina_width 16 x retina_height 16 with d_max 6 gives a candidate matrix"):
+        build_topology(16, 16, 6)
+
+
+def test_largest_feasible_d_max_starts_at_the_largest_d_max_under_the_cap(monkeypatch):
+    from evstereo import topology
+
+    built = []
+
+    def build(w, h, d_max, weights):
+        built.append(d_max)
+        return build_topology(w, h, d_max, weights)
+
+    monkeypatch.setattr(topology, "MAX_CANDIDATES", candidate_count(16, 16, 5))
+    monkeypatch.setattr(topology, "build_topology", build)
+    assert largest_feasible_d_max(16, 16) == 1
+    assert built == [5, 4, 3, 2, 1]
 
 
 def test_separated_mode_doubles_retina_and_coincidence():
