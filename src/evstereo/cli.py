@@ -337,7 +337,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_topology(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.set or [])
     if args.hardware_budget:
-        best = largest_feasible_d_max(cfg.topology.retina_width, cfg.topology.retina_height, cfg.topology.weights)
+        t = cfg.topology
+        best = largest_feasible_d_max(t.retina_width, t.retina_height, t.polarity_mode, t.continuity_radius)
         if best is None:
             print("no disparity band fits the hardware budget")
             return 1

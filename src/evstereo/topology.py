@@ -53,31 +53,6 @@ RECTIFIED = "rectified"
 SEPARATED = "separated"
 
 
-@dataclass(repr=False)
-class NeuronCoord:
-    """A coincidence or disparity neuron's cyclopean column, row and disparity."""
-
-    x_cyc: int
-    y: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if (self.x_cyc + self.d) % 2 != 0:
-            raise ValueError(f"x_cyc={self.x_cyc} and d={self.d} must share parity")
-
-    @property
-    def x_left(self) -> int:
-        return (self.x_cyc - self.d) // 2
-
-    @property
-    def x_right(self) -> int:
-        return (self.x_cyc + self.d) // 2
-
-    @classmethod
-    def from_pair(cls, x_left: int, x_right: int, y: int) -> "NeuronCoord":
-        return cls(x_cyc=x_right + x_left, y=y, d=x_right - x_left)
-
-
 @dataclass(frozen=True, repr=False)
 class WeightParams:
     """Synaptic weights in units of the firing threshold.
@@ -207,12 +182,6 @@ class Topology:
     # ---------------------------------------------------------- id algebra
 
     @functools.cached_property
-    def disparity_coords(self) -> tuple[NeuronCoord, ...]:
-        """The coordinate of each triplet, by index; built on first use."""
-        tri = slice(self.offsets[Population.DISPARITY], None)
-        return tuple(map(NeuronCoord, self.x_cyc[tri].tolist(), self.y[tri].tolist(), self.d[tri].tolist()))
-
-    @functools.cached_property
     def syn_start(self) -> np.ndarray:
         """Where each neuron's efferent synapses start in the tables, which
         are sorted by pre: those of neuron ``i`` are rows
@@ -260,11 +229,6 @@ class Topology:
             arr.setflags(write=False)
         return synapses, pair_of, paired
 
-    def population_of(self, neuron_id: int) -> Population:
-        if not 0 <= neuron_id < self.n_neurons:
-            raise KeyError(f"unknown neuron id {neuron_id}")
-        return Population(int(self.pop_code[neuron_id]))
-
     def retina_ids(self, side, x, y, channel=0):
         """The id of each retina neuron at pixel ``(x, y)`` of ``channel``
         on ``side`` (0 left, 1 right), unchecked: the one spelling of the
@@ -279,20 +243,6 @@ class Topology:
         if not 0 <= channel < self.n_channels:
             raise KeyError(f"retina channel {channel} out of range")
         return self.retina_ids(int(side != 0), x, y, channel)
-
-    def coord_of(self, neuron_id: int):
-        """Return (population, NeuronCoord, channel) or
-        (population, (x, y), channel) for retina neurons."""
-        pop = self.population_of(neuron_id)
-        rel = neuron_id - self.offsets[pop]
-        if pop in (Population.RETINA_L, Population.RETINA_R):
-            channel, rem = divmod(rel, self.retina_width * self.retina_height)
-            y, x = divmod(rem, self.retina_width)
-            return pop, (x, y), channel
-        if pop is Population.DISPARITY:
-            return pop, self.disparity_coords[rel], 0
-        channel, idx = divmod(rel, self.n_triplets)
-        return pop, self.disparity_coords[idx], channel
 
     def population_ids(self, population: Population) -> np.ndarray:
         off = self.offsets[population]
@@ -385,52 +335,58 @@ class Topology:
 
     # ---------------------------------------------------------- export
 
-    def to_json_dict(self) -> dict:
-        neurons = []
-        for nid in range(self.n_neurons):
-            pop, coord, channel = self.coord_of(nid)
-            if pop in (Population.RETINA_L, Population.RETINA_R):
-                entry = {"id": nid, "population": pop.name, "x": coord[0], "y": coord[1]}
-            else:
-                entry = {
-                    "id": nid,
-                    "population": pop.name,
-                    "x_cyc": coord.x_cyc,
-                    "y": coord.y,
-                    "d": coord.d,
-                }
-            if self.n_channels > 1 and pop is not Population.DISPARITY:
-                entry["channel"] = channel
-            neurons.append(entry)
-        synapses = [
-            {
-                "pre": int(self.syn_pre[i]),
-                "post": int(self.syn_post[i]),
-                "sign": "EXC" if self.syn_sign[i] > 0 else "INH",
-                "weight": float(self.syn_weight[i]),
-                "kind": "RECURRENT" if self.syn_kind[i] == RECURRENT else "FEEDFORWARD",
-            }
-            for i in range(self.n_synapses)
-        ]
-        return {
-            "retina_width": self.retina_width,
-            "retina_height": self.retina_height,
-            "d_max": self.d_max,
-            "polarity_mode": self.polarity_mode,
-            "continuity_radius": self.continuity_radius,
-            "weights": {
-                "w_rc": self.weights.w_rc,
-                "w_ce": self.weights.w_ce,
-                "w_ci": self.weights.w_ci,
-                "w_dd": self.weights.w_dd,
-            },
-            "populations": {p.name: int(self.counts[p]) for p in Population},
-            "neurons": neurons,
-            "synapses": synapses,
-        }
-
     def write_json(self, path: str) -> None:
-        atomic_write(path, json.dumps(self.to_json_dict(), indent=1) + "\n")
+        """Write the bytes of ``json.dumps(..., indent=1)`` of the header, the
+        neuron table and the synapse table, each population's entries from
+        one template filled with columns. The synapses of one presynaptic
+        population follow one rule, so they share a sign, a weight and a
+        kind."""
+        head = json.dumps(
+            {
+                "retina_width": self.retina_width,
+                "retina_height": self.retina_height,
+                "d_max": self.d_max,
+                "polarity_mode": self.polarity_mode,
+                "continuity_radius": self.continuity_radius,
+                "weights": {name: getattr(self.weights, name) for name in ("w_rc", "w_ce", "w_ci", "w_dd")},
+                "populations": {p.name: int(self.counts[p]) for p in Population},
+            },
+            indent=1,
+        )
+        neurons: list[str] = []
+        synapses: list[str] = []
+        for p in Population:
+            ids = self.population_ids(p)
+            rel = ids - self.offsets[p]
+            if p <= Population.RETINA_R:
+                channel, pixel = np.divmod(rel, self.retina_width * self.retina_height)
+                y, x = np.divmod(pixel, self.retina_width)
+                fields, columns = ["x", "y"], [x, y]
+            else:
+                channel = rel // self.n_triplets
+                fields, columns = ["x_cyc", "y", "d"], [self.x_cyc[ids], self.y[ids], self.d[ids]]
+            if self.n_channels > 1 and p is not Population.DISPARITY:
+                fields, columns = [*fields, "channel"], [*columns, channel]
+            template = _entry(['"id": {}', f'"population": "{p.name}"'] + [f'"{f}": {{}}' for f in fields])
+            neurons += map(template.format, ids.tolist(), *(c.tolist() for c in columns))
+
+            lo, hi = self.syn_start[ids[0]], self.syn_start[ids[-1] + 1]
+            if hi > lo:
+                template = _entry([
+                    '"pre": {}',
+                    '"post": {}',
+                    f'"sign": "{"EXC" if self.syn_sign[lo] > 0 else "INH"}"',
+                    f'"weight": {json.dumps(float(self.syn_weight[lo]))}',
+                    f'"kind": "{"RECURRENT" if self.syn_kind[lo] == RECURRENT else "FEEDFORWARD"}"',
+                ])
+                synapses += map(template.format, self.syn_pre[lo:hi].tolist(), self.syn_post[lo:hi].tolist())
+        tables = ',\n "neurons": [\n' + ",\n".join(neurons) + '\n ],\n "synapses": [\n' + ",\n".join(synapses)
+        atomic_write(path, head[:-2] + tables + "\n ]\n}\n")
+
+
+def _entry(fields: list[str]) -> str:
+    """The ``str.format`` template of one object of a list at ``indent=1``."""
+    return "  {{\n   " + ",\n   ".join(fields) + "\n  }}"
 
 
 def _fan_out(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -446,11 +402,15 @@ def _fan_out(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 MAX_CANDIDATES = 2**24
 
 
+def triplet_count(retina_width: int, retina_height: int, d_max: int) -> int:
+    """The match candidates ``(d, y, x_cyc)`` of a retina and band:
+    ``H ((2 d_max + 1) W - d_max (d_max + 1))``."""
+    return retina_height * ((2 * d_max + 1) * retina_width - d_max * (d_max + 1))
+
+
 def candidate_count(retina_width: int, retina_height: int, d_max: int) -> int:
-    """The values of R3's candidate matrix: ``n_triplets x (2W - 1)``, where
-    ``n_triplets = H ((2 d_max + 1) W - d_max (d_max + 1))``."""
-    n_triplets = retina_height * ((2 * d_max + 1) * retina_width - d_max * (d_max + 1))
-    return n_triplets * (2 * retina_width - 1)
+    """The values of R3's candidate matrix: ``n_triplets x (2W - 1)``."""
+    return triplet_count(retina_width, retina_height, d_max) * (2 * retina_width - 1)
 
 
 def check_topology(
@@ -512,14 +472,21 @@ def check_hardware_constraints(topology: Topology) -> ConstraintReport:
     )
 
 
-def largest_feasible_d_max(retina_width: int, retina_height: int, weights: WeightParams | None = None) -> int | None:
-    """Largest d_max whose build passes the hardware constraints, or None.
-    The search starts at the largest d_max that ``MAX_CANDIDATES`` admits."""
-    top = retina_width - 1
-    while top >= 0 and candidate_count(retina_width, retina_height, top) > MAX_CANDIDATES:
-        top -= 1
-    for d_max in range(top, -1, -1):
-        topo = build_topology(retina_width, retina_height, d_max, weights)
-        if check_hardware_constraints(topo).passed:
+def largest_feasible_d_max(
+    retina_width: int, retina_height: int, polarity_mode: str, continuity_radius: int | None
+) -> int | None:
+    """Largest d_max whose network passes the hardware constraints, or None.
+    Bands over ``MAX_CANDIDATES`` or ``NEURON_BUDGET`` are skipped by their
+    closed-form counts. No synapse crosses rows and every row is the same,
+    so the largest fan-in is that of a ``W`` x 1 build."""
+    n_channels = 2 if polarity_mode == SEPARATED else 1
+    for d_max in range(retina_width - 1, -1, -1):
+        if (
+            candidate_count(retina_width, retina_height, d_max) > MAX_CANDIDATES
+            or (2 * n_channels + 1) * triplet_count(retina_width, retina_height, d_max) > NEURON_BUDGET
+        ):
+            continue
+        row = build_topology(retina_width, 1, d_max, polarity_mode=polarity_mode, continuity_radius=continuity_radius)
+        if row.fan_in_counts().max() <= MAX_FAN_IN:
             return d_max
     return None

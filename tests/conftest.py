@@ -11,8 +11,11 @@ force, the reference for the coincidence detectors.
 `without_kernel` runs the numpy and Python references that stand in for the
 compiled kernels on hosts without a compiler.
 
-`id_of` is the id of a coincidence or disparity coordinate, the inverse of
-``Topology.coord_of`` that only tests need.
+`NeuronCoord`, `population_of`, `coord_of`, `disparity_coords` and `id_of`
+are the id algebra of a topology, neuron by neuron: the oracle for its
+per-id arrays. `topology_json_reference` is the per-element reference for
+``Topology.write_json``, and `largest_feasible_d_max_reference` the
+top-down search over full builds for ``largest_feasible_d_max``.
 
 `flagged_pixels` and `pixel_flags` turn the per-pixel flags of the hot-pixel
 stage into a set of ``(x, y, side)`` and back, so that tests compare sets.
@@ -40,7 +43,15 @@ from evstereo import _native
 from evstereo.events import LEFT, RIGHT, CameraGeometry, DvsEvent, StereoEventStream
 from evstereo.metrics import MetricsReport
 from evstereo.simulator import LifParams, window_count
-from evstereo.topology import NeuronCoord, Population, Topology
+from evstereo.topology import (
+    MAX_CANDIDATES,
+    RECURRENT,
+    Population,
+    Topology,
+    build_topology,
+    candidate_count,
+    check_hardware_constraints,
+)
 
 
 @contextlib.contextmanager
@@ -89,6 +100,109 @@ def spike_coords(topology: Topology, times: np.ndarray, ids: np.ndarray) -> np.n
     first = np.array([topology.offsets[p] for p in Population])[pop]
     channel = np.where(pop == Population.DISPARITY, 0, (ids - first) // topology.n_triplets)
     return np.stack([times, pop, channel, topology.d[ids], topology.x_cyc[ids], topology.y[ids]], axis=1)
+
+
+@dataclass(repr=False)
+class NeuronCoord:
+    """A coincidence or disparity neuron's cyclopean column, row and disparity."""
+
+    x_cyc: int
+    y: int
+    d: int
+
+    def __post_init__(self) -> None:
+        if (self.x_cyc + self.d) % 2 != 0:
+            raise ValueError(f"x_cyc={self.x_cyc} and d={self.d} must share parity")
+
+    @property
+    def x_left(self) -> int:
+        return (self.x_cyc - self.d) // 2
+
+    @property
+    def x_right(self) -> int:
+        return (self.x_cyc + self.d) // 2
+
+    @classmethod
+    def from_pair(cls, x_left: int, x_right: int, y: int) -> "NeuronCoord":
+        return cls(x_cyc=x_right + x_left, y=y, d=x_right - x_left)
+
+
+def population_of(topology: Topology, neuron_id: int) -> Population:
+    if not 0 <= neuron_id < topology.n_neurons:
+        raise KeyError(f"unknown neuron id {neuron_id}")
+    return Population(int(topology.pop_code[neuron_id]))
+
+
+def disparity_coords(topology: Topology) -> list[NeuronCoord]:
+    """The coordinate of each triplet, by index."""
+    return [triplet_coord(topology, i) for i in range(topology.n_triplets)]
+
+
+def triplet_coord(topology: Topology, index: int) -> NeuronCoord:
+    nid = topology.offsets[Population.DISPARITY] + index
+    return NeuronCoord(int(topology.x_cyc[nid]), int(topology.y[nid]), int(topology.d[nid]))
+
+
+def coord_of(topology: Topology, neuron_id: int):
+    """(population, NeuronCoord, channel), or (population, (x, y), channel)
+    for a retina neuron."""
+    pop = population_of(topology, neuron_id)
+    rel = neuron_id - topology.offsets[pop]
+    if pop in (Population.RETINA_L, Population.RETINA_R):
+        channel, rem = divmod(rel, topology.retina_width * topology.retina_height)
+        y, x = divmod(rem, topology.retina_width)
+        return pop, (x, y), channel
+    if pop is Population.DISPARITY:
+        return pop, triplet_coord(topology, rel), 0
+    channel, idx = divmod(rel, topology.n_triplets)
+    return pop, triplet_coord(topology, idx), channel
+
+
+def topology_json_reference(topology: Topology) -> dict:
+    """The object ``Topology.write_json`` encodes, built entry by entry."""
+    neurons = []
+    for nid in range(topology.n_neurons):
+        pop, coord, channel = coord_of(topology, nid)
+        if pop in (Population.RETINA_L, Population.RETINA_R):
+            entry = {"id": nid, "population": pop.name, "x": coord[0], "y": coord[1]}
+        else:
+            entry = {"id": nid, "population": pop.name, "x_cyc": coord.x_cyc, "y": coord.y, "d": coord.d}
+        if topology.n_channels > 1 and pop is not Population.DISPARITY:
+            entry["channel"] = channel
+        neurons.append(entry)
+    synapses = [
+        {
+            "pre": int(topology.syn_pre[i]),
+            "post": int(topology.syn_post[i]),
+            "sign": "EXC" if topology.syn_sign[i] > 0 else "INH",
+            "weight": float(topology.syn_weight[i]),
+            "kind": "RECURRENT" if topology.syn_kind[i] == RECURRENT else "FEEDFORWARD",
+        }
+        for i in range(topology.n_synapses)
+    ]
+    w = topology.weights
+    return {
+        "retina_width": topology.retina_width,
+        "retina_height": topology.retina_height,
+        "d_max": topology.d_max,
+        "polarity_mode": topology.polarity_mode,
+        "continuity_radius": topology.continuity_radius,
+        "weights": {"w_rc": w.w_rc, "w_ce": w.w_ce, "w_ci": w.w_ci, "w_dd": w.w_dd},
+        "populations": {p.name: int(topology.counts[p]) for p in Population},
+        "neurons": neurons,
+        "synapses": synapses,
+    }
+
+
+def largest_feasible_d_max_reference(w: int, h: int, polarity_mode: str, continuity_radius) -> int | None:
+    """The largest d_max whose full build passes ``check_hardware_constraints``,
+    searched from the largest d_max that ``MAX_CANDIDATES`` admits down."""
+    for d_max in range(w - 1, -1, -1):
+        if candidate_count(w, h, d_max) <= MAX_CANDIDATES:
+            topo = build_topology(w, h, d_max, polarity_mode=polarity_mode, continuity_radius=continuity_radius)
+            if check_hardware_constraints(topo).passed:
+                return d_max
+    return None
 
 
 def id_of(topology: Topology, population: Population, coord: NeuronCoord, channel: int = 0) -> int:
@@ -199,7 +313,7 @@ def reference_simulate(topology: Topology, stream, params: LifParams, horizon_us
     that an arrival at t cannot influence v(t).
     """
     n = topology.n_neurons
-    pops = [topology.population_of(i) for i in range(n)]
+    pops = [Population(c) for c in topology.pop_code.tolist()]
     pp = {p: params.for_population(p) for p in Population}
     tau_m = np.array([pp[p].tau_m for p in pops])
     tau_s = np.array([pp[p].tau_s for p in pops])

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import epsp_kernel, event_sort_key, flagged_pixels, id_of, oracle_matches
+from conftest import NeuronCoord, coord_of, epsp_kernel, event_sort_key, flagged_pixels, id_of, oracle_matches
 from evstereo.cli import main as cli_main
 from evstereo.events import LEFT, ON, RIGHT, CameraGeometry, DvsEvent, StereoEventStream
 from evstereo.groundtruth import DisparityTrace
@@ -31,7 +31,7 @@ from evstereo.preprocess import (
 )
 from evstereo.simulator import LifParams, instantaneous_rates, simulate
 from evstereo.synth import DisparityProfile, gen_stimulus
-from evstereo.topology import NeuronCoord, Population, build_topology
+from evstereo.topology import Population, build_topology
 from test_metrics import flat_trace, spike_record, window_sums
 from test_preprocess import background_oracle, random_stream
 from test_topology import rule_oracle
@@ -189,7 +189,7 @@ def test_a4_oracle_soundness_100_fixtures():
         spike_bins = set()
         mask = np.isin(record.populations, (Population.COINC_EXC, Population.COINC_INH))
         for t, nid in zip(record.times[mask], record.neuron_ids[mask]):
-            _, c, _ = topo.coord_of(int(nid))
+            _, c, _ = coord_of(topo, int(nid))
             key = (int(t) // WINDOW_US, c.y, c.d)
             assert key in match_bins, f"seed {seed}: C spike {key} has no oracle match"
             spike_bins.add(key)
@@ -277,7 +277,7 @@ def test_a7_metric_fixtures_exact():
 
     def d_id(dv):
         for nid in topo.population_ids(Population.DISPARITY):
-            if topo.coord_of(int(nid))[1].d == dv:
+            if coord_of(topo, int(nid))[1].d == dv:
                 return int(nid)
         raise LookupError(dv)
 
@@ -317,7 +317,7 @@ def test_a8_topology_rules_and_bijection():
                     if abs(c.d) <= d_max:
                         for pop in (Population.COINC_EXC, Population.COINC_INH, Population.DISPARITY):
                             nid = id_of(topo, pop, c)
-                            assert topo.coord_of(nid) == (pop, c, 0)
+                            assert coord_of(topo, nid) == (pop, c, 0)
     passline("A8", f"R1-R4 match the O(N^2) re-evaluation on {checked} builds <= 4x4; bijection holds")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import evstereo
-from conftest import read_report, without_kernel
+from conftest import coord_of, population_of, read_report, without_kernel
 from evstereo import _native
 from evstereo.cli import main
 from evstereo.config import (
@@ -167,6 +167,23 @@ def test_topology_hardware_budget_preset(tmp_path, capsys):
     assert "largest feasible d_max" in printed
     data = json.loads((tmp_path / "out" / "topology.json").read_text())
     assert data["populations"]["DISPARITY"] > 0
+
+
+@pytest.mark.parametrize(
+    "overrides,best",
+    [
+        (["topology.polarity_mode=separated"], 0),  # the neuron budget admits only d_max 0 with two channels
+        (["topology.retina_width=30", "topology.retina_height=2", "topology.continuity_radius=2"], 9),
+    ],
+)
+def test_topology_hardware_budget_searches_the_configured_network(tmp_path, capsys, overrides, best):
+    path, _ = synthetic_config(tmp_path)
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    assert main(["topology", "-c", str(path), *sets, "--hardware-budget"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"largest feasible d_max under hardware limits: {best}"
+    assert lines[-1] == "constraint check: pass"
+    assert json.loads((tmp_path / "out" / "topology.json").read_text())["d_max"] == best
 
 
 def test_eval_on_existing_artifacts(tmp_path, capsys):
@@ -735,7 +752,7 @@ def test_records_generate_only_the_methods_something_uses():
 
     # CameraGeometry is compared in RunConfig.validate_for_run and merge_streams, printed in messages and a
     # dataclass default; WeightParams is part of cli._topology's lru_cache key; tests compare the rest
-    assert having("__eq__") == ["CameraGeometry", "DvsEvent", "MetricsReport", "NeuronCoord", "WeightParams"]
+    assert having("__eq__") == ["CameraGeometry", "DvsEvent", "MetricsReport", "WeightParams"]
     assert having("__repr__") == ["CameraGeometry", "Rect"]  # printed in preprocess and events messages
     assert having("__hash__") == ["CameraGeometry", "WeightParams"]
 
@@ -1277,7 +1294,7 @@ def test_readout_csvs_agree_with_spikes(tmp_path):
     _, spikes = read_rows(out / "spikes.csv")
     spikes = [(int(t), int(n), pop) for t, n, pop in spikes]
     assert spikes and all(t // window_us < n_windows for t, _, _ in spikes)
-    coord = {n: topo.coord_of(n)[1] for n in range(topo.offsets[Population.COINC_EXC], topo.n_neurons)}
+    coord = {n: coord_of(topo, n)[1] for n in range(topo.offsets[Population.COINC_EXC], topo.n_neurons)}
 
     header, rows = read_rows(out / "rates.csv")
     assert header == "window_i,t_center_us,population,neuron_id,rate_hz"
@@ -1296,7 +1313,7 @@ def test_readout_csvs_agree_with_spikes(tmp_path):
     assert [int(r[1]) for r in rows] == sorted(coord)
     for pop, nid, d, x_cyc, y, rate in rows:
         c = coord[int(nid)]
-        assert pop == topo.population_of(int(nid)).name
+        assert pop == population_of(topo, int(nid)).name
         assert (int(d), int(x_cyc), int(y)) == (c.d, c.x_cyc, c.y)
         assert rate == repr(totals[int(nid)] / duration_s)
 

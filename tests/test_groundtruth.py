@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import two_step_projection
+from conftest import NeuronCoord, two_step_projection
 from evstereo.groundtruth import (
     MarkerTrack3D,
     Track2D,
@@ -197,8 +197,6 @@ def test_no_common_joint_errors():
 def test_sign_convention_matches_network():
     # a target shifted rightward in the RIGHT view has positive disparity in
     # both the ground-truth path and the network coordinate d = x_R - x_L
-    from evstereo.topology import NeuronCoord
-
     t = np.array([0, 100_000])
     left = make_track2d("a", t, np.array([[3.0, 2.0], [3.0, 2.0]]))
     right = make_track2d("a", t, np.array([[5.0, 2.0], [5.0, 2.0]]))

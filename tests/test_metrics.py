@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import read_report
+from conftest import coord_of, population_of, read_report
 from evstereo.groundtruth import DisparityTrace
 from evstereo.metrics import (
     EnergyCoefficients,
@@ -48,7 +48,7 @@ def spike_record(spikes, topology, duration):
     spikes = sorted(spikes)
     times = np.array([s[0] for s in spikes], dtype=np.int64)
     ids = np.array([s[1] for s in spikes], dtype=np.int64)
-    pops = np.array([int(topology.population_of(int(i))) for i in ids], dtype=np.int8)
+    pops = topology.pop_code[ids]
     return SpikeRecord(
         times=times, neuron_ids=ids, populations=pops, duration_us=duration, input_events=0, deliveries=0,
     )
@@ -146,7 +146,7 @@ def small_topology():
 def d_neuron(topology, d, y=0):
     ids = topology.population_ids(Population.DISPARITY)
     for nid in ids:
-        _, c, _ = topology.coord_of(int(nid))
+        _, c, _ = coord_of(topology, int(nid))
         if c.d == d and c.y == y:
             return int(nid)
     raise LookupError(d)
@@ -327,7 +327,7 @@ def test_report_com_is_the_exact_quotient_of_spike_counts(small_topology, drawn)
         for w in range(4):
             d = [
                 int(small_topology.d[nid]) for t, nid in spikes
-                if t // DT == w and small_topology.population_of(nid).name in populations
+                if t // DT == w and population_of(small_topology, nid).name in populations
             ]
             expected.append(float(Fraction(sum(d), len(d))) if d else None)
         assert com == expected

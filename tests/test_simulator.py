@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import first_crossing_us, membrane_trace, reference_simulate, transplanted, without_kernel
+from conftest import coord_of, first_crossing_us, membrane_trace, reference_simulate, transplanted, without_kernel
 from evstereo.events import LEFT, ON, RIGHT, CameraGeometry, DvsEvent, StereoEventStream
 from evstereo.simulator import (
     LifParams,
@@ -17,7 +17,7 @@ from evstereo.simulator import (
     write_spike_csv,
 )
 from evstereo.synth import CLOUD, DisparityProfile, gen_stimulus
-from evstereo.topology import NeuronCoord, Population, WeightParams, build_topology
+from evstereo.topology import Population, WeightParams, build_topology
 
 GEOM16 = CameraGeometry(16, 16)
 
@@ -30,7 +30,7 @@ def coincidence_coords_fired(topology, record):
     mask = np.isin(record.populations, (Population.COINC_EXC, Population.COINC_INH))
     coords = set()
     for nid in record.neuron_ids[mask]:
-        _, c, _ = topology.coord_of(int(nid))
+        _, c, _ = coord_of(topology, int(nid))
         coords.add((c.x_cyc, c.y, c.d))
     return coords
 

@@ -1,21 +1,31 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import id_of
+from conftest import (
+    NeuronCoord,
+    coord_of,
+    disparity_coords,
+    id_of,
+    largest_feasible_d_max_reference,
+    topology_json_reference,
+)
 from evstereo.topology import (
     EXC,
     FEEDFORWARD,
     INH,
+    NEURON_BUDGET,
     RECURRENT,
-    NeuronCoord,
     Population,
     WeightParams,
     build_topology,
     candidate_count,
     check_hardware_constraints,
     largest_feasible_d_max,
+    triplet_count,
 )
 
 
@@ -80,7 +90,7 @@ def test_counts_16x16_full_band():
 def test_id_coord_roundtrip_everywhere():
     topo = build_topology(4, 3, 2)
     for nid in range(topo.n_neurons):
-        pop, coord, channel = topo.coord_of(nid)
+        pop, coord, channel = coord_of(topo, nid)
         if pop in (Population.RETINA_L, Population.RETINA_R):
             side = 0 if pop is Population.RETINA_L else 1
             assert topo.id_of_retina(side, coord[0], coord[1], channel) == nid
@@ -94,7 +104,7 @@ def test_per_id_arrays_match_coordinates(mode):
     for pop in Population:
         assert np.all(topo.pop_code[topo.population_ids(pop)] == pop)
     for nid in range(topo.population_ids(Population.COINC_EXC)[0], topo.n_neurons):
-        _, c, _ = topo.coord_of(nid)
+        _, c, _ = coord_of(topo, nid)
         assert (topo.d[nid], topo.x_cyc[nid], topo.y[nid]) == (c.d, c.x_cyc, c.y)
     d_id = int(topo.population_ids(Population.DISPARITY)[0])
     r_id = int(topo.population_ids(Population.RETINA_R)[-1])
@@ -107,7 +117,7 @@ def test_per_id_arrays_match_coordinates(mode):
 
 def test_ids_sorted_by_disparity():
     topo = build_topology(16, 16, 15)
-    first = topo.coord_of(int(topo.population_ids(Population.DISPARITY)[0]))[1]
+    first = coord_of(topo, int(topo.population_ids(Population.DISPARITY)[0]))[1]
     assert first.d == -15
     ids = topo.population_ids(Population.DISPARITY)
     ds = topo.disparity_of_ids(ids)
@@ -117,7 +127,7 @@ def test_ids_sorted_by_disparity():
 def test_unknown_lookups_raise():
     topo = build_topology(2, 2, 1)
     with pytest.raises(KeyError):
-        topo.coord_of(topo.n_neurons)
+        coord_of(topo, topo.n_neurons)
     with pytest.raises(KeyError):
         id_of(topo, Population.DISPARITY, NeuronCoord.from_pair(0, 5, 0))
 
@@ -131,7 +141,7 @@ def rule_oracle(topo):
     """
     expected = set()
     n_ch = topo.n_channels
-    coords = topo.disparity_coords
+    coords = disparity_coords(topo)
     for idx_a, a in enumerate(coords):
         for ch in range(n_ch):
             ce = id_of(topo, Population.COINC_EXC, a, ch)
@@ -232,7 +242,7 @@ def test_no_synapse_crosses_rows():
     topo = build_topology(4, 3, 2)
 
     def row_of(nid):
-        pop, coord, _ = topo.coord_of(nid)
+        pop, coord, _ = coord_of(topo, nid)
         return coord[1] if isinstance(coord, tuple) else coord.y
 
     for pre, post in zip(topo.syn_pre.tolist(), topo.syn_post.tolist()):
@@ -290,11 +300,21 @@ def test_fan_in_matches_exhaustive_count():
 
 
 def test_largest_feasible_d_max_search():
-    best = largest_feasible_d_max(16, 16)
+    best = largest_feasible_d_max(16, 16, "rectified", None)
     assert best is not None
     assert check_hardware_constraints(build_topology(16, 16, best)).passed
     if best < 15:
         assert not check_hardware_constraints(build_topology(16, 16, best + 1)).passed
+
+
+@pytest.mark.parametrize("mode", ["rectified", "separated"])
+@pytest.mark.parametrize("radius", [None, 0, 1, 3])
+def test_largest_feasible_d_max_equals_the_full_build_search(mode, radius):
+    # every shape up to 12x4, where fan-in binds only when separated, and
+    # three larger ones where the neuron budget and the row's fan-in bind
+    shapes = [(w, h) for w in range(1, 13) for h in range(1, 5)] + [(16, 16), (30, 2), (20, 3)]
+    for w, h in shapes:
+        assert largest_feasible_d_max(w, h, mode, radius) == largest_feasible_d_max_reference(w, h, mode, radius)
 
 
 # ------------------------------------------------------------- validation
@@ -326,19 +346,38 @@ def test_build_refuses_a_candidate_matrix_beyond_the_cap(monkeypatch):
         build_topology(16, 16, 6)
 
 
-def test_largest_feasible_d_max_starts_at_the_largest_d_max_under_the_cap(monkeypatch):
+@pytest.mark.parametrize(
+    "w,h,mode,radius,cap_d_max,expected",
+    [
+        (16, 16, "separated", None, None, 0),  # the neuron budget binds
+        (32, 32, "rectified", None, None, 0),  # d_max 0 fills the budget exactly
+        (30, 2, "separated", None, None, 0),  # the fan-in binds
+        (30, 2, "rectified", 2, None, 9),
+        (30, 2, "rectified", 2, 7, 7),  # the candidate cap binds
+    ],
+)
+def test_largest_feasible_d_max_builds_one_row_within_the_cap_and_the_budget(
+    monkeypatch, w, h, mode, radius, cap_d_max, expected
+):
     from evstereo import topology
 
     built = []
 
-    def build(w, h, d_max, weights):
-        built.append(d_max)
-        return build_topology(w, h, d_max, weights)
+    def build(*args, **kwargs):
+        built.append((*args, kwargs))
+        return build_topology(*args, **kwargs)
 
-    monkeypatch.setattr(topology, "MAX_CANDIDATES", candidate_count(16, 16, 5))
+    if cap_d_max is not None:
+        monkeypatch.setattr(topology, "MAX_CANDIDATES", candidate_count(w, h, cap_d_max))
     monkeypatch.setattr(topology, "build_topology", build)
-    assert largest_feasible_d_max(16, 16) == 1
-    assert built == [5, 4, 3, 2, 1]
+    assert largest_feasible_d_max(w, h, mode, radius) == expected
+    assert built
+    n_channels = 2 if mode == "separated" else 1
+    for bw, bh, d_max, kwargs in built:
+        assert (bw, bh) == (w, 1)
+        assert kwargs == {"polarity_mode": mode, "continuity_radius": radius}
+        assert candidate_count(w, h, d_max) <= topology.MAX_CANDIDATES
+        assert (2 * n_channels + 1) * triplet_count(w, h, d_max) <= NEURON_BUDGET
 
 
 def test_separated_mode_doubles_retina_and_coincidence():
@@ -349,10 +388,19 @@ def test_separated_mode_doubles_retina_and_coincidence():
     assert sep.counts[Population.DISPARITY] == base.counts[Population.DISPARITY]
 
 
-def test_json_export_shape():
-    topo = build_topology(2, 1, 1)
-    d = topo.to_json_dict()
-    assert d["populations"]["DISPARITY"] == 4
-    assert len(d["neurons"]) == topo.n_neurons
-    assert len(d["synapses"]) == topo.n_synapses
-    assert {s["kind"] for s in d["synapses"]} <= {"FEEDFORWARD", "RECURRENT"}
+@pytest.mark.parametrize(
+    "w,h,d_max,mode,radius,weights",
+    [
+        (8, 4, 5, "rectified", None, None),
+        (8, 4, 5, "separated", None, None),
+        (8, 3, 5, "rectified", 2, None),
+        (5, 1, 4, "separated", 1, None),
+        (1, 1, 0, "rectified", None, None),
+        (4, 2, 3, "separated", None, WeightParams(w_rc=1, w_ce=0.1 + 0.2, w_ci=float("inf"), w_dd=float("nan"))),
+    ],
+)
+def test_write_json_bytes_equal_the_per_element_reference(tmp_path, w, h, d_max, mode, radius, weights):
+    topo = build_topology(w, h, d_max, weights, polarity_mode=mode, continuity_radius=radius)
+    topo.write_json(str(tmp_path / "topology.json"))
+    expected = json.dumps(topology_json_reference(topo), indent=1) + "\n"
+    assert (tmp_path / "topology.json").read_bytes() == expected.encode()
